@@ -7,11 +7,19 @@ Because such light produces independent Poissonian clicks per output mode,
 the simulator draws clicks from per-timing mean photon numbers instead of
 propagating amplitudes; this is exact for the modeled source and detectors.
 
+The receiver keeps only the first clicked timing, and the two detector means
+always sum to mu*eta, so a timing stays dark with probability
+p_none = e^{-mu*eta} (1 - p_dark)^2 whatever the bits and bases.  The first
+click j is therefore a truncated geometric draw, and only the clicked blocks
+need their two bits and a detector outcome.  Tagging is independent of the
+clicks and is drawn only for the blocks a counter reads.  The cost per block
+does not grow with L.
+
 Blocks are simulated in fixed-size batches of ``BATCH_BLOCKS``; every batch
-owns an RNG stream spawned from (seed, batch index) and draws fixed-shape
-arrays in a fixed order, so results are bit-identical for a given seed
-regardless of thread count.  Changing ``BATCH_BLOCKS`` would select a
-different (equally valid) random stream.
+owns an RNG stream spawned from (seed, batch index) and consumes it in a
+fixed order, so results are bit-identical for a given seed regardless of
+thread count.  Changing ``BATCH_BLOCKS`` would select a different (equally
+valid) random stream.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,76 +160,141 @@ def detection_means(
     return np.stack([base * (1.0 + cos_rel), base * (1.0 - cos_rel)], axis=-1)
 
 
+def _first_click(L: int, log_p_none: float, u: np.ndarray) -> np.ndarray:
+    """First clicked timing j in 1..L-1 per block, 0 for none.
+
+    T = floor(log U / log p_none) is geometric with P(T >= k) = p_none^k,
+    the chance that timings 1..k all stay dark; j = T + 1 when T < L - 1.
+    U = 1 - u lies in (0, 1], so log U is finite.
+    """
+    j = np.zeros(u.size, dtype=np.int64)
+    if log_p_none < 0.0:  # p_none = 1 (eta = p_dark = 0) never clicks
+        log_u = np.log(1.0 - u)
+        hit = log_u > (L - 1) * log_p_none  # T < L - 1, without overflow
+        j[hit] = np.minimum(log_u[hit] / log_p_none, L - 2).astype(np.int64) + 1
+    return j
+
+
+def _click_pattern(log_q_dark: float, means: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(k, 2) clicks of the two detectors at a timing known to click.
+
+    Detector s stays dark with probability q_s = e^{-m_s} (1 - p_dark); the
+    outcome {both, only 0, only 1} is drawn from its law conditional on at
+    least one click, whose total is p_0 + q_0 p_1.
+    """
+    q = np.exp(log_q_dark - means)
+    p = -np.expm1(log_q_dark - means)
+    both = p[:, 0] * p[:, 1]
+    with_0 = both + p[:, 0] * q[:, 1]
+    x = u * (p[:, 0] + q[:, 0] * p[:, 1])
+    return np.stack([x < with_0, (x < both) | (x >= with_0)], axis=-1)
+
+
+def _draw_tagged(L: int, mu: float, rng: np.random.Generator, m: int) -> np.ndarray:
+    """Whether each of m blocks emits two photons in one or adjacent pulses.
+
+    The photon total is Poisson(mu*L) and, given it, the photons land in
+    uniform independent pulses.  A total above ceil(L/2) cannot avoid
+    adjacency, so positions are drawn only for totals in 2..ceil(L/2).
+    """
+    total = rng.poisson(mu * L, size=m)
+    tagged = total > (L + 1) // 2
+    open_ = np.flatnonzero((total >= 2) & ~tagged)
+    owner = np.repeat(open_, total[open_])
+    key = np.sort(owner * L + rng.integers(0, L, size=owner.size))
+    owner = key // L
+    close = (np.diff(key) <= 1) & (owner[1:] == owner[:-1])
+    tagged[owner[1:][close]] = True
+    return tagged
+
+
 def _simulate_batch(
     params: ProtocolParams,
     channel: ChannelModel,
     rng: np.random.Generator,
     n: int,
+    tag_all: bool = False,
 ):
     """Simulate n blocks; returns counters plus per-block arrays.
 
-    Draw order is fixed: c, d, a-bits, signal clicks, dark clicks, tie
-    bits, flip draws, emission counts.  All shapes depend only on (n, L).
+    Draw order is fixed: c and d for every block, one uniform per block for
+    the first click j, then for the k clicked blocks the bit pair at j, the
+    detector outcome, tie bits and flip draws, and last the tagging of the
+    data-sifted blocks (of every block when tag_all).  Only O(n) values are
+    drawn, whatever L.  The per-block arrays are c, d, j and tagged over all
+    n blocks, and the bit pairs, clicks at j and measured bits b over the
+    clicked blocks, in block order.
     """
     L = params.L
     c = rng.random(n) < params.p1
     d = rng.random(n) < params.p1
-    a = rng.integers(0, 2, size=(n, L), dtype=np.int8)
+    log_q_dark = math.log1p(-channel.p_dark)
+    j = _first_click(L, -params.mu * channel.eta + 2.0 * log_q_dark, rng.random(n))
 
-    means = detection_means(params, channel, a, c, d)
-    signal = rng.poisson(means) >= 1
-    dark = rng.random((n, L - 1, 2)) < channel.p_dark
-    clicks = signal | dark
-
-    tie = rng.integers(0, 2, size=n, dtype=np.int8)
-    flip = rng.random(n) < channel.p_flip
-    emitted = rng.poisson(params.mu, size=(n, L))
-
-    any_click = clicks.any(axis=2)
-    has_click = any_click.any(axis=1)
-    t = np.argmax(any_click, axis=1)  # first clicked timing index, j = t + 1
-    j = np.where(has_click, t + 1, 0)
-
-    rows = np.arange(n)
-    click0 = clicks[rows, t, 0]
-    click1 = clicks[rows, t, 1]
-    b = np.where(click0 & click1, tie, click1.astype(np.int8))
+    hit = np.flatnonzero(j)
+    k = hit.size
+    c_hit, d_hit = c[hit], d[hit]
+    bits = rng.integers(0, 2, size=(k, 2), dtype=np.int8)
+    # the relative phase of a pulse pair does not depend on its timing
+    means = detection_means(replace(params, L=2), channel, bits, c_hit, d_hit)
+    pattern = _click_pattern(log_q_dark, means[:, 0], rng.random(k))
+    tie = rng.integers(0, 2, size=k, dtype=np.int8)
+    flip = rng.random(k) < channel.p_flip
+    b = np.where(pattern[:, 0] & pattern[:, 1], tie, pattern[:, 1].astype(np.int8))
     b = b ^ flip.astype(np.int8)
-    a_key = a[rows, t] ^ a[rows, t + 1]  # t <= L-2 always
+    error = (bits[:, 0] ^ bits[:, 1]) != b
 
-    tagged = (emitted >= 2).any(axis=1)
-    tagged |= ((emitted[:, :-1] + emitted[:, 1:]) >= 2).any(axis=1)
+    data = ~c_hit & ~d_hit
+    check = c_hit & d_hit
+    need = np.full(n, tag_all)
+    need[hit[data]] = True
+    tagged = np.zeros(n, dtype=bool)
+    tagged[need] = _draw_tagged(L, params.mu, rng, int(need.sum()))
 
-    error = a_key != b
-    data = ~c & ~d & has_click
-    check = c & d & has_click
     counters = (
         int(data.sum()),
         int((data & error).sum()),
         int(check.sum()),
         int((check & error).sum()),
-        int((data & tagged).sum()),
+        int(tagged[hit[data]].sum()),
         np.bincount(j[~d], minlength=L),
         np.bincount(j[d], minlength=L),
     )
-    per_block = (c, d, j, a_key, b, tagged, clicks)
+    per_block = (c, d, j, tagged, bits, pattern, b)
     return counters, per_block
 
 
 def simulate_block(
     params: ProtocolParams, channel: ChannelModel, rng: np.random.Generator
 ) -> BlockOutcome:
-    """One round: basis and bit draws, clicks, timing selection, key bit."""
-    _, (c, d, j, a_key, b, tagged, clicks) = _simulate_batch(params, channel, rng, 1)
-    detected = int(j[0]) != 0
+    """One round: basis and bit draws, clicks, timing selection, key bit.
+
+    The batch kernel settles the first click; the timings after it are
+    drawn here, for this block only, from fresh bits that continue the
+    clicked pair.
+    """
+    _, (c, d, j, tagged, bits, pattern, b) = _simulate_batch(
+        params, channel, rng, 1, tag_all=True
+    )
+    j0 = int(j[0])
+    clicks = np.zeros((params.L - 1, 2), dtype=bool)
+    if j0:
+        clicks[j0 - 1] = pattern[0]
+        rest = params.L - 1 - j0
+        if rest:
+            fresh = rng.integers(0, 2, size=rest, dtype=np.int8)
+            a = np.concatenate([bits[0, 1:], fresh])
+            means = detection_means(replace(params, L=rest + 1), channel, a, c, d)[0]
+            dark = rng.random((rest, 2)) < channel.p_dark
+            clicks[j0:] = (rng.poisson(means) >= 1) | dark
     return BlockOutcome(
         c=int(c[0]),
         d=int(d[0]),
-        j=int(j[0]),
-        a=int(a_key[0]) if detected else None,
-        b=int(b[0]) if detected else None,
+        j=j0,
+        a=int(bits[0, 0] ^ bits[0, 1]) if j0 else None,
+        b=int(b[0]) if j0 else None,
         tagged=bool(tagged[0]),
-        clicks=clicks[0],
+        clicks=clicks,
     )
 
 

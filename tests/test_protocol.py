@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from dqps import (
     ChannelModel,
@@ -19,7 +20,57 @@ from dqps import (
     simulate_block,
 )
 from dqps.keyrate import RateInputs
-from dqps.protocol import BATCH_BLOCKS
+from dqps.protocol import BATCH_BLOCKS, _simulate_batch
+
+
+def dense_reference_batch(params, channel, rng, n):
+    """Statistical reference: the direct O(n*L) simulation of n blocks.
+
+    Draws every pulse bit, every signal and dark click at every timing and
+    every pulse's photon number, then keeps the first clicked timing.
+    Returns the same counters as the batch kernel.
+    """
+    L = params.L
+    c = rng.random(n) < params.p1
+    d = rng.random(n) < params.p1
+    a = rng.integers(0, 2, size=(n, L), dtype=np.int8)
+
+    means = detection_means(params, channel, a, c, d)
+    signal = rng.poisson(means) >= 1
+    dark = rng.random((n, L - 1, 2)) < channel.p_dark
+    clicks = signal | dark
+
+    tie = rng.integers(0, 2, size=n, dtype=np.int8)
+    flip = rng.random(n) < channel.p_flip
+    emitted = rng.poisson(params.mu, size=(n, L))
+
+    any_click = clicks.any(axis=2)
+    has_click = any_click.any(axis=1)
+    t = np.argmax(any_click, axis=1)  # first clicked timing index, j = t + 1
+    j = np.where(has_click, t + 1, 0)
+
+    rows = np.arange(n)
+    click0 = clicks[rows, t, 0]
+    click1 = clicks[rows, t, 1]
+    b = np.where(click0 & click1, tie, click1.astype(np.int8))
+    b = b ^ flip.astype(np.int8)
+    a_key = a[rows, t] ^ a[rows, t + 1]  # t <= L-2 always
+
+    tagged = (emitted >= 2).any(axis=1)
+    tagged |= ((emitted[:, :-1] + emitted[:, 1:]) >= 2).any(axis=1)
+
+    error = a_key != b
+    data = ~c & ~d & has_click
+    check = c & d & has_click
+    return (
+        int(data.sum()),
+        int((data & error).sum()),
+        int(check.sum()),
+        int((check & error).sum()),
+        int((data & tagged).sum()),
+        np.bincount(j[~d], minlength=L),
+        np.bincount(j[d], minlength=L),
+    )
 
 
 def quiet_run(params, channel, n_jobs=1):
@@ -105,7 +156,8 @@ def test_simulate_block_fields():
     channel = ChannelModel(eta=1.0)
     rng = np.random.default_rng(0)
     saw_detection = False
-    for _ in range(50):
+    later_timings = later_clicked = 0
+    for _ in range(400):
         outcome = simulate_block(params, channel, rng)
         assert outcome.c in (0, 1) and outcome.d in (0, 1)
         assert 0 <= outcome.j <= params.L - 1
@@ -118,7 +170,16 @@ def test_simulate_block_fields():
             assert outcome.a in (0, 1) and outcome.b in (0, 1)
             if outcome.c == outcome.d:
                 assert outcome.b == outcome.a  # noiseless matched basis
+            assert not outcome.clicks[: outcome.j - 1].any()
+            assert outcome.clicks[outcome.j - 1].any()
+            later = outcome.clicks[outcome.j :].any(axis=1)
+            later_timings += later.size
+            later_clicked += int(later.sum())
     assert saw_detection
+    # timings after j are filled on demand with the unconditioned law
+    expected = 1.0 - math.exp(-params.mu * channel.eta) * (1.0 - channel.p_dark) ** 2
+    sigma = math.sqrt(expected * (1.0 - expected) / later_timings)
+    assert abs(later_clicked / later_timings - expected) < 3 * sigma
 
 
 def test_run_simulation_counters_are_consistent():
@@ -226,3 +287,54 @@ def test_estimate_key_rate_requires_detections():
     stats = quiet_run(params, ChannelModel(eta=0.0))
     with pytest.raises(ParameterError, match="Q_hat"):
         estimate_key_rate(stats, params)
+
+
+KERNEL_SETTINGS = [
+    (5, 0.3, dict(eta=0.8, p_dark=0.01, e_mis=0.3, p_flip=0.05)),
+    (20, 0.005, dict(eta=0.01, p_dark=1e-4)),
+    (3, 2.0, dict(eta=1.0)),
+    (4, 0.1, dict(eta=0.0, p_dark=0.01)),
+]
+
+
+@pytest.mark.parametrize("L, mu, channel_kw", KERNEL_SETTINGS)
+def test_batch_kernel_matches_dense_reference(L, mu, channel_kw):
+    n = 100_000
+    params = ProtocolParams(L=L, mu=mu, p1=0.5, n_blocks=n, seed=0)
+    channel = ChannelModel(**channel_kw)
+    kernel, _ = _simulate_batch(params, channel, np.random.default_rng(31), n)
+    dense = dense_reference_batch(params, channel, np.random.default_rng(32), n)
+
+    def tables(counters):
+        sd, ed, sc, ec, tg, h0, h1 = counters
+        # disjoint outcome classes of a block, then tagging of the sifted key
+        classes = [sd - ed, ed, sc - ec, ec, n - sd - sc]
+        return np.concatenate([h0, h1]), classes, [tg, sd - tg]
+
+    p_values = []
+    for new, ref in zip(tables(kernel), tables(dense)):
+        table = np.array([new, ref])
+        table = table[:, table.sum(axis=0) > 0]
+        if table.shape[1] > 1:
+            p_values.append(chi2_contingency(table).pvalue)
+    assert len(p_values) >= 2
+    assert min(p_values) > 1e-3, (p_values, kernel, dense)
+
+
+def test_degenerate_channels():
+    # eta = 0 without dark counts: p_none = 1, the kernel must not divide by 0
+    params = ProtocolParams(L=6, mu=0.1, p1=0.5, n_blocks=BATCH_BLOCKS + 5, seed=12)
+    dark_free = ChannelModel(eta=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stats = quiet_run(params, dark_free)
+        outcome = simulate_block(params, dark_free, np.random.default_rng(1))
+    assert stats.Q_hat == 0.0 and stats.sifted_check == 0
+    assert stats.j_hist_d0[0] + stats.j_hist_d1[0] == params.n_blocks
+    assert outcome.j == 0 and not outcome.clicks.any()
+
+    # mu * eta >= 50: the first timing always clicks
+    bright = ProtocolParams(L=6, mu=50.0, p1=0.5, n_blocks=BATCH_BLOCKS + 5, seed=13)
+    stats = quiet_run(bright, ChannelModel(eta=1.0))
+    assert stats.j_hist_d0[1] + stats.j_hist_d1[1] == bright.n_blocks
+    assert stats.tagged_data == stats.sifted_data
