@@ -9,23 +9,25 @@ term compensates for the doubles that dead time can hide.
 
 Both bounds divide observed counts by declared lower bounds on the
 efficiencies, never by the simulator's ground truth, so overstating a
-detector only loosens the result.  Photons route independently, which is
-exact for the Poissonian and diagonal sources in scope.
+detector only loosens the result.  The setups own their defaults: a truth
+left unset makes the declared bound exact.  Photons route independently,
+which is exact for the Poissonian and diagonal sources in scope.  Trains run
+through the protocol's seeded batch runner, ``protocol.run_batches``, so a
+seed gives the same counts for any thread count.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ThinStatisticsWarning
+from .protocol import run_batches
 from .tagging import SourceDistribution, TagParams, rtag_coherent, rtag_general
 
-BATCH_TRAINS = 32768
 _BOUND_TOL = 1e-12
 
 
@@ -36,25 +38,42 @@ def _check_prob(name: str, value: float, lo_open: bool = False) -> None:
         raise ParameterError(name, f"must be in {interval}")
 
 
+def _fill_truths(setup, rows) -> None:
+    """Default every unset truth so that its declared bound is exact, then check it.
+
+    rows holds (truth field, declared bound, arm transmission, arm name).
+    """
+    for name, eta, transmission, arm in rows:
+        if getattr(setup, name) is None:
+            if transmission == 0.0:
+                raise ParameterError(
+                    arm, f"arm transmits nothing, so no {name} makes the bound exact"
+                )
+            object.__setattr__(setup, name, eta / transmission)
+        _check_prob(name, getattr(setup, name))
+
+
 @dataclass(frozen=True)
 class CalibSetup2:
     """Two-detector test bench.
 
     eta1 and eta2 are the experimenter's declared lower bounds on the
     splitter-times-detector efficiencies of the two arms; true_T, true_R,
-    true_eff1, true_eff2 are the ground truth the simulator runs with.
-    A source distribution replaces the Poissonian input when given.
+    true_eff1, true_eff2 are the ground truth the simulator runs with.  An
+    unset true_eff1 (true_eff2) is eta1 / true_T (eta2 / true_R), making
+    the declared bound exact.  A source distribution replaces the
+    Poissonian input when given.
     """
 
     L: int
     mu: float
-    eta1: float
-    eta2: float
-    true_T: float
-    true_R: float
-    true_eff1: float
-    true_eff2: float
-    n_test: int
+    eta1: float = 0.25
+    eta2: float = 0.25
+    true_T: float = 0.5
+    true_R: float = 0.5
+    true_eff1: float | None = None
+    true_eff2: float | None = None
+    n_test: int = 100000
     source: SourceDistribution | None = None
 
     def __post_init__(self):
@@ -64,8 +83,12 @@ class CalibSetup2:
             raise ParameterError("mu", "mean photon number must be finite and >= 0")
         _check_prob("eta1", self.eta1, lo_open=True)
         _check_prob("eta2", self.eta2, lo_open=True)
-        for name in ("true_T", "true_R", "true_eff1", "true_eff2"):
+        for name in ("true_T", "true_R"):
             _check_prob(name, getattr(self, name))
+        _fill_truths(self, (
+            ("true_eff1", self.eta1, self.true_T, "true_T"),
+            ("true_eff2", self.eta2, self.true_R, "true_R"),
+        ))
         if self.true_T + self.true_R > 1 + _BOUND_TOL:
             raise ParameterError("true_T", "splitter outputs true_T + true_R exceed 1")
         if self.eta1 > self.true_T * self.true_eff1 + _BOUND_TOL:
@@ -85,26 +108,29 @@ class CalibSetup3:
     Layout: absorber, then splitter 1 whose reflected arm feeds detector 3,
     then splitter 2 feeding detectors 1 and 2.  Declared lower bounds:
     eta1 <= T1*T2*eff1, eta2 <= T1*R2*eff2, eta3 <= R1*eff3, and eta_abs
-    for the absorber.  dead_time = 0 models idealized always-ready
-    detectors, used only as a cross-check against the two-detector mode.
+    for the absorber.  An unset truth makes its declared bound exact:
+    true_eff1 = eta1 / (T1*T2), true_eff2 = eta2 / (T1*R2),
+    true_eff3 = eta3 / R1 and true_eta_abs = eta_abs.  dead_time = 0
+    models idealized always-ready detectors, used only as a cross-check
+    against the two-detector mode.
     """
 
     L: int
     mu: float
-    eta1: float
-    eta2: float
-    eta3: float
-    eta_abs: float
-    true_T1: float
-    true_R1: float
-    true_T2: float
-    true_R2: float
-    true_eff1: float
-    true_eff2: float
-    true_eff3: float
-    true_eta_abs: float
-    dead_time: int
-    n_test: int
+    eta1: float = 0.25
+    eta2: float = 0.25
+    eta3: float = 0.25
+    eta_abs: float = 0.1
+    true_T1: float = 0.5
+    true_R1: float = 0.5
+    true_T2: float = 0.5
+    true_R2: float = 0.5
+    true_eff1: float | None = None
+    true_eff2: float | None = None
+    true_eff3: float | None = None
+    true_eta_abs: float | None = None
+    dead_time: int = 1
+    n_test: int = 100000
 
     def __post_init__(self):
         if not isinstance(self.L, int) or self.L < 2:
@@ -113,17 +139,15 @@ class CalibSetup3:
             raise ParameterError("mu", "mean photon number must be finite and >= 0")
         for name in ("eta1", "eta2", "eta3", "eta_abs"):
             _check_prob(name, getattr(self, name), lo_open=True)
-        for name in (
-            "true_T1",
-            "true_R1",
-            "true_T2",
-            "true_R2",
-            "true_eff1",
-            "true_eff2",
-            "true_eff3",
-            "true_eta_abs",
-        ):
+        for name in ("true_T1", "true_R1", "true_T2", "true_R2"):
             _check_prob(name, getattr(self, name))
+        T1, R1, T2, R2 = self.true_T1, self.true_R1, self.true_T2, self.true_R2
+        _fill_truths(self, (
+            ("true_eff1", self.eta1, T1 * T2, "true_T2" if T1 else "true_T1"),
+            ("true_eff2", self.eta2, T1 * R2, "true_R2" if T1 else "true_T1"),
+            ("true_eff3", self.eta3, R1, "true_R1"),
+            ("true_eta_abs", self.eta_abs, 1.0, "true_eta_abs"),
+        ))
         if self.true_T1 + self.true_R1 > 1 + _BOUND_TOL:
             raise ParameterError("true_T1", "splitter 1 outputs exceed 1")
         if self.true_T2 + self.true_R2 > 1 + _BOUND_TOL:
@@ -261,36 +285,18 @@ def _three_detector_batch(setup: CalibSetup3, rng, n: int):
 
 
 def _run_batches(setup, seed: int, n_jobs: int, collect_events: bool, kernel):
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ParameterError("seed", "must be an integer in [0, 2^64)")
-    if not isinstance(n_jobs, int) or n_jobs < 1:
-        raise ParameterError("n_jobs", "must be a positive integer")
+    results = run_batches(
+        seed, setup.n_test, n_jobs, lambda rng, size: kernel(setup, rng, size)
+    )
     if setup.n_test < 10**4:
         warnings.warn(
             f"{setup.n_test} test trains give a statistically meaningless bound",
             ThinStatisticsWarning,
             stacklevel=3,
         )
-    n_batches = (setup.n_test + BATCH_TRAINS - 1) // BATCH_TRAINS
-    children = np.random.SeedSequence(seed).spawn(n_batches)
-    sizes = [
-        min(BATCH_TRAINS, setup.n_test - i * BATCH_TRAINS) for i in range(n_batches)
-    ]
-
-    def run(args):
-        child, size = args
-        return kernel(setup, np.random.default_rng(child), size)
-
-    if n_jobs == 1:
-        results = [run(job) for job in zip(children, sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(run, zip(children, sizes)))
-
-    n_double = sum(r[0] for r in results)
-    n_triple = sum(r[1] for r in results)
-    events = np.concatenate([r[2] for r in results]) if collect_events else None
-    return n_double, n_triple, events
+    doubles, triples, events = zip(*results)
+    events = np.concatenate(events) if collect_events else None
+    return sum(doubles), sum(triples), events
 
 
 def simulate_two_detector(

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 validation, 3 I/O, 4 resource limit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -183,11 +184,11 @@ def _build_parser():
     add("--mode", choices=("2det", "3det"))
     add("--L", type=int, default=10)
     add("--mu", type=float)
-    add("--n-trains", type=int, default=100000)
+    add("--n-trains", type=int)
     add("--seed", type=int, default=0)
     add("--jobs", type=int, default=1)
-    add("--eta1", type=float, default=0.25)
-    add("--eta2", type=float, default=0.25)
+    add("--eta1", type=float)
+    add("--eta2", type=float)
     add("--eta3", type=float)
     add("--eta-abs", type=float)
     add("--true-T", type=float)
@@ -357,21 +358,7 @@ def cmd_simulate(args) -> int:
     )
     stats = run_simulation(params, channel, n_jobs=args.jobs)
     report = estimate_key_rate(stats, params)
-    stats_record = {
-        "record": "observed_stats",
-        "n_rep": stats.n_rep,
-        "sifted_data": stats.sifted_data,
-        "errors_data": stats.errors_data,
-        "sifted_check": stats.sifted_check,
-        "errors_check": stats.errors_check,
-        "tagged_data": stats.tagged_data,
-        "Q_hat": stats.Q_hat,
-        "E0_hat": stats.E0_hat,
-        "E1_hat": stats.E1_hat,
-        "Delta_hat": stats.Delta_hat,
-        "j_hist_d0": list(stats.j_hist_d0),
-        "j_hist_d1": list(stats.j_hist_d1),
-    }
+    stats_record = {"record": "observed_stats", **dataclasses.asdict(stats)}
     rate_record = {
         "record": "keyrate",
         "L": params.L,
@@ -419,91 +406,42 @@ def cmd_rtag(args) -> int:
     return 0
 
 
-def _reject_mode_flags(args, names: tuple[str, ...], mode: str) -> None:
-    for name in names:
-        if getattr(args, name) is not None:
-            raise ParameterError(name, f"not valid for mode {mode}")
-
-
 def cmd_calibrate(args) -> int:
     mode = _require(args, "mode")
-    if mode not in ("2det", "3det"):
+    if mode == "2det":
+        setup_cls, simulate = CalibSetup2, simulate_two_detector
+    elif mode == "3det":
+        setup_cls, simulate = CalibSetup3, simulate_three_detector
+    else:
         raise ParameterError("mode", "must be 2det or 3det")
     mu = _require(args, "mu")
     collect = args.event_log is not None
 
-    if mode == "2det":
-        _reject_mode_flags(
-            args,
-            ("eta3", "eta_abs", "true_T1", "true_R1", "true_T2", "true_R2",
-             "true_eff3", "true_eta_abs", "dead_time"),
-            mode,
-        )
-        true_T = args.true_T if args.true_T is not None else 0.5
-        true_R = args.true_R if args.true_R is not None else 0.5
-        # declared bounds are taken as exact unless the truth is overridden
-        eff1 = args.true_eff1 if args.true_eff1 is not None else args.eta1 / true_T
-        eff2 = args.true_eff2 if args.true_eff2 is not None else args.eta2 / true_R
-        source = (
-            SourceDistribution.from_file(args.source) if args.source else None
-        )
-        setup = CalibSetup2(
-            L=args.L,
-            mu=mu,
-            eta1=args.eta1,
-            eta2=args.eta2,
-            true_T=true_T,
-            true_R=true_R,
-            true_eff1=eff1,
-            true_eff2=eff2,
-            n_test=args.n_trains,
-            source=source,
-        )
-        report = simulate_two_detector(
-            setup, seed=args.seed, n_jobs=args.jobs, collect_events=collect
-        )
-        extra = {"eta1": args.eta1, "eta2": args.eta2, "eta3": None, "eta_abs": None}
-    else:
-        _reject_mode_flags(args, ("true_T", "true_R", "source"), mode)
-        eta3 = args.eta3 if args.eta3 is not None else 0.25
-        eta_abs = args.eta_abs if args.eta_abs is not None else 0.1
-        T1 = args.true_T1 if args.true_T1 is not None else 0.5
-        R1 = args.true_R1 if args.true_R1 is not None else 0.5
-        T2 = args.true_T2 if args.true_T2 is not None else 0.5
-        R2 = args.true_R2 if args.true_R2 is not None else 0.5
-        eff1 = args.true_eff1 if args.true_eff1 is not None else args.eta1 / (T1 * T2)
-        eff2 = args.true_eff2 if args.true_eff2 is not None else args.eta2 / (T1 * R2)
-        eff3 = args.true_eff3 if args.true_eff3 is not None else eta3 / R1
-        true_abs = args.true_eta_abs if args.true_eta_abs is not None else eta_abs
-        setup = CalibSetup3(
-            L=args.L,
-            mu=mu,
-            eta1=args.eta1,
-            eta2=args.eta2,
-            eta3=eta3,
-            eta_abs=eta_abs,
-            true_T1=T1,
-            true_R1=R1,
-            true_T2=T2,
-            true_R2=R2,
-            true_eff1=eff1,
-            true_eff2=eff2,
-            true_eff3=eff3,
-            true_eta_abs=true_abs,
-            dead_time=args.dead_time if args.dead_time is not None else 1,
-            n_test=args.n_trains,
-        )
-        report = simulate_three_detector(
-            setup, seed=args.seed, n_jobs=args.jobs, collect_events=collect
-        )
-        extra = {
-            "eta1": args.eta1, "eta2": args.eta2, "eta3": eta3, "eta_abs": eta_abs,
-        }
+    # pass on the setup flags that were given; the setup fills in the rest
+    own = {field.name for field in dataclasses.fields(setup_cls)}
+    setup_flags = {
+        field.name
+        for cls in (CalibSetup2, CalibSetup3)
+        for field in dataclasses.fields(cls)
+    }
+    given = {}
+    for dest, value in vars(args).items():
+        name = "n_test" if dest == "n_trains" else dest
+        if value is None or name not in setup_flags:
+            continue
+        if name not in own:
+            raise ParameterError(dest, f"not valid for mode {mode}")
+        given[name] = value
+    path = given.pop("source", None)
+    if path:
+        given["source"] = SourceDistribution.from_file(path)
+    setup = setup_cls(**given)
+    report = simulate(setup, seed=args.seed, n_jobs=args.jobs, collect_events=collect)
 
     record = {
         "record": "calibration",
         "mode": report.mode,
-        "L": args.L,
+        "L": setup.L,
         "mu": mu,
         "seed": args.seed,
         "n_test": report.n_test,
@@ -514,7 +452,8 @@ def cmd_calibrate(args) -> int:
         "slack": report.slack,
         "sigma": report.sigma,
     }
-    record.update(extra)
+    for name in ("eta1", "eta2", "eta3", "eta_abs"):
+        record[name] = getattr(setup, name, None)
     _emit_record(record, args)
 
     if collect:

@@ -83,10 +83,10 @@ def binary_entropy(x: float) -> float:
 def privacy_amp_fraction(Q: float, E1: float, rtag: float) -> tuple[float, bool]:
     """Privacy-amplification fraction and its feasibility.
 
-    Returns (f_pa, feasible).  Feasible means rtag <= Q - 2*E1, which keeps
-    the entropy argument E1/(Q - rtag) at or below 1/2.  Infeasible points
-    report (1.0, False): 1.0 is the continuous limit at the boundary, where
-    the entire key is consumed.
+    Returns (f_pa, feasible).  Feasible means rtag <= Q - 2*E1 and
+    rtag < Q, which keeps the entropy argument E1/(Q - rtag) defined and at
+    or below 1/2.  Infeasible points report (1.0, False): 1.0 is the
+    continuous limit at the boundary, where the entire key is consumed.
     """
     if not 0 < Q <= 1:
         raise ParameterError("Q", "sifted fraction must be in (0, 1]")
@@ -94,7 +94,7 @@ def privacy_amp_fraction(Q: float, E1: float, rtag: float) -> tuple[float, bool]
         raise ParameterError("E1", "error weight must be >= 0")
     if rtag < 0:
         raise ParameterError("rtag", "tagging probability must be >= 0")
-    if rtag > Q - 2.0 * E1:
+    if rtag > Q - 2.0 * E1 or rtag >= Q:
         return 1.0, False
     tagged_fraction = rtag / Q
     return (

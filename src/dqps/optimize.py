@@ -88,7 +88,6 @@ def optimize_mu(
     error_rate: float,
     mu_bounds: tuple[float, float] = DEFAULT_MU_BOUNDS,
     tolerance: float = DEFAULT_TOLERANCE,
-    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> OptimizeResult:
     """Maximize the key rate over the mean photon number.
 
@@ -107,10 +106,8 @@ def optimize_mu(
     _validate_mu_bounds(mu_bounds)
     if not tolerance > 0:
         raise ParameterError("tolerance", "must be > 0")
-    if not isinstance(grid_points, int) or grid_points < 3:
-        raise ParameterError("grid_points", "need at least 3 grid points")
 
-    grid = np.geomspace(mu_bounds[0], mu_bounds[1], grid_points)
+    grid = np.geomspace(mu_bounds[0], mu_bounds[1], DEFAULT_GRID_POINTS)
     values = [_rate_at(L, eta, error_rate, mu) for mu in grid]
     best = int(np.argmax(values))
     if values[best] <= 0.0:
@@ -188,18 +185,15 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     """Optimize every (L, eta) pair of the spec.
 
     Rows are ordered L-major with eta ascending.  A pair whose rate is
-    nonpositive (or whose optimization fails) is recorded as rate 0 with
-    mu_opt None and NaN Q/rtag; the sweep never aborts.
+    nonpositive on the whole grid is recorded as rate 0 with mu_opt None
+    and NaN Q/rtag.  An error raised by the optimizer propagates.
     """
     rows = []
     for L in spec.L_values:
         for eta in sorted(spec.eta_values):
-            try:
-                mu_opt, rate = optimize_mu(
-                    L, eta, spec.error_rate, spec.mu_bounds, spec.tolerance
-                )
-            except Exception:
-                mu_opt, rate = None, 0.0
+            mu_opt, rate = optimize_mu(
+                L, eta, spec.error_rate, spec.mu_bounds, spec.tolerance
+            )
             if mu_opt is None:
                 rows.append(SweepRow(L, eta, None, math.nan, math.nan, 0.0))
             else:

@@ -15,11 +15,12 @@ need their two bits and a detector outcome.  Tagging is independent of the
 clicks and is drawn only for the blocks a counter reads.  The cost per block
 does not grow with L.
 
-Blocks are simulated in fixed-size batches of ``BATCH_BLOCKS``; every batch
-owns an RNG stream spawned from (seed, batch index) and consumes it in a
-fixed order, so results are bit-identical for a given seed regardless of
-thread count.  Changing ``BATCH_BLOCKS`` would select a different (equally
-valid) random stream.
+``run_batches`` is the one seeded batch runner, shared with the calibration
+benches: work is cut into fixed-size batches of ``BATCH_BLOCKS``, every
+batch owns an RNG stream spawned from (seed, batch index) and consumes it
+in a fixed order, so results are bit-identical for a given seed regardless
+of thread count.  Changing ``BATCH_BLOCKS`` would select a different
+(equally valid) random stream.
 """
 
 from __future__ import annotations
@@ -298,45 +299,46 @@ def simulate_block(
     )
 
 
+def run_batches(seed: int, n: int, n_jobs: int, kernel) -> list:
+    """Run kernel(rng, size) over n items cut into BATCH_BLOCKS-sized batches.
+
+    Batch i gets child i of SeedSequence(seed); batches run serially or on
+    n_jobs threads, and the results come back in batch order, so they do
+    not depend on the thread count.
+    """
+    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ParameterError("seed", "must be an integer in [0, 2^64)")
+    if not isinstance(n_jobs, int) or n_jobs < 1:
+        raise ParameterError("n_jobs", "must be a positive integer")
+    n_batches = (n + BATCH_BLOCKS - 1) // BATCH_BLOCKS
+    children = np.random.SeedSequence(seed).spawn(n_batches)
+    sizes = [min(BATCH_BLOCKS, n - i * BATCH_BLOCKS) for i in range(n_batches)]
+
+    def run(child, size):
+        return kernel(np.random.default_rng(child), size)
+
+    if n_jobs == 1:
+        return list(map(run, children, sizes))
+    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        return list(pool.map(run, children, sizes))
+
+
 def run_simulation(
     params: ProtocolParams, channel: ChannelModel, n_jobs: int = 1
 ) -> ObservedStats:
     """Simulate params.n_blocks rounds and aggregate the sifted statistics.
 
-    Deterministic for a fixed seed: the batch partition depends only on
-    n_blocks, each batch consumes its own spawned stream, and results fold
-    in batch order whatever the thread count.
+    Deterministic for a fixed seed: ``run_batches`` partitions the blocks,
+    and the counters fold in batch order whatever the thread count.
     """
-    if not isinstance(n_jobs, int) or n_jobs < 1:
-        raise ParameterError("n_jobs", "must be a positive integer")
-    n_batches = (params.n_blocks + BATCH_BLOCKS - 1) // BATCH_BLOCKS
-    children = np.random.SeedSequence(params.seed).spawn(n_batches)
-    sizes = [
-        min(BATCH_BLOCKS, params.n_blocks - i * BATCH_BLOCKS) for i in range(n_batches)
-    ]
 
-    def run_batch(args):
-        child, size = args
-        counters, _ = _simulate_batch(params, channel, np.random.default_rng(child), size)
-        return counters
+    def counters(rng, size):
+        return _simulate_batch(params, channel, rng, size)[0]
 
-    if n_jobs == 1:
-        results = [run_batch(job) for job in zip(children, sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(run_batch, zip(children, sizes)))
-
-    sifted_data = errors_data = sifted_check = errors_check = tagged_data = 0
-    hist_d0 = np.zeros(params.L, dtype=np.int64)
-    hist_d1 = np.zeros(params.L, dtype=np.int64)
-    for sd, ed, sc, ec, tg, h0, h1 in results:
-        sifted_data += sd
-        errors_data += ed
-        sifted_check += sc
-        errors_check += ec
-        tagged_data += tg
-        hist_d0 += h0
-        hist_d1 += h1
+    results = run_batches(params.seed, params.n_blocks, n_jobs, counters)
+    sifted_data, errors_data, sifted_check, errors_check, tagged_data, h0, h1 = (
+        sum(column) for column in zip(*results)
+    )
 
     if sifted_check < 100:
         warnings.warn(
@@ -357,8 +359,8 @@ def run_simulation(
         E0_hat=errors_data / norm_data,
         E1_hat=errors_check / norm_check,
         Delta_hat=tagged_data / sifted_data if sifted_data else 0.0,
-        j_hist_d0=tuple(int(x) for x in hist_d0),
-        j_hist_d1=tuple(int(x) for x in hist_d1),
+        j_hist_d0=tuple(int(x) for x in h0),
+        j_hist_d1=tuple(int(x) for x in h1),
     )
 
 

@@ -170,7 +170,6 @@ def rtag_coherent(p: TagParams) -> float:
     if mu == 0.0:
         return 0.0
     m_max = (L + 1) // 2
-    assert count_untagged_configs(L, m_max) >= 1  # boundary term is never empty
     log_mu = math.log(mu)
     terms = []
     for m in range(m_max + 1):

@@ -73,6 +73,37 @@ def test_setup3_rejects_overstated_bounds():
         three_det(dead_time=-1)
 
 
+def test_setups_default_to_exact_declared_bounds():
+    # the defaults the command line has always used
+    two = CalibSetup2(L=10, mu=0.02)
+    assert (two.eta1, two.eta2, two.true_T, two.true_R) == (0.25, 0.25, 0.5, 0.5)
+    assert two.true_eff1 == 0.25 / 0.5 and two.true_eff2 == 0.25 / 0.5
+    assert two.n_test == 100000 and two.source is None
+    three = CalibSetup3(L=10, mu=0.02)
+    assert (three.eta1, three.eta2, three.eta3, three.eta_abs) == (0.25, 0.25, 0.25, 0.1)
+    assert (three.true_T1, three.true_R1, three.true_T2, three.true_R2) == (0.5,) * 4
+    assert three.true_eff1 == 0.25 / (0.5 * 0.5)
+    assert three.true_eff2 == 0.25 / (0.5 * 0.5)
+    assert three.true_eff3 == 0.25 / 0.5
+    assert three.true_eta_abs == 0.1
+    assert three.dead_time == 1 and three.n_test == 100000
+    # an overridden split moves only the derived truth behind it
+    skewed = CalibSetup2(L=10, mu=0.02, true_T=0.6, true_R=0.4, eta1=0.2)
+    assert skewed.true_eff1 == 0.2 / 0.6 and skewed.true_eff2 == 0.25 / 0.4
+
+
+def test_setups_reject_a_zero_transmission_arm():
+    with pytest.raises(ParameterError, match="'true_T'"):
+        CalibSetup2(L=10, mu=0.02, true_T=0.0)
+    with pytest.raises(ParameterError, match="'true_R1'"):
+        CalibSetup3(L=10, mu=0.02, true_R1=0.0)
+    with pytest.raises(ParameterError, match="'true_T1'"):
+        CalibSetup3(L=10, mu=0.02, true_T1=0.0)
+    # an explicit truth behind a dark arm fails on the declared bound instead
+    with pytest.raises(ParameterError, match="'eta1'"):
+        CalibSetup2(L=10, mu=0.02, true_T=0.0, true_eff1=1.0)
+
+
 def test_setup2_source_length_must_match():
     dist = SourceDistribution((((0, 0), 1.0),))
     with pytest.raises(ParameterError, match="'source'"):

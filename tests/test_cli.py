@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -319,6 +320,89 @@ def test_calibrate_rejects_foreign_mode_flags(capsys):
         "--true-T", "0.4",
     )
     assert code == 2 and "true_T" in err
+    code, _, err = run_cli(
+        capsys, "calibrate", "--mode", "3det", "--mu", "0.01",
+        "--source", "photon_table.txt",
+    )
+    assert code == 2 and "'source': not valid for mode 3det" in err
+    code, _, err = run_cli(
+        capsys, "calibrate", "--mode", "2det", "--mu", "0.01", "--eta3", "0.2",
+    )
+    assert code == 2 and "'eta3': not valid for mode 2det" in err
+
+
+def test_calibrate_two_detector_zero_transmission_arm_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "calibrate", "--mode", "2det", "--mu", "0.02", "--true-T", "0",
+    )
+    assert code == 2 and out == ""
+    assert "parameter 'true_T'" in err and "Traceback" not in err
+
+
+def test_calibrate_three_detector_zero_transmission_arm_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "calibrate", "--mode", "3det", "--mu", "0.02", "--true-R1", "0",
+    )
+    assert code == 2 and out == ""
+    assert "parameter 'true_R1'" in err and "Traceback" not in err
+
+
+# --- golden outputs ---------------------------------------------------------------
+
+# Exact stdout of small fixed-seed runs.  A change to these bytes changes
+# what a seed means, so it has to be deliberate and logged.
+GOLDEN_2DET = (
+    '{"L": 10, "bound": 0.00592, "eta1": 0.25, "eta2": 0.25, "eta3": null, '
+    '"eta_abs": null, "mode": "2det", "mu": 0.02, "n_double": 37, '
+    '"n_test": 50000, "n_triple": null, "record": "calibration", "seed": 11, '
+    '"sigma": 0.0009732420048477151, "slack": 0.0005580185271286311, '
+    '"true_rtag": 0.005361981472871369}\n'
+)
+GOLDEN_3DET = (
+    '{"L": 10, "bound": 0.12202666666666664, "eta1": 0.25, "eta2": 0.25, '
+    '"eta3": 0.25, "eta_abs": 0.5, "mode": "3det", "mu": 0.05, "n_double": 52, '
+    '"n_test": 50000, "n_triple": 13, "record": "calibration", "seed": 13, '
+    '"sigma": 0.025042825541681815, "slack": 0.09078994605454174, '
+    '"true_rtag": 0.031236720612124902}\n'
+)
+GOLDEN_3DET_LOG_SHA256 = (
+    "872d1b38fa6bb651706d57ed8d27d73efeb21ca600c7807181e2f0a6d6d24449"
+)
+GOLDEN_SIMULATE = (
+    '{"Delta_hat": 0.05540661304736372, "E0_hat": 0.00376, "E1_hat": 0.00432, '
+    '"Q_hat": 0.08952, "errors_check": 54, "errors_data": 47, '
+    '"j_hist_d0": [22789, 751, 763, 689], "j_hist_d1": [22762, 797, 752, 697], '
+    '"n_rep": 50000, "record": "observed_stats", "sifted_check": 1133, '
+    '"sifted_data": 1119, "tagged_data": 62}\n'
+    '{"L": 4, "Q": 0.08952, "f_ec": 0.2513962081975012, '
+    '"f_pa": 0.6970894075767191, "feasible": true, "mu": 0.1, "p0": 0.5, '
+    '"rate_per_pulse": 0.00028822297974323736, "record": "keyrate", '
+    '"rtag": 0.0414423341690362}\n'
+)
+
+
+def test_golden_outputs(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "calibrate", "--mode", "2det", "--mu", "0.02",
+        "--n-trains", "50000", "--seed", "11",
+    )
+    assert code == 0 and out == GOLDEN_2DET, err
+
+    log = tmp_path / "events.csv"
+    code, out, err = run_cli(
+        capsys, "calibrate", "--mode", "3det", "--mu", "0.05",
+        "--n-trains", "50000", "--seed", "13", "--eta-abs", "0.5",
+        "--dead-time", "2", "--event-log", str(log), "--jobs", "2",
+    )
+    assert code == 0 and out == GOLDEN_3DET, err
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == GOLDEN_3DET_LOG_SHA256
+
+    code, out, err = run_cli(
+        capsys, "simulate", "--L", "4", "--mu", "0.1", "--eta", "0.3",
+        "--blocks", "50000", "--seed", "17", "--p-dark", "1e-3",
+        "--delta", "0.2", "--bitflip", "0.01", "--jobs", "2",
+    )
+    assert code == 0 and out == GOLDEN_SIMULATE, err
 
 
 # --- output plumbing ----------------------------------------------------------

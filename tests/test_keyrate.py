@@ -70,6 +70,10 @@ def test_privacy_amp_fraction_infeasible_region():
     f, feasible = privacy_amp_fraction(0.1, 0.02, 0.07)  # rtag > Q - 2 E1
     assert not feasible
     assert f == 1.0
+    # rtag == Q with E1 = 0 sits on the boundary but leaves no untagged key
+    f, feasible = privacy_amp_fraction(0.1, 0.0, 0.1)
+    assert not feasible
+    assert f == 1.0
 
 
 def test_privacy_amp_fraction_boundary_is_one():
@@ -124,6 +128,12 @@ def test_key_rate_infeasible_when_tagging_swamps_yield():
     inputs = RateInputs.from_error_rates(L, mu, 1.0, Q, 0.03, 0.03)
     report = key_rate(inputs)
     assert report.rtag > Q - 2 * inputs.E1
+    assert report.rate_per_pulse == 0.0
+    assert not report.feasible
+    assert report.f_pa == 1.0
+    # every sifted block tagged, no errors: the whole key is consumed
+    inputs = RateInputs(L=2, mu=0.1, p0=1.0, Q=0.1, E0=0.0, E1=0.0)
+    report = key_rate(inputs, rtag_override=0.1)
     assert report.rate_per_pulse == 0.0
     assert not report.feasible
     assert report.f_pa == 1.0

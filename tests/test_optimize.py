@@ -120,6 +120,16 @@ def test_sweep_marks_dead_rows_without_aborting():
     assert alive.mu_opt is not None and alive.rate > 0.0
 
 
+def test_sweep_propagates_optimizer_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("optimizer fault")
+
+    monkeypatch.setattr("dqps.optimize.optimize_mu", broken)
+    spec = SweepSpec(L_values=(2,), eta_values=(0.1,), error_rate=0.03)
+    with pytest.raises(ZeroDivisionError, match="optimizer fault"):
+        sweep(spec)
+
+
 def test_sweep_rows_carry_consistent_Q_and_rtag():
     spec = SweepSpec(L_values=(4,), eta_values=(0.2,), error_rate=0.02)
     row = sweep(spec)[0]
