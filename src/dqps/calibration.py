@@ -10,7 +10,8 @@ term compensates for the doubles that dead time can hide.
 Both bounds divide observed counts by declared lower bounds on the
 efficiencies, never by the simulator's ground truth, so overstating a
 detector only loosens the result.  The setups own their defaults: a truth
-left unset makes the declared bound exact.  Photons route independently,
+left unset stays None and counts as the value that makes the declared bound
+exact.  Photons route independently,
 which is exact for the Poissonian and diagonal sources in scope.  Trains run
 through the protocol's seeded batch runner, ``protocol.run_batches``, so a
 seed gives the same counts for any thread count.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,19 +39,28 @@ def _check_prob(name: str, value: float, lo_open: bool = False) -> None:
         raise ParameterError(name, f"must be in {interval}")
 
 
-def _fill_truths(setup, rows) -> None:
-    """Default every unset truth so that its declared bound is exact, then check it.
+def _detection_probs(setup) -> list[float]:
+    """Check each arm in setup._arms(); return its per-photon detection probability.
 
-    rows holds (truth field, declared bound, arm transmission, arm name).
+    An unset truth counts as eta / transmission, which makes the declared
+    bound exact.
     """
-    for name, eta, transmission, arm in rows:
-        if getattr(setup, name) is None:
+    probs = []
+    for bound, transmission, truth, split in setup._arms():
+        eta, eff = getattr(setup, bound), getattr(setup, truth)
+        _check_prob(bound, eta, lo_open=True)
+        if eff is None:
             if transmission == 0.0:
                 raise ParameterError(
-                    arm, f"arm transmits nothing, so no {name} makes the bound exact"
+                    split, f"arm transmits nothing, so no {truth} makes the bound exact"
                 )
-            object.__setattr__(setup, name, eta / transmission)
-        _check_prob(name, getattr(setup, name))
+            eff = eta / transmission
+        _check_prob(truth, eff)
+        prob = transmission * eff
+        if eta > prob + _BOUND_TOL:
+            raise ParameterError(bound, f"declared bound exceeds {truth} * transmission")
+        probs.append(prob)
+    return probs
 
 
 @dataclass(frozen=True)
@@ -60,9 +70,9 @@ class CalibSetup2:
     eta1 and eta2 are the experimenter's declared lower bounds on the
     splitter-times-detector efficiencies of the two arms; true_T, true_R,
     true_eff1, true_eff2 are the ground truth the simulator runs with.  An
-    unset true_eff1 (true_eff2) is eta1 / true_T (eta2 / true_R), making
-    the declared bound exact.  A source distribution replaces the
-    Poissonian input when given.
+    unset true_eff1 (true_eff2) stays None and counts as eta1 / true_T
+    (eta2 / true_R), making the declared bound exact.  A source distribution
+    replaces the Poissonian input when given.
     """
 
     L: int
@@ -81,24 +91,22 @@ class CalibSetup2:
             raise ParameterError("L", "train length must be an integer >= 2")
         if not math.isfinite(self.mu) or self.mu < 0:
             raise ParameterError("mu", "mean photon number must be finite and >= 0")
-        _check_prob("eta1", self.eta1, lo_open=True)
-        _check_prob("eta2", self.eta2, lo_open=True)
         for name in ("true_T", "true_R"):
             _check_prob(name, getattr(self, name))
-        _fill_truths(self, (
-            ("true_eff1", self.eta1, self.true_T, "true_T"),
-            ("true_eff2", self.eta2, self.true_R, "true_R"),
-        ))
         if self.true_T + self.true_R > 1 + _BOUND_TOL:
             raise ParameterError("true_T", "splitter outputs true_T + true_R exceed 1")
-        if self.eta1 > self.true_T * self.true_eff1 + _BOUND_TOL:
-            raise ParameterError("eta1", "declared bound exceeds true_T * true_eff1")
-        if self.eta2 > self.true_R * self.true_eff2 + _BOUND_TOL:
-            raise ParameterError("eta2", "declared bound exceeds true_R * true_eff2")
+        _detection_probs(self)
         if not isinstance(self.n_test, int) or self.n_test < 1:
             raise ParameterError("n_test", "must be a positive integer")
         if self.source is not None and self.source.L != self.L:
             raise ParameterError("source", "distribution length differs from L")
+
+    def _arms(self):
+        """(declared bound, transmission, truth, split named when dark) per arm."""
+        return (
+            ("eta1", self.true_T, "true_eff1", "true_T"),
+            ("eta2", self.true_R, "true_eff2", "true_R"),
+        )
 
 
 @dataclass(frozen=True)
@@ -108,11 +116,11 @@ class CalibSetup3:
     Layout: absorber, then splitter 1 whose reflected arm feeds detector 3,
     then splitter 2 feeding detectors 1 and 2.  Declared lower bounds:
     eta1 <= T1*T2*eff1, eta2 <= T1*R2*eff2, eta3 <= R1*eff3, and eta_abs
-    for the absorber.  An unset truth makes its declared bound exact:
-    true_eff1 = eta1 / (T1*T2), true_eff2 = eta2 / (T1*R2),
-    true_eff3 = eta3 / R1 and true_eta_abs = eta_abs.  dead_time = 0
-    models idealized always-ready detectors, used only as a cross-check
-    against the two-detector mode.
+    for the absorber.  An unset truth stays None and counts as the value
+    that makes its declared bound exact: true_eff1 = eta1 / (T1*T2),
+    true_eff2 = eta2 / (T1*R2), true_eff3 = eta3 / R1 and
+    true_eta_abs = eta_abs.  dead_time = 0 models idealized always-ready
+    detectors, used only as a cross-check against the two-detector mode.
     """
 
     L: int
@@ -137,34 +145,27 @@ class CalibSetup3:
             raise ParameterError("L", "train length must be an integer >= 2")
         if not math.isfinite(self.mu) or self.mu < 0:
             raise ParameterError("mu", "mean photon number must be finite and >= 0")
-        for name in ("eta1", "eta2", "eta3", "eta_abs"):
-            _check_prob(name, getattr(self, name), lo_open=True)
         for name in ("true_T1", "true_R1", "true_T2", "true_R2"):
             _check_prob(name, getattr(self, name))
-        T1, R1, T2, R2 = self.true_T1, self.true_R1, self.true_T2, self.true_R2
-        _fill_truths(self, (
-            ("true_eff1", self.eta1, T1 * T2, "true_T2" if T1 else "true_T1"),
-            ("true_eff2", self.eta2, T1 * R2, "true_R2" if T1 else "true_T1"),
-            ("true_eff3", self.eta3, R1, "true_R1"),
-            ("true_eta_abs", self.eta_abs, 1.0, "true_eta_abs"),
-        ))
         if self.true_T1 + self.true_R1 > 1 + _BOUND_TOL:
             raise ParameterError("true_T1", "splitter 1 outputs exceed 1")
         if self.true_T2 + self.true_R2 > 1 + _BOUND_TOL:
             raise ParameterError("true_T2", "splitter 2 outputs exceed 1")
-        pairs = (
-            ("eta1", self.eta1, self.true_T1 * self.true_T2 * self.true_eff1),
-            ("eta2", self.eta2, self.true_T1 * self.true_R2 * self.true_eff2),
-            ("eta3", self.eta3, self.true_R1 * self.true_eff3),
-            ("eta_abs", self.eta_abs, self.true_eta_abs),
-        )
-        for name, declared, truth in pairs:
-            if declared > truth + _BOUND_TOL:
-                raise ParameterError(name, "declared bound exceeds the true efficiency")
+        _detection_probs(self)
         if not isinstance(self.dead_time, int) or self.dead_time < 0:
             raise ParameterError("dead_time", "must be an integer >= 0 pulse slots")
         if not isinstance(self.n_test, int) or self.n_test < 1:
             raise ParameterError("n_test", "must be a positive integer")
+
+    def _arms(self):
+        """The arm table as in CalibSetup2, absorber first, then routing order."""
+        T1 = self.true_T1
+        return (
+            ("eta_abs", 1.0, "true_eta_abs", None),
+            ("eta1", T1 * self.true_T2, "true_eff1", "true_T2" if T1 else "true_T1"),
+            ("eta2", T1 * self.true_R2, "true_eff2", "true_R2" if T1 else "true_T1"),
+            ("eta3", self.true_R1, "true_eff3", "true_R1"),
+        )
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,8 @@ class CalibrationReport:
     ignoring the positive double/triple correlation in mode 3, which only
     makes it conservative to compare slack against -3 sigma).  events, when
     requested, holds one row per train in simulation order: [double] for
-    mode 2, [double, triple] for mode 3.
+    mode 2, [double, triple] for mode 3.  Report equality ignores events;
+    compare them with np.array_equal.
     """
 
     mode: str
@@ -187,7 +189,7 @@ class CalibrationReport:
     true_rtag: float
     slack: float
     sigma: float
-    events: np.ndarray | None = None
+    events: np.ndarray | None = field(default=None, compare=False)
 
 
 def q3_bound(n_triple: int, n_test: int, eta1: float, eta2: float, eta3: float) -> float:
@@ -242,51 +244,55 @@ def _apply_dead_time(raw: np.ndarray, dead_time: int) -> np.ndarray:
     return masked
 
 
-def _split_binomial(photons: np.ndarray, taken: float, remaining: float, rng) -> np.ndarray:
-    """Photons routed to the next output, conditioned on earlier routing."""
-    if remaining <= 0.0:
-        return np.zeros_like(photons)
-    return rng.binomial(photons, min(1.0, taken / remaining))
+def _route(photons: np.ndarray, probs, rng) -> list[np.ndarray]:
+    """Photons reaching each of a set of exclusive outputs, thinned in order.
+
+    Output i takes each photon the earlier outputs left with probability
+    probs[i] / (1 - sum of the earlier probs).
+    """
+    routed = []
+    remaining = 1.0
+    for prob in probs:
+        if remaining <= 0.0:
+            taken = np.zeros_like(photons)
+        else:
+            taken = rng.binomial(photons, min(1.0, prob / remaining))
+        routed.append(taken)
+        photons = photons - taken
+        remaining -= prob
+    return routed
 
 
-def _draw_counts(setup, rng, n: int) -> np.ndarray:
-    if setup.source is None:
+def _draw_counts(setup, source, rng, n: int) -> np.ndarray:
+    if source is None:
         return rng.poisson(setup.mu, size=(n, setup.L))
-    configs, probs = setup.source.as_arrays()
+    configs, probs = source.as_arrays()
     idx = rng.choice(len(probs), size=n, p=probs / probs.sum())
     return configs[idx]
 
 
-def _two_detector_batch(setup: CalibSetup2, rng, n: int):
-    counts = _draw_counts(setup, rng, n)
-    q1 = setup.true_T * setup.true_eff1
-    q2 = setup.true_R * setup.true_eff2
-    n1 = rng.binomial(counts, q1)
-    n2 = _split_binomial(counts - n1, q2, 1.0 - q1, rng)
+def _two_detector_batch(setup: CalibSetup2, probs, rng, n: int):
+    n1, n2 = _route(_draw_counts(setup, setup.source, rng, n), probs, rng)
     double = _double_coincidence(n1 >= 1, n2 >= 1)
     return int(double.sum()), 0, double[:, None]
 
 
-def _three_detector_batch(setup: CalibSetup3, rng, n: int):
-    counts = rng.poisson(setup.mu, size=(n, setup.L))
-    survived = rng.binomial(counts, setup.true_eta_abs)
-    q1 = setup.true_T1 * setup.true_T2 * setup.true_eff1
-    q2 = setup.true_T1 * setup.true_R2 * setup.true_eff2
-    q3 = setup.true_R1 * setup.true_eff3
-    n1 = rng.binomial(survived, q1)
-    n2 = _split_binomial(survived - n1, q2, 1.0 - q1, rng)
-    n3 = _split_binomial(survived - n1 - n2, q3, 1.0 - q1 - q2, rng)
-    m1 = _apply_dead_time(n1 >= 1, setup.dead_time)
-    m2 = _apply_dead_time(n2 >= 1, setup.dead_time)
-    m3 = _apply_dead_time(n3 >= 1, setup.dead_time)
+def _three_detector_batch(setup: CalibSetup3, probs, rng, n: int):
+    p_abs, *arms = probs
+    survived = rng.binomial(_draw_counts(setup, None, rng, n), p_abs)
+    m1, m2, m3 = (
+        _apply_dead_time(photons >= 1, setup.dead_time)
+        for photons in _route(survived, arms, rng)
+    )
     double = _double_coincidence(m1, m2)
     triple = m1.any(axis=1) & m2.any(axis=1) & m3.any(axis=1)
     return int(double.sum()), int(triple.sum()), np.stack([double, triple], axis=1)
 
 
 def _run_batches(setup, seed: int, n_jobs: int, collect_events: bool, kernel):
+    probs = _detection_probs(setup)
     results = run_batches(
-        seed, setup.n_test, n_jobs, lambda rng, size: kernel(setup, rng, size)
+        seed, setup.n_test, n_jobs, lambda rng, size: kernel(setup, probs, rng, size)
     )
     if setup.n_test < 10**4:
         warnings.warn(

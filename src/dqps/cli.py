@@ -92,13 +92,8 @@ def _record_csv(record: dict) -> str:
 
 
 def _emit_record(record: dict, args) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv":
-        _emit(_record_csv(record), args.output)
-    elif fmt == "json":
-        _emit(_json_line(record), args.output)
-    else:
-        raise ParameterError("format", f"unknown format {fmt!r}")
+    text = _record_csv(record) if args.format == "csv" else _json_line(record)
+    _emit(text, args.output)
 
 
 def _require(args, name: str):
@@ -130,7 +125,7 @@ def _build_parser():
             if kwargs.get("action") == "store_true":
                 conv = _parse_bool
             action = sub.add_argument(flag, **kwargs)
-            converters[action.dest] = conv
+            converters[action.dest] = (conv, action.choices)
 
         add("--config", help="flat key=value file supplying defaults")
         add("--output", help="write result here instead of stdout")
@@ -222,10 +217,13 @@ def _config_defaults(path: str, converters: dict) -> dict:
         dest = key.strip().replace("-", "_")
         if dest == "config" or dest not in converters:
             raise ParameterError("config", f"unknown key {key.strip()!r}")
+        convert, choices = converters[dest]
         try:
-            overrides[dest] = converters[dest](value.strip())
+            overrides[dest] = convert(value.strip())
         except ValueError:
             raise ParameterError(dest, f"invalid value {value.strip()!r}") from None
+        if choices is not None and overrides[dest] not in choices:
+            raise ParameterError(dest, f"invalid value {value.strip()!r}")
     return overrides
 
 
@@ -410,10 +408,8 @@ def cmd_calibrate(args) -> int:
     mode = _require(args, "mode")
     if mode == "2det":
         setup_cls, simulate = CalibSetup2, simulate_two_detector
-    elif mode == "3det":
-        setup_cls, simulate = CalibSetup3, simulate_three_detector
     else:
-        raise ParameterError("mode", "must be 2det or 3det")
+        setup_cls, simulate = CalibSetup3, simulate_three_detector
     mu = _require(args, "mu")
     collect = args.event_log is not None
 

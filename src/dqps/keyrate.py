@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import ParameterError
 from .tagging import TagParams, rtag_coherent
@@ -106,14 +105,13 @@ def privacy_amp_fraction(Q: float, E1: float, rtag: float) -> tuple[float, bool]
 
 def key_rate(
     inputs: RateInputs,
-    f_ec: Callable[[float], float] | None = None,
     ec_inefficiency: float = 1.0,
     rtag_override: float | None = None,
 ) -> KeyRateReport:
     """Secure key rate per pulse for the given observations.
 
-    f_ec maps the bit error rate E0/Q to the error-correction cost per
-    sifted bit; the default is ec_inefficiency * binary_entropy.
+    The error-correction cost per sifted bit is ec_inefficiency times the
+    binary entropy of the bit error rate E0/Q.
     rtag_override replaces the closed-form coherent-source tagging
     probability, e.g. to evaluate an ideal single-photon reference.
     """
@@ -130,10 +128,7 @@ def key_rate(
     if Q == 0.0:
         return KeyRateReport(rtag, 1.0, 0.0, 0.0, False, inputs.mu)
 
-    if f_ec is None:
-        ec_cost = ec_inefficiency * binary_entropy(E0 / Q)
-    else:
-        ec_cost = f_ec(E0 / Q)
+    ec_cost = ec_inefficiency * binary_entropy(E0 / Q)
     f_pa, pa_feasible = privacy_amp_fraction(Q, E1, rtag)
     if not pa_feasible:
         return KeyRateReport(rtag, f_pa, ec_cost, 0.0, False, inputs.mu)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -17,7 +18,7 @@ from dqps import (
     simulate_three_detector,
     simulate_two_detector,
 )
-from dqps.calibration import _apply_dead_time, _double_coincidence
+from dqps.calibration import _apply_dead_time, _detection_probs, _double_coincidence
 
 
 def two_det(L=10, mu=0.02, n_test=100000, **overrides):
@@ -74,22 +75,39 @@ def test_setup3_rejects_overstated_bounds():
 
 
 def test_setups_default_to_exact_declared_bounds():
-    # the defaults the command line has always used
+    # the defaults the command line has always used; unset truths stay None
+    # and every arm then detects with exactly its declared efficiency
     two = CalibSetup2(L=10, mu=0.02)
     assert (two.eta1, two.eta2, two.true_T, two.true_R) == (0.25, 0.25, 0.5, 0.5)
-    assert two.true_eff1 == 0.25 / 0.5 and two.true_eff2 == 0.25 / 0.5
+    assert two.true_eff1 is None and two.true_eff2 is None
+    assert _detection_probs(two) == [0.25, 0.25]
     assert two.n_test == 100000 and two.source is None
     three = CalibSetup3(L=10, mu=0.02)
     assert (three.eta1, three.eta2, three.eta3, three.eta_abs) == (0.25, 0.25, 0.25, 0.1)
     assert (three.true_T1, three.true_R1, three.true_T2, three.true_R2) == (0.5,) * 4
-    assert three.true_eff1 == 0.25 / (0.5 * 0.5)
-    assert three.true_eff2 == 0.25 / (0.5 * 0.5)
-    assert three.true_eff3 == 0.25 / 0.5
-    assert three.true_eta_abs == 0.1
+    assert (three.true_eff1, three.true_eff2, three.true_eff3, three.true_eta_abs) == (
+        None, None, None, None
+    )
+    assert _detection_probs(three) == [0.1, 0.25, 0.25, 0.25]
     assert three.dead_time == 1 and three.n_test == 100000
-    # an overridden split moves only the derived truth behind it
+    # an overridden split keeps each arm at its declared bound
     skewed = CalibSetup2(L=10, mu=0.02, true_T=0.6, true_R=0.4, eta1=0.2)
-    assert skewed.true_eff1 == 0.2 / 0.6 and skewed.true_eff2 == 0.25 / 0.4
+    assert skewed.true_eff1 is None and skewed.true_eff2 is None
+    # formed as transmission * (eta / transmission), so a seed keeps its counts
+    assert _detection_probs(skewed) == [0.6 * (0.2 / 0.6), 0.4 * (0.25 / 0.4)]
+    assert _detection_probs(skewed) == pytest.approx([0.2, 0.25], rel=1e-15)
+
+
+def test_replace_rederives_unset_truths():
+    two = dataclasses.replace(CalibSetup2(L=10, mu=0.02), true_T=0.6, true_R=0.4)
+    assert two == CalibSetup2(L=10, mu=0.02, true_T=0.6, true_R=0.4)
+    three = dataclasses.replace(
+        CalibSetup3(L=10, mu=0.02), true_T1=0.7, true_R1=0.3, true_T2=0.4, true_R2=0.6
+    )
+    assert three == CalibSetup3(
+        L=10, mu=0.02, true_T1=0.7, true_R1=0.3, true_T2=0.4, true_R2=0.6
+    )
+    assert _detection_probs(three) == pytest.approx([0.1, 0.25, 0.25, 0.25], rel=1e-15)
 
 
 def test_setups_reject_a_zero_transmission_arm():
@@ -188,9 +206,10 @@ def test_two_detector_general_source_all_tagged():
 
 
 def test_two_detector_deterministic():
-    a = quiet_two(two_det(), seed=77, n_jobs=1)
-    b = quiet_two(two_det(), seed=77, n_jobs=4)
+    a = quiet_two(two_det(), seed=77, n_jobs=1, collect_events=True)
+    b = quiet_two(two_det(), seed=77, n_jobs=4, collect_events=True)
     assert a == b
+    assert np.array_equal(a.events, b.events)
 
 
 def test_two_detector_warns_on_thin_statistics():
@@ -251,9 +270,10 @@ def test_three_detector_no_dead_time_matches_two_detector_flux():
 
 
 def test_three_detector_deterministic():
-    a = quiet_three(three_det(), seed=15, n_jobs=1)
-    b = quiet_three(three_det(), seed=15, n_jobs=4)
+    a = quiet_three(three_det(), seed=15, n_jobs=1, collect_events=True)
+    b = quiet_three(three_det(), seed=15, n_jobs=4, collect_events=True)
     assert a == b
+    assert np.array_equal(a.events, b.events)
 
 
 def test_three_detector_event_log():
@@ -290,10 +310,7 @@ def test_q3_bound_covers_poisson_tail():
 
 def test_routing_probabilities_never_exceed_one():
     # sequential thinning needs the per-photon outcomes to be exclusive
-    setup = three_det()
-    q1 = setup.true_T1 * setup.true_T2 * setup.true_eff1
-    q2 = setup.true_T1 * setup.true_R2 * setup.true_eff2
-    q3 = setup.true_R1 * setup.true_eff3
+    _, q1, q2, q3 = _detection_probs(three_det())
     assert q1 + q2 + q3 <= 1.0 + 1e-12
 
 

@@ -133,6 +133,25 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
     assert "bogus" in err
 
 
+def test_config_values_obey_the_option_choices(capsys, tmp_path):
+    cfg = tmp_path / "simulate.cfg"
+    cfg.write_text("format = xml\n")
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(cfg), "--L", "2", "--mu", "0.1",
+        "--eta", "0.5", "--blocks", "1000",
+    )
+    assert code == 2 and out == ""
+    assert "parameter 'format': invalid value 'xml'" in err
+    cfg = tmp_path / "calibrate.cfg"
+    cfg.write_text("mode = 4det\n")
+    code, out, err = run_cli(
+        capsys, "calibrate", "--config", str(cfg), "--mu", "0.02",
+        "--n-trains", "20000",
+    )
+    assert code == 2 and out == ""
+    assert "parameter 'mode': invalid value '4det'" in err
+
+
 # --- sweep ---------------------------------------------------------------------
 
 def test_sweep_grid_shape_and_round_trip(capsys):

@@ -167,15 +167,6 @@ def test_key_rate_ec_inefficiency_costs_rate():
         key_rate(inputs, ec_inefficiency=0.9)
 
 
-def test_key_rate_custom_ec_model():
-    inputs = RateInputs.from_error_rates(2, 0.001, 1.0, 0.01, 0.03, 0.03)
-    report = key_rate(inputs, f_ec=lambda e: 0.05)
-    assert report.f_ec == 0.05
-    base = key_rate(inputs, rtag_override=report.rtag)
-    # same tagging, cheaper correction, so the rate must improve
-    assert report.rate_per_pulse > base.rate_per_pulse
-
-
 def test_channel_q_values():
     assert channel_q(2, 0.1, 0.0) == 0.0
     expected = -math.expm1(-19 * 0.005 * 0.01)
