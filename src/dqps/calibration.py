@@ -11,10 +11,11 @@ Both bounds divide observed counts by declared lower bounds on the
 efficiencies, never by the simulator's ground truth, so overstating a
 detector only loosens the result.  The setups own their defaults: a truth
 left unset stays None and counts as the value that makes the declared bound
-exact.  Photons route independently,
-which is exact for the Poissonian and diagonal sources in scope.  Trains run
-through the protocol's seeded batch runner, ``protocol.run_batches``, so a
-seed gives the same counts for any thread count.
+exact.  Photons route independently, which is exact for the Poissonian
+and diagonal sources in scope.  Only trains where two or more photons reach
+a detector can coincide, so only those are simulated pulse by pulse.  Trains
+run through the protocol's seeded batch runner, ``protocol.run_batches``, so
+a seed gives the same counts for any thread count.
 """
 
 from __future__ import annotations
@@ -244,49 +245,46 @@ def _apply_dead_time(raw: np.ndarray, dead_time: int) -> np.ndarray:
     return masked
 
 
-def _route(photons: np.ndarray, probs, rng) -> list[np.ndarray]:
-    """Photons reaching each of a set of exclusive outputs, thinned in order.
+def _clicks(setup, source, probs, rng, n: int):
+    """Trains among n where two or more photons reach a detector, and their clicks.
 
-    Output i takes each photon the earlier outputs left with probability
-    probs[i] / (1 - sum of the earlier probs).
+    probs[i] is the chance that a photon reaches detector i.  A thinned
+    Poissonian train is again Poissonian, so that source draws detected photons only.
     """
-    routed = []
-    remaining = 1.0
-    for prob in probs:
-        if remaining <= 0.0:
-            taken = np.zeros_like(photons)
-        else:
-            taken = rng.binomial(photons, min(1.0, prob / remaining))
-        routed.append(taken)
-        photons = photons - taken
-        remaining -= prob
-    return routed
-
-
-def _draw_counts(setup, source, rng, n: int) -> np.ndarray:
     if source is None:
-        return rng.poisson(setup.mu, size=(n, setup.L))
-    configs, probs = source.as_arrays()
-    idx = rng.choice(len(probs), size=n, p=probs / probs.sum())
-    return configs[idx]
+        hits = rng.poisson(setup.mu * setup.L * sum(probs), size=n)
+        rows = np.flatnonzero(hits >= 2)
+        train = np.repeat(np.arange(rows.size), hits[rows])
+        slot = rng.integers(setup.L, size=train.size)
+    else:
+        configs, weights = source.as_arrays()
+        config = rng.choice(len(weights), size=n, p=weights / weights.sum())
+        rows = np.flatnonzero(configs.sum(axis=1)[config] >= 2)
+        photons = configs[config[rows]]
+        placed = np.repeat(np.nonzero(photons), photons[photons > 0], axis=1)
+        train, slot = placed[:, rng.random(placed.shape[1]) < sum(probs)]
+    detector = rng.choice(len(probs), size=train.size, p=np.divide(probs, sum(probs)))
+    clicks = np.zeros((len(probs), rows.size, setup.L), dtype=bool)
+    clicks[detector, train, slot] = True
+    return rows, clicks
 
 
 def _two_detector_batch(setup: CalibSetup2, probs, rng, n: int):
-    n1, n2 = _route(_draw_counts(setup, setup.source, rng, n), probs, rng)
-    double = _double_coincidence(n1 >= 1, n2 >= 1)
-    return int(double.sum()), 0, double[:, None]
+    rows, clicks = _clicks(setup, setup.source, probs, rng, n)
+    events = np.zeros((n, 1), dtype=bool)
+    events[rows, 0] = _double_coincidence(*clicks)
+    return int(np.count_nonzero(events)), 0, events
 
 
 def _three_detector_batch(setup: CalibSetup3, probs, rng, n: int):
     p_abs, *arms = probs
-    survived = rng.binomial(_draw_counts(setup, None, rng, n), p_abs)
-    m1, m2, m3 = (
-        _apply_dead_time(photons >= 1, setup.dead_time)
-        for photons in _route(survived, arms, rng)
-    )
-    double = _double_coincidence(m1, m2)
-    triple = m1.any(axis=1) & m2.any(axis=1) & m3.any(axis=1)
-    return int(double.sum()), int(triple.sum()), np.stack([double, triple], axis=1)
+    rows, clicks = _clicks(setup, None, [p_abs * p for p in arms], rng, n)
+    masked = [_apply_dead_time(c, setup.dead_time) for c in clicks[:2]]
+    # dead time never hides a detector's first click, so triples use raw clicks
+    found = np.stack([_double_coincidence(*masked), clicks.any(axis=2).all(axis=0)], 1)
+    events = np.zeros((n, 2), dtype=bool)
+    events[rows] = found
+    return *np.count_nonzero(found, axis=0).tolist(), events
 
 
 def _run_batches(setup, seed: int, n_jobs: int, collect_events: bool, kernel):

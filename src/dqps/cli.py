@@ -21,6 +21,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .calibration import (
     CalibSetup2,
     CalibSetup3,
@@ -453,11 +455,11 @@ def cmd_calibrate(args) -> int:
     _emit_record(record, args)
 
     if collect:
-        columns = ["double"] if mode == "2det" else ["double", "triple"]
-        lines = ["train," + ",".join(columns)]
-        for index, row in enumerate(report.events):
-            lines.append(f"{index}," + ",".join(str(int(v)) for v in row))
-        _emit("\n".join(lines) + "\n", args.event_log)
+        columns = ["train", "double"] + (["triple"] if mode == "3det" else [])
+        cells = np.column_stack([np.arange(len(report.events)), report.events])
+        row = ",".join(["%d"] * len(columns)) + "\n"
+        text = (row * len(cells)) % tuple(cells.ravel().tolist())
+        _emit(",".join(columns) + "\n" + text, args.event_log)
     return 0
 
 

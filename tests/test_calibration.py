@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from dqps import (
     CalibSetup2,
@@ -18,7 +19,13 @@ from dqps import (
     simulate_three_detector,
     simulate_two_detector,
 )
-from dqps.calibration import _apply_dead_time, _detection_probs, _double_coincidence
+from dqps.calibration import (
+    _apply_dead_time,
+    _detection_probs,
+    _double_coincidence,
+    _three_detector_batch,
+    _two_detector_batch,
+)
 
 
 def two_det(L=10, mu=0.02, n_test=100000, **overrides):
@@ -40,6 +47,102 @@ def three_det(L=10, mu=0.02, n_test=100000, dead_time=1, **overrides):
     )
     fields.update(overrides)
     return CalibSetup3(**fields)
+
+
+def _dense_route(photons, probs, rng):
+    """Photons reaching each of a set of exclusive outputs, thinned in order."""
+    routed = []
+    remaining = 1.0
+    for prob in probs:
+        if remaining <= 0.0:
+            taken = np.zeros_like(photons)
+        else:
+            taken = rng.binomial(photons, min(1.0, prob / remaining))
+        routed.append(taken)
+        photons = photons - taken
+        remaining -= prob
+    return routed
+
+
+def _dense_counts(setup, source, rng, n):
+    if source is None:
+        return rng.poisson(setup.mu, size=(n, setup.L))
+    configs, probs = source.as_arrays()
+    return configs[rng.choice(len(probs), size=n, p=probs / probs.sum())]
+
+
+def dense_two_detector_batch(setup, probs, rng, n):
+    """Statistical reference: every pulse's photons drawn and routed, O(n*L)."""
+    n1, n2 = _dense_route(_dense_counts(setup, setup.source, rng, n), probs, rng)
+    double = _double_coincidence(n1 >= 1, n2 >= 1)
+    return int(double.sum()), 0, double[:, None]
+
+
+def dense_three_detector_batch(setup, probs, rng, n):
+    """Statistical reference: every pulse through absorber and splitters, O(n*L)."""
+    p_abs, *arms = probs
+    survived = rng.binomial(_dense_counts(setup, None, rng, n), p_abs)
+    m1, m2, m3 = (
+        _apply_dead_time(photons >= 1, setup.dead_time)
+        for photons in _dense_route(survived, arms, rng)
+    )
+    double = _double_coincidence(m1, m2)
+    triple = m1.any(axis=1) & m2.any(axis=1) & m3.any(axis=1)
+    return int(double.sum()), int(triple.sum()), np.stack([double, triple], axis=1)
+
+
+def no_double_probability(L, slot_states):
+    """Exact P(no neighboring-slot double) for independent slots.
+
+    slot_states(k) gives (P(no click), P(only detector 1), P(only detector 2))
+    for slot k.  A double is a slot where both click or two neighboring
+    slots where different detectors click, so the train avoids one exactly
+    when its slots walk the states {none, only 1, only 2} without stepping
+    between 1 and 2: a 3-state transfer matrix, O(L).
+    """
+    allowed = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 1]], dtype=float)
+    v = np.array(slot_states(0), dtype=float)
+    for k in range(1, L):
+        v = v @ (allowed * np.array(slot_states(k), dtype=float))
+    return float(v.sum())
+
+
+def poisson_double_rate(L, mu, p1, p2):
+    a1, a2 = -math.expm1(-mu * p1), -math.expm1(-mu * p2)
+    states = ((1 - a1) * (1 - a2), a1 * (1 - a2), (1 - a1) * a2)
+    return 1.0 - no_double_probability(L, lambda k: states)
+
+
+def table_double_rate(source, p1, p2):
+    def states(config):
+        def at(k):
+            none = (1 - p1 - p2) ** config[k]
+            return none, (1 - p2) ** config[k] - none, (1 - p1) ** config[k] - none
+        return at
+
+    return 1.0 - math.fsum(
+        p * no_double_probability(source.L, states(config))
+        for config, p in source.support
+    )
+
+
+def z_score(count, n, rate):
+    return (count - n * rate) / math.sqrt(n * rate * (1 - rate))
+
+
+def assert_same_outcomes(setup, kernel, reference, n):
+    """Two-sample chi-square test on the (double, triple) outcome of each train."""
+    probs = _detection_probs(setup)
+    table = []
+    for seed, batch in enumerate((kernel, reference)):
+        *_, events = batch(setup, probs, np.random.default_rng(seed), n)
+        outcome = events.astype(int) @ (1, 2)[: events.shape[1]]
+        table.append(np.bincount(outcome, minlength=4))
+    table = np.array(table)
+    table = table[:, table.sum(axis=0) > 0]
+    assert table[:, 1:].min() >= 100, table
+    p_value = chi2_contingency(table).pvalue
+    assert p_value > 1e-3, (p_value, table)
 
 
 def quiet_two(setup, **kwargs):
@@ -205,6 +308,38 @@ def test_two_detector_general_source_all_tagged():
     assert report.bound == pytest.approx(1.0, abs=3 * sigma)
 
 
+MIXED_TABLE = SourceDistribution((
+    ((0, 0, 0, 0), 0.5),
+    ((1, 0, 0, 0), 0.1),
+    ((1, 1, 0, 0), 0.15),
+    ((0, 2, 0, 0), 0.1),
+    ((1, 0, 1, 1), 0.1),
+    ((0, 0, 3, 0), 0.05),
+))
+
+
+@pytest.mark.parametrize("setup, seed", [
+    (two_det(L=5, mu=0.3), 1),
+    (CalibSetup2(L=3, mu=1.0, true_T=0.6, true_R=0.35, eta1=0.2, eta2=0.3), 2),
+    (two_det(L=50, mu=0.05), 3),
+    (two_det(L=4, mu=0.0, source=MIXED_TABLE), 4),
+])
+def test_two_detector_double_rate_is_exact(setup, seed):
+    n = 2_000_000
+    p1, p2 = _detection_probs(setup)
+    if setup.source is None:
+        rate = poisson_double_rate(setup.L, setup.mu, p1, p2)
+    else:
+        rate = table_double_rate(setup.source, p1, p2)
+    report = simulate_two_detector(dataclasses.replace(setup, n_test=n), seed=seed)
+    assert abs(z_score(report.n_double, n, rate)) < 4, (report.n_double, n * rate)
+
+
+def test_two_detector_matches_dense_reference():
+    setup = two_det(L=4, mu=0.0, source=MIXED_TABLE)
+    assert_same_outcomes(setup, _two_detector_batch, dense_two_detector_batch, 200_000)
+
+
 def test_two_detector_deterministic():
     a = quiet_two(two_det(), seed=77, n_jobs=1, collect_events=True)
     b = quiet_two(two_det(), seed=77, n_jobs=4, collect_events=True)
@@ -267,6 +402,29 @@ def test_three_detector_no_dead_time_matches_two_detector_flux():
     p2 = r2.n_double / n
     sigma = math.sqrt((p3 + p2) / n)
     assert abs(p3 - p2) < 4 * sigma
+
+
+@pytest.mark.parametrize("L, mu, dead_time", [(10, 0.1, 1), (4, 0.5, 3)])
+def test_three_detector_triple_rate_is_exact(L, mu, dead_time):
+    # a detector's first click always survives its dead time, so a triple
+    # is any train in which every detector receives a photon
+    n = 2_000_000
+    setup = three_det(L=L, mu=mu, n_test=n, dead_time=dead_time,
+                      eta_abs=0.8, true_eta_abs=0.8)
+    p_abs, *arms = _detection_probs(setup)
+    rate = math.prod(-math.expm1(-mu * L * p_abs * p) for p in arms)
+    report = simulate_three_detector(setup, seed=L + dead_time)
+    assert abs(z_score(report.n_triple, n, rate)) < 4, (report.n_triple, n * rate)
+
+
+@pytest.mark.parametrize("dead_time", [0, 1, 3])
+def test_three_detector_matches_dense_reference(dead_time):
+    # doubles under dead time have no closed form; compare with the direct
+    # simulation of every pulse instead
+    setup = three_det(L=6, mu=0.5, dead_time=dead_time, eta_abs=0.8, true_eta_abs=0.8)
+    assert_same_outcomes(
+        setup, _three_detector_batch, dense_three_detector_batch, 200_000
+    )
 
 
 def test_three_detector_deterministic():

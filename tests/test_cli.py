@@ -3,9 +3,18 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
-from dqps import RateInputs, TagParams, channel_q, key_rate, optimize_mu, rtag_coherent
+from dqps import (
+    CalibrationReport,
+    RateInputs,
+    TagParams,
+    channel_q,
+    key_rate,
+    optimize_mu,
+    rtag_coherent,
+)
 from dqps.cli import main
 
 
@@ -328,6 +337,27 @@ def test_calibrate_three_detector_with_event_log(capsys, tmp_path):
     assert doubles == record["n_double"]
 
 
+@pytest.mark.parametrize("mode, simulate, events, text", [
+    ("2det", "simulate_two_detector", [[0], [1], [0]],
+     "train,double\n0,0\n1,1\n2,0\n"),
+    ("3det", "simulate_three_detector", [[0, 0], [1, 0], [1, 1]],
+     "train,double,triple\n0,0,0\n1,1,0\n2,1,1\n"),
+])
+def test_calibrate_event_log_text(capsys, tmp_path, monkeypatch, mode, simulate,
+                                  events, text):
+    def fake(setup, seed, n_jobs, collect_events):
+        return CalibrationReport(
+            mode=mode, n_test=3, n_double=2, n_triple=1, bound=0.0, true_rtag=0.0,
+            slack=0.0, sigma=0.0, events=np.array(events, dtype=bool),
+        )
+
+    monkeypatch.setattr(f"dqps.cli.{simulate}", fake)
+    log = tmp_path / "events.csv"
+    run_json(capsys, "calibrate", "--mode", mode, "--mu", "0.02",
+             "--event-log", str(log))
+    assert log.read_bytes() == text.encode()
+
+
 def test_calibrate_rejects_foreign_mode_flags(capsys):
     code, _, err = run_cli(
         capsys, "calibrate", "--mode", "2det", "--mu", "0.01",
@@ -371,21 +401,21 @@ def test_calibrate_three_detector_zero_transmission_arm_exits_2(capsys):
 # Exact stdout of small fixed-seed runs.  A change to these bytes changes
 # what a seed means, so it has to be deliberate and logged.
 GOLDEN_2DET = (
-    '{"L": 10, "bound": 0.00592, "eta1": 0.25, "eta2": 0.25, "eta3": null, '
-    '"eta_abs": null, "mode": "2det", "mu": 0.02, "n_double": 37, '
+    '{"L": 10, "bound": 0.00336, "eta1": 0.25, "eta2": 0.25, "eta3": null, '
+    '"eta_abs": null, "mode": "2det", "mu": 0.02, "n_double": 21, '
     '"n_test": 50000, "n_triple": null, "record": "calibration", "seed": 11, '
-    '"sigma": 0.0009732420048477151, "slack": 0.0005580185271286311, '
+    '"sigma": 0.0007332121111929343, "slack": -0.0020019814728713687, '
     '"true_rtag": 0.005361981472871369}\n'
 )
 GOLDEN_3DET = (
-    '{"L": 10, "bound": 0.12202666666666664, "eta1": 0.25, "eta2": 0.25, '
-    '"eta3": 0.25, "eta_abs": 0.5, "mode": "3det", "mu": 0.05, "n_double": 52, '
+    '{"L": 10, "bound": 0.12650666666666666, "eta1": 0.25, "eta2": 0.25, '
+    '"eta3": 0.25, "eta_abs": 0.5, "mode": "3det", "mu": 0.05, "n_double": 59, '
     '"n_test": 50000, "n_triple": 13, "record": "calibration", "seed": 13, '
-    '"sigma": 0.025042825541681815, "slack": 0.09078994605454174, '
+    '"sigma": 0.025100006197431725, "slack": 0.09526994605454175, '
     '"true_rtag": 0.031236720612124902}\n'
 )
 GOLDEN_3DET_LOG_SHA256 = (
-    "872d1b38fa6bb651706d57ed8d27d73efeb21ca600c7807181e2f0a6d6d24449"
+    "54e7b5115c3750cbd5204ea7109a9d0949d4db24e739935a09b72ce803723140"
 )
 GOLDEN_SIMULATE = (
     '{"Delta_hat": 0.05540661304736372, "E0_hat": 0.00376, "E1_hat": 0.00432, '
