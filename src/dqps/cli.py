@@ -42,6 +42,7 @@ from .tagging import (
 )
 
 SWEEP_HEADER = "L,eta_db,eta,mu_opt,Q,rtag,rate"
+_EVENT_LOG_CHUNK = 1 << 16  # event-log rows formatted per write
 
 
 def _fmt(x: float) -> str:
@@ -456,10 +457,14 @@ def cmd_calibrate(args) -> int:
 
     if collect:
         columns = ["train", "double"] + (["triple"] if mode == "3det" else [])
-        cells = np.column_stack([np.arange(len(report.events)), report.events])
         row = ",".join(["%d"] * len(columns)) + "\n"
-        text = (row * len(cells)) % tuple(cells.ravel().tolist())
-        _emit(",".join(columns) + "\n" + text, args.event_log)
+        with open(_resolve_out(args.event_log), "w", newline="") as handle:
+            handle.write(",".join(columns) + "\n")
+            for start in range(0, len(report.events), _EVENT_LOG_CHUNK):
+                events = report.events[start:start + _EVENT_LOG_CHUNK]
+                trains = np.arange(start, start + len(events))
+                cells = np.column_stack([trains, events]).ravel().tolist()
+                handle.write((row * len(events)) % tuple(cells))
     return 0
 
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParameterError
-from .tagging import TagParams, rtag_coherent
+from .tagging import TagParams, _where, rtag_coherent
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,7 @@ def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0."""
     if not 0 <= x <= 1:
         raise ParameterError("x", "entropy argument must be in [0, 1]")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return float(_entropy(x))
 
 
 def privacy_amp_fraction(Q: float, E1: float, rtag: float) -> tuple[float, bool]:
@@ -93,14 +93,8 @@ def privacy_amp_fraction(Q: float, E1: float, rtag: float) -> tuple[float, bool]
         raise ParameterError("E1", "error weight must be >= 0")
     if rtag < 0:
         raise ParameterError("rtag", "tagging probability must be >= 0")
-    if rtag > Q - 2.0 * E1 or rtag >= Q:
-        return 1.0, False
-    tagged_fraction = rtag / Q
-    return (
-        tagged_fraction
-        + (1.0 - tagged_fraction) * binary_entropy(E1 / (Q - rtag)),
-        True,
-    )
+    f_pa, feasible, _, _ = _privacy_amp(Q, E1, rtag)
+    return float(f_pa), bool(feasible)
 
 
 def key_rate(
@@ -112,8 +106,8 @@ def key_rate(
 
     The error-correction cost per sifted bit is ec_inefficiency times the
     binary entropy of the bit error rate E0/Q.
-    rtag_override replaces the closed-form coherent-source tagging
-    probability, e.g. to evaluate an ideal single-photon reference.
+    rtag_override replaces the coherent-source tagging probability, e.g.
+    to evaluate an ideal single-photon reference.
     """
     if not math.isfinite(ec_inefficiency) or ec_inefficiency < 1.0:
         raise ParameterError("ec_inefficiency", "must be a finite factor >= 1")
@@ -123,23 +117,52 @@ def key_rate(
         if not 0 <= rtag_override <= 1:
             raise ParameterError("rtag_override", "must be in [0, 1]")
         rtag = rtag_override
-
-    Q, E0, E1 = inputs.Q, inputs.E0, inputs.E1
-    if Q == 0.0:
-        return KeyRateReport(rtag, 1.0, 0.0, 0.0, False, inputs.mu)
-
-    ec_cost = ec_inefficiency * binary_entropy(E0 / Q)
-    f_pa, pa_feasible = privacy_amp_fraction(Q, E1, rtag)
-    if not pa_feasible:
-        return KeyRateReport(rtag, f_pa, ec_cost, 0.0, False, inputs.mu)
-
-    scale = inputs.p0 ** 2 / inputs.L
-    rate = scale * (
-        (Q - rtag) * (1.0 - binary_entropy(E1 / (Q - rtag))) - Q * ec_cost
+    f_pa, f_ec, rate, feasible = _rate(
+        inputs.L, inputs.p0, inputs.Q, inputs.E0, inputs.E1, rtag, ec_inefficiency
     )
-    if rate <= 0.0:
-        return KeyRateReport(rtag, f_pa, ec_cost, 0.0, False, inputs.mu)
-    return KeyRateReport(rtag, f_pa, ec_cost, rate, True, inputs.mu)
+    return KeyRateReport(
+        rtag, float(f_pa), float(f_ec), float(rate), bool(feasible), inputs.mu
+    )
+
+
+# Array cores: every argument may be a float or a numpy array, and the
+# results broadcast element by element.  No validation; the public
+# functions above validate and convert back to Python scalars.
+
+def _entropy(x):
+    """h(x) for x in [0, 1]; at x = 0 and x = 1 both log arguments are 1."""
+    return (
+        0.0
+        - x * np.log2(x + (x == 0.0))
+        - (1.0 - x) * np.log2(1.0 - x + (x == 1.0))
+    )
+
+
+def _privacy_amp(Q, E1, rtag):
+    """(f_pa, feasible, Q - rtag, h(E1 / (Q - rtag))).
+
+    Where infeasible, f_pa is 1 and the last two are finite placeholders.
+    rtag >= Q also covers Q = 0.
+    """
+    feasible = (rtag <= Q - 2.0 * E1) & (rtag < Q)
+    untagged = _where(feasible, Q - rtag, 1.0)
+    h1 = _entropy(_where(feasible, E1 / untagged, 0.0))
+    tagged_fraction = rtag / _where(feasible, Q, 1.0)
+    f_pa = _where(feasible, tagged_fraction + (1.0 - tagged_fraction) * h1, 1.0)
+    return f_pa, feasible, untagged, h1
+
+
+def _rate(L: int, p0, Q, E0, E1, rtag, ec_inefficiency=1.0):
+    """The rate formula of the module docstring: (f_pa, f_ec, rate, feasible).
+
+    Q = 0 gives f_ec = 0 (E0 = 0 there); an infeasible privacy
+    amplification or a nonpositive rate gives rate 0 and feasible False.
+    """
+    f_ec = ec_inefficiency * _entropy(E0 / _where(Q > 0.0, Q, 1.0))
+    f_pa, feasible, untagged, h1 = _privacy_amp(Q, E1, rtag)
+    rate = p0 ** 2 / L * (untagged * (1.0 - h1) - Q * f_ec)
+    feasible = feasible & (rate > 0.0)
+    return f_pa, f_ec, _where(feasible, rate, 0.0), feasible
 
 
 def channel_q(L: int, mu: float, eta: float) -> float:
@@ -154,4 +177,8 @@ def channel_q(L: int, mu: float, eta: float) -> float:
         raise ParameterError("mu", "mean photon number must be finite and >= 0")
     if not 0 <= eta <= 1:
         raise ParameterError("eta", "transmission must be in [0, 1]")
-    return -math.expm1(-(L - 1) * mu * eta)
+    return float(_channel_q(L, mu, eta))
+
+
+def _channel_q(L: int, mu, eta):
+    return -np.expm1(-(L - 1) * mu * eta)

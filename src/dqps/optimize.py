@@ -15,8 +15,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .keyrate import RateInputs, channel_q, key_rate
-from .tagging import TagParams, rtag_coherent
+from .keyrate import _channel_q, _rate, channel_q
+from .keyrate import key_rate  # noqa: F401  perfbench/spans.py wraps this name
+from .tagging import TagParams, _rtag, rtag_coherent
 
 DEFAULT_MU_BOUNDS = (1e-6, 1.0)
 DEFAULT_GRID_POINTS = 200
@@ -74,12 +75,11 @@ def _validate_mu_bounds(bounds: tuple[float, float]) -> None:
         raise ParameterError("mu_bounds", "need 0 < lo < hi")
 
 
-def _rate_at(L: int, eta: float, error_rate: float, mu: float) -> float:
-    Q = channel_q(L, mu, eta)
-    if Q == 0.0:
-        return 0.0
-    inputs = RateInputs.from_error_rates(L, mu, 1.0, Q, error_rate, error_rate)
-    return key_rate(inputs).rate_per_pulse
+def _rates(L: int, eta: float, error_rate: float, mu):
+    """key_rate's rate per pulse at p0 = 1, for a float or an array of mu."""
+    Q = _channel_q(L, mu, eta)
+    E = error_rate * Q
+    return _rate(L, 1.0, Q, E, E, _rtag(L, mu))[2]
 
 
 def optimize_mu(
@@ -91,10 +91,10 @@ def optimize_mu(
 ) -> OptimizeResult:
     """Maximize the key rate over the mean photon number.
 
-    A log-spaced grid localizes the optimum (guarding against a wrong
-    bracket if the rate were not unimodal), then golden-section search
-    refines the bracket around the best grid point.  The result is never
-    below the best grid value.  When the rate is nonpositive on the whole
+    A log-spaced grid, evaluated in one array call, localizes the optimum
+    (guarding against a wrong bracket if the rate were not unimodal), then
+    golden-section search refines the bracket around the best grid point.
+    The result is never below the best grid value.  When the rate is nonpositive on the whole
     grid, returns (None, 0.0).
     """
     if not isinstance(L, int) or L < 2:
@@ -108,19 +108,21 @@ def optimize_mu(
         raise ParameterError("tolerance", "must be > 0")
 
     grid = np.geomspace(mu_bounds[0], mu_bounds[1], DEFAULT_GRID_POINTS)
-    values = [_rate_at(L, eta, error_rate, mu) for mu in grid]
+    values = _rates(L, eta, error_rate, grid)
     best = int(np.argmax(values))
     if values[best] <= 0.0:
         return OptimizeResult(None, 0.0)
 
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    mu_refined = _golden_section(
-        lambda mu: _rate_at(L, eta, error_rate, mu), lo, hi, tolerance
-    )
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, len(grid) - 1)])
+
+    def rate_at(mu: float) -> float:
+        return float(_rates(L, eta, error_rate, mu))
+
+    mu_refined = _golden_section(rate_at, lo, hi, tolerance)
     candidates = [
-        (values[best], float(grid[best])),
-        (_rate_at(L, eta, error_rate, mu_refined), mu_refined),
+        (float(values[best]), float(grid[best])),
+        (rate_at(mu_refined), mu_refined),
     ]
     rate, mu_opt = max(candidates)
     return OptimizeResult(mu_opt, rate)

@@ -404,15 +404,15 @@ GOLDEN_2DET = (
     '{"L": 10, "bound": 0.00336, "eta1": 0.25, "eta2": 0.25, "eta3": null, '
     '"eta_abs": null, "mode": "2det", "mu": 0.02, "n_double": 21, '
     '"n_test": 50000, "n_triple": null, "record": "calibration", "seed": 11, '
-    '"sigma": 0.0007332121111929343, "slack": -0.0020019814728713687, '
-    '"true_rtag": 0.005361981472871369}\n'
+    '"sigma": 0.0007332121111929343, "slack": -0.002001981472872197, '
+    '"true_rtag": 0.005361981472872197}\n'
 )
 GOLDEN_3DET = (
     '{"L": 10, "bound": 0.12650666666666666, "eta1": 0.25, "eta2": 0.25, '
     '"eta3": 0.25, "eta_abs": 0.5, "mode": "3det", "mu": 0.05, "n_double": 59, '
     '"n_test": 50000, "n_triple": 13, "record": "calibration", "seed": 13, '
-    '"sigma": 0.025100006197431725, "slack": 0.09526994605454175, '
-    '"true_rtag": 0.031236720612124902}\n'
+    '"sigma": 0.025100006197431725, "slack": 0.09526994605454132, '
+    '"true_rtag": 0.031236720612125332}\n'
 )
 GOLDEN_3DET_LOG_SHA256 = (
     "54e7b5115c3750cbd5204ea7109a9d0949d4db24e739935a09b72ce803723140"
@@ -424,9 +424,9 @@ GOLDEN_SIMULATE = (
     '"n_rep": 50000, "record": "observed_stats", "sifted_check": 1133, '
     '"sifted_data": 1119, "tagged_data": 62}\n'
     '{"L": 4, "Q": 0.08952, "f_ec": 0.2513962081975012, '
-    '"f_pa": 0.6970894075767191, "feasible": true, "mu": 0.1, "p0": 0.5, '
-    '"rate_per_pulse": 0.00028822297974323736, "record": "keyrate", '
-    '"rtag": 0.0414423341690362}\n'
+    '"f_pa": 0.6970894075767153, "feasible": true, "mu": 0.1, "p0": 0.5, '
+    '"rate_per_pulse": 0.00028822297974325883, "record": "keyrate", '
+    '"rtag": 0.041442334169035804}\n'
 )
 
 
@@ -452,6 +452,19 @@ def test_golden_outputs(capsys, tmp_path):
         "--delta", "0.2", "--bitflip", "0.01", "--jobs", "2",
     )
     assert code == 0 and out == GOLDEN_SIMULATE, err
+
+
+def test_event_log_chunks_join_to_the_golden_bytes(capsys, tmp_path, monkeypatch):
+    # 50000 rows in chunks of 4096: twelve full chunks and a partial one
+    monkeypatch.setattr("dqps.cli._EVENT_LOG_CHUNK", 4096)
+    log = tmp_path / "events.csv"
+    code, out, err = run_cli(
+        capsys, "calibrate", "--mode", "3det", "--mu", "0.05",
+        "--n-trains", "50000", "--seed", "13", "--eta-abs", "0.5",
+        "--dead-time", "2", "--event-log", str(log),
+    )
+    assert code == 0 and out == GOLDEN_3DET, err
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == GOLDEN_3DET_LOG_SHA256
 
 
 # --- output plumbing ----------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dqps import (
@@ -14,6 +15,8 @@ from dqps import (
     optimize_mu,
     sweep,
 )
+from dqps.optimize import DEFAULT_GRID_POINTS, DEFAULT_MU_BOUNDS, _rates
+from test_tagging import rtag_mpmath
 
 
 def rate_at(L, eta, error_rate, mu):
@@ -36,6 +39,42 @@ def test_optimize_mu_result_is_self_consistent():
     # a genuine interior maximum: nearby intensities do worse
     assert rate >= rate_at(4, 0.05, 0.02, mu_opt * 1.01)
     assert rate >= rate_at(4, 0.05, 0.02, mu_opt * 0.99)
+
+
+def test_grid_rates_equal_key_rate():
+    # the grid and key_rate share one rate core, so the numbers are the same
+    grid = np.geomspace(*DEFAULT_MU_BOUNDS, DEFAULT_GRID_POINTS)
+    for L, eta, error_rate in ((2, 0.3, 0.03), (20, 1e-3, 0.03), (1000, 1e-5, 0.05)):
+        values = _rates(L, eta, error_rate, grid)
+        expected = [rate_at(L, eta, error_rate, float(mu)) for mu in grid]
+        assert values.tolist() == expected
+        assert 0 < np.count_nonzero(values) < len(grid)
+
+
+def rate_mpmath(mpmath, L, eta, error_rate, mu):
+    """The p0 = 1 rate of the keyrate module docstring at 40 digits."""
+    with mpmath.workdps(40):
+        mu, eta, e = mpmath.mpf(mu), mpmath.mpf(eta), mpmath.mpf(error_rate)
+
+        def h(x):
+            return -x * mpmath.log(x, 2) - (1 - x) * mpmath.log(1 - x, 2)
+
+        rtag = rtag_mpmath(mpmath, L, mu)
+        Q = -mpmath.expm1(-(L - 1) * mu * eta)
+        kept = Q - rtag
+        return (kept * (1 - h(e * Q / kept)) - Q * h(e)) / L
+
+
+# At 56 dB the L = 2 optimum lies below the default bracket's mu = 1e-6.
+@pytest.mark.parametrize("L, max_db", ((2, 52), (20, 56), (1000, 56)))
+def test_optimized_rate_matches_mpmath_at_high_loss(L, max_db):
+    mpmath = pytest.importorskip("mpmath")
+    for db in range(40, max_db + 1, 4):
+        eta = 10.0 ** (-db / 10.0)
+        mu_opt, rate = optimize_mu(L, eta, 0.03)
+        assert mu_opt is not None, db
+        exact = rate_mpmath(mpmath, L, eta, 0.03, mu_opt)
+        assert abs(rate - exact) <= 1e-9 * exact, (db, rate, exact)
 
 
 def test_optimize_mu_infeasible_everywhere():

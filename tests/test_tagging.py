@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from dqps import (
     rtag_coherent,
     rtag_general,
 )
+from dqps.tagging import _rtag
 
 
 def enumerate_untagged(L, m):
@@ -123,6 +125,48 @@ def test_rtag_monotone_in_mu(L, mu, bump):
     lo = rtag_coherent(TagParams(L, mu))
     hi = rtag_coherent(TagParams(L, mu + bump))
     assert hi >= lo - 1e-15
+
+
+def rtag_mpmath(mpmath, L, mu):
+    """1 - e^{-mu L} sum_m C(L+1-m, m) mu^m, an mpf good to 60 digits."""
+    with mpmath.workdps(60):
+        mu = mpmath.mpf(mu)
+        untagged = mpmath.fsum(
+            mpmath.binomial(L + 1 - m, m) * mu**m for m in range((L + 1) // 2 + 1)
+        )
+        return 1 - mpmath.exp(-mu * L) * untagged
+
+
+PRECISION_L = (2, 3, 4, 5, 20, 137, 1000)
+PRECISION_MU = tuple(np.geomspace(1e-12, 50.0, 31)) + (0.4999, 0.5, 0.5001)
+
+
+def test_rtag_relative_error_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for L in PRECISION_L:
+        for mu in PRECISION_MU:
+            exact = rtag_mpmath(mpmath, L, float(mu))
+            r = rtag_coherent(TagParams(L, float(mu)))
+            worst = max(worst, float(abs(r - exact) / exact))
+    assert worst <= 1e-12
+
+
+def test_rtag_array_call_matches_scalar_calls_bitwise():
+    mu = np.concatenate([np.geomspace(1e-12, 50.0, 97), [0.0, 0.5, 1e300]])
+    for L in PRECISION_L:
+        values = _rtag(L, mu)
+        assert isinstance(values, np.ndarray) and values.shape == mu.shape
+        scalars = [rtag_coherent(TagParams(L, float(m))) for m in mu]
+        assert values.tolist() == scalars
+        assert all(type(r) is float for r in scalars)
+
+
+def test_rtag_stays_at_most_one_at_large_mu():
+    # the chain's row sums round a little above 1; the kernel caps the result
+    mu = np.linspace(1.0, 60.0, 5001)
+    for L in (20, 30, 137, 1000):
+        assert _rtag(L, mu).max() <= 1.0
 
 
 # --- brute-force oracle ---------------------------------------------------
