@@ -37,14 +37,12 @@ from .optimize import (
     sweep,
 )
 from .protocol import (
-    BlockOutcome,
     ChannelModel,
     ObservedStats,
     ProtocolParams,
     detection_means,
     estimate_key_rate,
     run_simulation,
-    simulate_block,
 )
 from .tagging import (
     BruteForceResult,
@@ -60,7 +58,6 @@ from .tagging import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockOutcome",
     "BruteForceResult",
     "CalibrationReport",
     "CalibSetup2",
@@ -96,7 +93,6 @@ __all__ = [
     "rtag_coherent",
     "rtag_general",
     "run_simulation",
-    "simulate_block",
     "simulate_three_detector",
     "simulate_two_detector",
     "sweep",

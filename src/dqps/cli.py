@@ -30,7 +30,7 @@ from .calibration import (
     simulate_two_detector,
 )
 from .errors import ParameterError, WorkLimitError
-from .keyrate import RateInputs, channel_q, key_rate
+from .keyrate import KeyRateReport, RateInputs, channel_q, key_rate
 from .optimize import SweepSpec, optimize_mu, sweep
 from .protocol import ChannelModel, ProtocolParams, estimate_key_rate, run_simulation
 from .tagging import (
@@ -97,6 +97,15 @@ def _record_csv(record: dict) -> str:
 def _emit_record(record: dict, args) -> None:
     text = _record_csv(record) if args.format == "csv" else _json_line(record)
     _emit(text, args.output)
+
+
+def _rate_fields(report: KeyRateReport | None) -> dict:
+    """The rate fields of a keyrate record; None means no feasible mu."""
+    if report is None:
+        return {"rtag": None, "f_pa": None, "f_ec": None,
+                "rate_per_pulse": 0.0, "feasible": False}
+    return {"rtag": report.rtag, "f_pa": report.f_pa, "f_ec": report.f_ec,
+            "rate_per_pulse": report.rate_per_pulse, "feasible": report.feasible}
 
 
 def _require(args, name: str):
@@ -269,28 +278,15 @@ def cmd_keyrate(args) -> int:
                 "ec_inefficiency", "fixed to 1 when optimizing; use --mu"
             )
         mu, _ = optimize_mu(L, eta, error_rate, (args.mu_lo, args.mu_hi), args.tol)
-        if mu is None:
-            record.update(
-                mu=None, Q=None, rtag=None, f_pa=None, f_ec=None,
-                rate_per_pulse=0.0, feasible=False,
-            )
-            _emit_record(record, args)
-            return 0
     else:
         mu = args.mu
 
-    Q = channel_q(L, mu, eta)
-    inputs = RateInputs.from_error_rates(L, mu, args.p0, Q, error_rate, error_rate)
-    report = key_rate(inputs, ec_inefficiency=args.ec_inefficiency)
-    record.update(
-        mu=mu,
-        Q=Q,
-        rtag=report.rtag,
-        f_pa=report.f_pa,
-        f_ec=report.f_ec,
-        rate_per_pulse=report.rate_per_pulse,
-        feasible=report.feasible,
-    )
+    Q = report = None
+    if mu is not None:  # None: the optimizer found no feasible mu
+        Q = channel_q(L, mu, eta)
+        inputs = RateInputs.from_error_rates(L, mu, args.p0, Q, error_rate, error_rate)
+        report = key_rate(inputs, ec_inefficiency=args.ec_inefficiency)
+    record.update(mu=mu, Q=Q, **_rate_fields(report))
     _emit_record(record, args)
     return 0
 
@@ -366,11 +362,7 @@ def cmd_simulate(args) -> int:
         "mu": params.mu,
         "p0": params.p0,
         "Q": stats.Q_hat,
-        "rtag": report.rtag,
-        "f_pa": report.f_pa,
-        "f_ec": report.f_ec,
-        "rate_per_pulse": report.rate_per_pulse,
-        "feasible": report.feasible,
+        **_rate_fields(report),
     }
     _emit(_json_line(stats_record) + _json_line(rate_record), args.output)
     return 0

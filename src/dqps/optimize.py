@@ -129,7 +129,12 @@ def optimize_mu(
 
 
 def _golden_section(f, lo: float, hi: float, tolerance: float) -> float:
-    """Maximize f on [lo, hi] to the given relative interval width."""
+    """Maximize f on [lo, hi] by golden-section search.
+
+    Stops once hi - lo <= tolerance * max(1, |hi|): a relative width above
+    |hi| = 1 but an absolute width of tolerance below it, so a bracket that
+    lies far below 1 ends relatively coarser.
+    """
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)

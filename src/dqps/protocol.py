@@ -12,8 +12,8 @@ always sum to mu*eta, so a timing stays dark with probability
 p_none = e^{-mu*eta} (1 - p_dark)^2 whatever the bits and bases.  The first
 click j is therefore a truncated geometric draw, and only the clicked blocks
 need their two bits and a detector outcome.  Tagging is independent of the
-clicks and is drawn only for the blocks a counter reads.  The cost per block
-does not grow with L.
+clicks and is drawn only for the data-sifted blocks, the only ones a
+counter reads.  The cost per block does not grow with L.
 
 ``run_batches`` is the one seeded batch runner, shared with the calibration
 benches: work is cut into fixed-size batches of ``BATCH_BLOCKS``, every
@@ -29,6 +29,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -91,23 +92,6 @@ class ChannelModel:
             raise ParameterError("e_mis", "misalignment phase must be in [0, 0.5) rad")
         if not 0 <= self.p_flip < 0.5:
             raise ParameterError("p_flip", "bit-flip probability must be in [0, 0.5)")
-
-
-@dataclass(frozen=True)
-class BlockOutcome:
-    """One simulated round.
-
-    j = 0 means no valid-timing click; a and b are only defined for j != 0.
-    clicks[t, s] is the click of detector s at valid timing t+1.
-    """
-
-    c: int
-    d: int
-    j: int
-    a: int | None
-    b: int | None
-    tagged: bool
-    clicks: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -214,17 +198,16 @@ def _simulate_batch(
     channel: ChannelModel,
     rng: np.random.Generator,
     n: int,
-    tag_all: bool = False,
-):
-    """Simulate n blocks; returns counters plus per-block arrays.
+) -> tuple:
+    """Simulate n blocks and return their seven counters.
 
-    Draw order is fixed: c and d for every block, one uniform per block for
-    the first click j, then for the k clicked blocks the bit pair at j, the
-    detector outcome, tie bits and flip draws, and last the tagging of the
-    data-sifted blocks (of every block when tag_all).  Only O(n) values are
-    drawn, whatever L.  The per-block arrays are c, d, j and tagged over all
-    n blocks, and the bit pairs, clicks at j and measured bits b over the
-    clicked blocks, in block order.
+    The counters are the sifted and erroneous data-basis blocks, the same
+    for the check basis, the tagged data-sifted blocks, and the histograms
+    of j for d = 0 and d = 1.  Draw order is fixed: c and d for every
+    block, one uniform per block for the first click j, then for the k
+    clicked blocks the bit pair at j, the detector outcome, tie bits and
+    flip draws, and last the tagging of the data-sifted blocks.  Only O(n)
+    values are drawn, whatever L.
     """
     L = params.L
     c = rng.random(n) < params.p1
@@ -247,55 +230,15 @@ def _simulate_batch(
 
     data = ~c_hit & ~d_hit
     check = c_hit & d_hit
-    need = np.full(n, tag_all)
-    need[hit[data]] = True
-    tagged = np.zeros(n, dtype=bool)
-    tagged[need] = _draw_tagged(L, params.mu, rng, int(need.sum()))
-
-    counters = (
-        int(data.sum()),
+    n_data = int(data.sum())
+    return (
+        n_data,
         int((data & error).sum()),
         int(check.sum()),
         int((check & error).sum()),
-        int(tagged[hit[data]].sum()),
+        int(_draw_tagged(L, params.mu, rng, n_data).sum()),
         np.bincount(j[~d], minlength=L),
         np.bincount(j[d], minlength=L),
-    )
-    per_block = (c, d, j, tagged, bits, pattern, b)
-    return counters, per_block
-
-
-def simulate_block(
-    params: ProtocolParams, channel: ChannelModel, rng: np.random.Generator
-) -> BlockOutcome:
-    """One round: basis and bit draws, clicks, timing selection, key bit.
-
-    The batch kernel settles the first click; the timings after it are
-    drawn here, for this block only, from fresh bits that continue the
-    clicked pair.
-    """
-    _, (c, d, j, tagged, bits, pattern, b) = _simulate_batch(
-        params, channel, rng, 1, tag_all=True
-    )
-    j0 = int(j[0])
-    clicks = np.zeros((params.L - 1, 2), dtype=bool)
-    if j0:
-        clicks[j0 - 1] = pattern[0]
-        rest = params.L - 1 - j0
-        if rest:
-            fresh = rng.integers(0, 2, size=rest, dtype=np.int8)
-            a = np.concatenate([bits[0, 1:], fresh])
-            means = detection_means(replace(params, L=rest + 1), channel, a, c, d)[0]
-            dark = rng.random((rest, 2)) < channel.p_dark
-            clicks[j0:] = (rng.poisson(means) >= 1) | dark
-    return BlockOutcome(
-        c=int(c[0]),
-        d=int(d[0]),
-        j=j0,
-        a=int(bits[0, 0] ^ bits[0, 1]) if j0 else None,
-        b=int(b[0]) if j0 else None,
-        tagged=bool(tagged[0]),
-        clicks=clicks,
     )
 
 
@@ -331,11 +274,8 @@ def run_simulation(
     Deterministic for a fixed seed: ``run_batches`` partitions the blocks,
     and the counters fold in batch order whatever the thread count.
     """
-
-    def counters(rng, size):
-        return _simulate_batch(params, channel, rng, size)[0]
-
-    results = run_batches(params.seed, params.n_blocks, n_jobs, counters)
+    kernel = partial(_simulate_batch, params, channel)
+    results = run_batches(params.seed, params.n_blocks, n_jobs, kernel)
     sifted_data, errors_data, sifted_check, errors_check, tagged_data, h0, h1 = (
         sum(column) for column in zip(*results)
     )

@@ -4,7 +4,6 @@ import dqps
 def test_public_names_are_pinned():
     # removing or adding a public name is a deliberate API change
     assert sorted(dqps.__all__) == [
-        "BlockOutcome",
         "BruteForceResult",
         "CalibSetup2",
         "CalibSetup3",
@@ -40,7 +39,6 @@ def test_public_names_are_pinned():
         "rtag_coherent",
         "rtag_general",
         "run_simulation",
-        "simulate_block",
         "simulate_three_detector",
         "simulate_two_detector",
         "sweep",

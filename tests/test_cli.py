@@ -430,6 +430,60 @@ GOLDEN_SIMULATE = (
 )
 
 
+GOLDEN_KEYRATE_ARGS = (
+    "keyrate", "--L", "3", "--eta", "0.05", "--error-rate", "0.02", "--mu", "0.01",
+)
+GOLDEN_KEYRATE = (
+    '{"L": 3, "Q": 0.0009995001666250085, "error_rate": 0.02, "eta": 0.05, '
+    '"eta_db": 13.010299956639813, "f_ec": 0.14144054254182067, '
+    '"f_pa": 0.47333975783878124, "feasible": true, "mu": 0.01, '
+    '"optimized": false, "p0": 1.0, "rate_per_pulse": 0.0001283423846522747, '
+    '"record": "keyrate", "rtag": 0.0003440558916817269}\n'
+)
+GOLDEN_KEYRATE_CSV = (
+    "record,L,eta,eta_db,error_rate,p0,optimized,mu,Q,rtag,f_pa,f_ec,"
+    "rate_per_pulse,feasible\n"
+    "keyrate,3,0.050000000000000003,13.010299956639813,0.02,1,false,0.01,"
+    "0.00099950016662500845,0.00034405589168172689,0.47333975783878124,"
+    "0.14144054254182067,0.0001283423846522747,true\n"
+)
+GOLDEN_KEYRATE_OPTIMIZED = (
+    '{"L": 2, "Q": 1.629926107854524e-05, "error_rate": 0.03, "eta": 0.01, '
+    '"eta_db": 20.0, "f_ec": 0.1943918578315762, "f_pa": 0.5023244521834647, '
+    '"feasible": true, "mu": 0.0016299393912944495, "optimized": true, '
+    '"p0": 1.0, "rate_per_pulse": 2.471650021964713e-06, "record": "keyrate", '
+    '"rtag": 5.3018715719948795e-06}\n'
+)
+GOLDEN_KEYRATE_INFEASIBLE_ARGS = (
+    "keyrate", "--L", "2", "--eta", "1e-4", "--error-rate", "0.25", "--optimize",
+)
+GOLDEN_KEYRATE_INFEASIBLE = (
+    '{"L": 2, "Q": null, "error_rate": 0.25, "eta": 0.0001, "eta_db": 40.0, '
+    '"f_ec": null, "f_pa": null, "feasible": false, "mu": null, '
+    '"optimized": true, "p0": 1.0, "rate_per_pulse": 0.0, "record": "keyrate", '
+    '"rtag": null}\n'
+)
+GOLDEN_KEYRATE_INFEASIBLE_CSV = (
+    "record,L,eta,eta_db,error_rate,p0,optimized,mu,Q,rtag,f_pa,f_ec,"
+    "rate_per_pulse,feasible\n"
+    "keyrate,2,0.0001,40,0.25,1,true,,,,,,0,false\n"
+)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (GOLDEN_KEYRATE_ARGS, GOLDEN_KEYRATE),
+    (GOLDEN_KEYRATE_ARGS + ("--format", "csv"), GOLDEN_KEYRATE_CSV),
+    (("keyrate", "--L", "2", "--eta-db", "20", "--error-rate", "0.03",
+      "--optimize"), GOLDEN_KEYRATE_OPTIMIZED),
+    (GOLDEN_KEYRATE_INFEASIBLE_ARGS, GOLDEN_KEYRATE_INFEASIBLE),
+    (GOLDEN_KEYRATE_INFEASIBLE_ARGS + ("--format", "csv"),
+     GOLDEN_KEYRATE_INFEASIBLE_CSV),
+])
+def test_golden_keyrate_outputs(capsys, argv, golden):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out == golden, err
+
+
 def test_golden_outputs(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "calibrate", "--mode", "2det", "--mu", "0.02",

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2_contingency, chisquare
 
 from dqps import (
     ChannelModel,
@@ -17,7 +17,6 @@ from dqps import (
     key_rate,
     rtag_coherent,
     run_simulation,
-    simulate_block,
 )
 from dqps.keyrate import RateInputs
 from dqps.protocol import BATCH_BLOCKS, _simulate_batch
@@ -151,37 +150,6 @@ def test_detection_means_detector_swap_is_alternating_flip():
     assert np.allclose(direct, swapped[:, :, ::-1], atol=1e-12)
 
 
-def test_simulate_block_fields():
-    params = ProtocolParams(L=4, mu=2.0, p1=0.5, n_blocks=1, seed=0)
-    channel = ChannelModel(eta=1.0)
-    rng = np.random.default_rng(0)
-    saw_detection = False
-    later_timings = later_clicked = 0
-    for _ in range(400):
-        outcome = simulate_block(params, channel, rng)
-        assert outcome.c in (0, 1) and outcome.d in (0, 1)
-        assert 0 <= outcome.j <= params.L - 1
-        assert outcome.clicks.shape == (params.L - 1, 2)
-        if outcome.j == 0:
-            assert outcome.a is None and outcome.b is None
-            assert not outcome.clicks.any()
-        else:
-            saw_detection = True
-            assert outcome.a in (0, 1) and outcome.b in (0, 1)
-            if outcome.c == outcome.d:
-                assert outcome.b == outcome.a  # noiseless matched basis
-            assert not outcome.clicks[: outcome.j - 1].any()
-            assert outcome.clicks[outcome.j - 1].any()
-            later = outcome.clicks[outcome.j :].any(axis=1)
-            later_timings += later.size
-            later_clicked += int(later.sum())
-    assert saw_detection
-    # timings after j are filled on demand with the unconditioned law
-    expected = 1.0 - math.exp(-params.mu * channel.eta) * (1.0 - channel.p_dark) ** 2
-    sigma = math.sqrt(expected * (1.0 - expected) / later_timings)
-    assert abs(later_clicked / later_timings - expected) < 3 * sigma
-
-
 def test_run_simulation_counters_are_consistent():
     params = ProtocolParams(L=5, mu=0.3, p1=0.4, n_blocks=BATCH_BLOCKS + 17, seed=9)
     stats = quiet_run(params, ChannelModel(eta=0.8))
@@ -302,7 +270,7 @@ def test_batch_kernel_matches_dense_reference(L, mu, channel_kw):
     n = 100_000
     params = ProtocolParams(L=L, mu=mu, p1=0.5, n_blocks=n, seed=0)
     channel = ChannelModel(**channel_kw)
-    kernel, _ = _simulate_batch(params, channel, np.random.default_rng(31), n)
+    kernel = _simulate_batch(params, channel, np.random.default_rng(31), n)
     dense = dense_reference_batch(params, channel, np.random.default_rng(32), n)
 
     def tables(counters):
@@ -321,6 +289,22 @@ def test_batch_kernel_matches_dense_reference(L, mu, channel_kw):
     assert min(p_values) > 1e-3, (p_values, kernel, dense)
 
 
+@pytest.mark.parametrize("L, mu, channel_kw", KERNEL_SETTINGS)
+def test_first_click_follows_truncated_geometric_law(L, mu, channel_kw):
+    # a timing stays dark with p_none whatever the bits, so j is geometric
+    # in 1..L-1 and 0 when all L-1 timings stay dark
+    params = ProtocolParams(L=L, mu=mu, p1=0.5, n_blocks=200_000, seed=0)
+    channel = ChannelModel(**channel_kw)
+    stats = quiet_run(params, channel)
+    p_none = math.exp(-mu * channel.eta) * (1.0 - channel.p_dark) ** 2
+    law = [p_none ** (L - 1)] + [
+        p_none ** (k - 1) * (1.0 - p_none) for k in range(1, L)
+    ]
+    observed = np.add(stats.j_hist_d0, stats.j_hist_d1)
+    expected = params.n_blocks * np.array(law)
+    assert chisquare(observed, expected).pvalue > 1e-3, (observed, expected)
+
+
 def test_degenerate_channels():
     # eta = 0 without dark counts: p_none = 1, the kernel must not divide by 0
     params = ProtocolParams(L=6, mu=0.1, p1=0.5, n_blocks=BATCH_BLOCKS + 5, seed=12)
@@ -328,10 +312,8 @@ def test_degenerate_channels():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         stats = quiet_run(params, dark_free)
-        outcome = simulate_block(params, dark_free, np.random.default_rng(1))
     assert stats.Q_hat == 0.0 and stats.sifted_check == 0
     assert stats.j_hist_d0[0] + stats.j_hist_d1[0] == params.n_blocks
-    assert outcome.j == 0 and not outcome.clicks.any()
 
     # mu * eta >= 50: the first timing always clicks
     bright = ProtocolParams(L=6, mu=50.0, p1=0.5, n_blocks=BATCH_BLOCKS + 5, seed=13)
