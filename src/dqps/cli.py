@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Subcommands: keyrate, sweep, simulate, rtag, calibrate.  Single results are
-printed as JSON lines with sorted keys; sweeps are CSV with a fixed header.
-Floats in CSV use 17 significant digits so files round-trip bit-exactly.
+Subcommands: keyrate, sweep, simulate, rtag, calibrate.  Each handler
+returns its result as a list of records (dicts) and writes nothing; main
+alone renders them, as JSON lines with sorted keys or as CSV with the first
+record's keys as the one header, and writes them to stdout or --output.
+sweep is CSV only, simulate JSON lines only.  Floats in CSV use 17
+significant digits so files round-trip bit-exactly.
 
 A flat key=value config file (--config) can supply any long option of the
 chosen subcommand; explicit flags win.  Relative --output and --event-log
@@ -41,12 +44,7 @@ from .tagging import (
     rtag_general,
 )
 
-SWEEP_HEADER = "L,eta_db,eta,mu_opt,Q,rtag,rate"
 _EVENT_LOG_CHUNK = 1 << 16  # event-log rows formatted per write
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _parse_bool(text: str) -> bool:
@@ -74,29 +72,28 @@ def _emit(text: str, path: str | None) -> None:
         handle.write(text)
 
 
-def _json_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True) + "\n"
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt(value)
+        return f"{value:.17g}"
     return str(value)
 
 
-def _record_csv(record: dict) -> str:
-    header = ",".join(record)
-    row = ",".join(_csv_cell(v) for v in record.values())
-    return header + "\n" + row + "\n"
+def _render(records: list[dict], fmt: str) -> str:
+    """JSON lines with sorted keys, or CSV headed by the first record's keys."""
+    if fmt == "json":
+        return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    rows = [records[0]] + [map(_csv_cell, record.values()) for record in records]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
-def _emit_record(record: dict, args) -> None:
-    text = _record_csv(record) if args.format == "csv" else _json_line(record)
-    _emit(text, args.output)
+def _fields(obj, *skip: str) -> dict:
+    """A dataclass's fields in order, shallow (asdict would copy events)."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+            if f.name not in skip}
 
 
 def _rate_fields(report: KeyRateReport | None) -> dict:
@@ -104,8 +101,7 @@ def _rate_fields(report: KeyRateReport | None) -> dict:
     if report is None:
         return {"rtag": None, "f_pa": None, "f_ec": None,
                 "rate_per_pulse": 0.0, "feasible": False}
-    return {"rtag": report.rtag, "f_pa": report.f_pa, "f_ec": report.f_ec,
-            "rate_per_pulse": report.rate_per_pulse, "feasible": report.feasible}
+    return _fields(report, "mu_used")
 
 
 def _require(args, name: str):
@@ -247,6 +243,8 @@ def _resolve_eta(args) -> tuple[float, float | None]:
     if args.eta is not None and args.eta_db is not None:
         raise ParameterError("eta", "give either --eta or --eta-db, not both")
     if args.eta_db is not None:
+        if not math.isfinite(args.eta_db):
+            raise ParameterError("eta_db", "must be finite")
         return 10.0 ** (-args.eta_db / 10.0), args.eta_db
     if args.eta is None:
         raise ParameterError("eta", "required: --eta or --eta-db")
@@ -254,7 +252,7 @@ def _resolve_eta(args) -> tuple[float, float | None]:
     return args.eta, eta_db
 
 
-def cmd_keyrate(args) -> int:
+def cmd_keyrate(args) -> list[dict]:
     L = _require(args, "L")
     error_rate = _require(args, "error_rate")
     eta, eta_db = _resolve_eta(args)
@@ -287,8 +285,7 @@ def cmd_keyrate(args) -> int:
         inputs = RateInputs.from_error_rates(L, mu, args.p0, Q, error_rate, error_rate)
         report = key_rate(inputs, ec_inefficiency=args.ec_inefficiency)
     record.update(mu=mu, Q=Q, **_rate_fields(report))
-    _emit_record(record, args)
-    return 0
+    return [record]
 
 
 def _parse_db_grid(text: str) -> list[float]:
@@ -307,7 +304,7 @@ def _parse_db_grid(text: str) -> list[float]:
     return [lo + k * step for k in range(count)]
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> list[dict]:
     L_text = _require(args, "L_list")
     db_text = _require(args, "eta_db_range")
     error_rate = _require(args, "error_rate")
@@ -326,18 +323,14 @@ def cmd_sweep(args) -> int:
         mu_bounds=(args.mu_lo, args.mu_hi),
         tolerance=args.tol,
     )
-    lines = [SWEEP_HEADER]
-    for row in sweep(spec):
-        mu_opt = row.mu_opt if row.mu_opt is not None else math.nan
-        lines.append(
-            f"{row.L},{_fmt(db_of[row.eta])},{_fmt(row.eta)},{_fmt(mu_opt)},"
-            f"{_fmt(row.Q)},{_fmt(row.rtag)},{_fmt(row.rate)}"
-        )
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return [
+        {"L": row.L, "eta_db": db_of[row.eta], **row._asdict(),
+         "mu_opt": math.nan if row.mu_opt is None else row.mu_opt}
+        for row in sweep(spec)
+    ]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list[dict]:
     if args.format == "csv":
         raise ParameterError("format", "simulate emits json-lines only")
     params = ProtocolParams(
@@ -355,7 +348,7 @@ def cmd_simulate(args) -> int:
     )
     stats = run_simulation(params, channel, n_jobs=args.jobs)
     report = estimate_key_rate(stats, params)
-    stats_record = {"record": "observed_stats", **dataclasses.asdict(stats)}
+    stats_record = {"record": "observed_stats", **_fields(stats)}
     rate_record = {
         "record": "keyrate",
         "L": params.L,
@@ -364,11 +357,10 @@ def cmd_simulate(args) -> int:
         "Q": stats.Q_hat,
         **_rate_fields(report),
     }
-    _emit(_json_line(stats_record) + _json_line(rate_record), args.output)
-    return 0
+    return [stats_record, rate_record]
 
 
-def cmd_rtag(args) -> int:
+def cmd_rtag(args) -> list[dict]:
     record = {
         "record": "rtag",
         "source": args.source,
@@ -395,11 +387,10 @@ def cmd_rtag(args) -> int:
             )
             record["oracle_value"] = result.value
             record["truncation_bound"] = result.truncation_bound
-    _emit_record(record, args)
-    return 0
+    return [record]
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> list[dict]:
     mode = _require(args, "mode")
     if mode == "2det":
         setup_cls, simulate = CalibSetup2, simulate_two_detector
@@ -429,24 +420,6 @@ def cmd_calibrate(args) -> int:
     setup = setup_cls(**given)
     report = simulate(setup, seed=args.seed, n_jobs=args.jobs, collect_events=collect)
 
-    record = {
-        "record": "calibration",
-        "mode": report.mode,
-        "L": setup.L,
-        "mu": mu,
-        "seed": args.seed,
-        "n_test": report.n_test,
-        "n_double": report.n_double,
-        "n_triple": report.n_triple,
-        "bound": report.bound,
-        "true_rtag": report.true_rtag,
-        "slack": report.slack,
-        "sigma": report.sigma,
-    }
-    for name in ("eta1", "eta2", "eta3", "eta_abs"):
-        record[name] = getattr(setup, name, None)
-    _emit_record(record, args)
-
     if collect:
         columns = ["train", "double"] + (["triple"] if mode == "3det" else [])
         row = ",".join(["%d"] * len(columns)) + "\n"
@@ -457,7 +430,10 @@ def cmd_calibrate(args) -> int:
                 trains = np.arange(start, start + len(events))
                 cells = np.column_stack([trains, events]).ravel().tolist()
                 handle.write((row * len(events)) % tuple(cells))
-    return 0
+    etas = {name: getattr(setup, name, None)
+            for name in ("eta1", "eta2", "eta3", "eta_abs")}
+    return [{"record": "calibration", "mode": report.mode, "L": setup.L, "mu": mu,
+             "seed": args.seed, **_fields(report, "mode", "events"), **etas}]
 
 
 _HANDLERS = {
@@ -483,7 +459,10 @@ def main(argv=None) -> int:
             sub, converters = registry[args.command]
             sub.set_defaults(**_config_defaults(args.config, converters))
             args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        records = _HANDLERS[args.command](args)
+        # sweep has no --format: its records are CSV
+        _emit(_render(records, getattr(args, "format", "csv")), args.output)
+        return 0
     except ParameterError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -2,18 +2,27 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dqps
 from dqps import (
     CalibrationReport,
+    CalibSetup2,
     RateInputs,
+    SourceDistribution,
     TagParams,
     channel_q,
     key_rate,
     optimize_mu,
     rtag_coherent,
+    rtag_general,
+    simulate_two_detector,
 )
 from dqps.cli import main
 
@@ -116,6 +125,26 @@ def test_keyrate_rejects_mu_with_optimize(capsys):
     assert "'mu'" in err
 
 
+def test_keyrate_rejects_non_finite_eta_db(capsys):
+    # 10^(-inf/10) would pass as eta = 0 and print eta_db as Infinity, not JSON
+    for value in ("inf", "nan"):
+        code, out, err = run_cli(
+            capsys, "keyrate", "--L", "2", "--eta-db", value,
+            "--mu", "0.1", "--error-rate", "0.03",
+        )
+        assert code == 2 and out == ""
+        assert "parameter 'eta_db': must be finite" in err
+
+
+def test_keyrate_optimize_refuses_ec_inefficiency(capsys):
+    code, out, err = run_cli(
+        capsys, "keyrate", "--L", "2", "--eta-db", "20", "--error-rate", "0.03",
+        "--optimize", "--ec-inefficiency", "1.2",
+    )
+    assert code == 2 and out == ""
+    assert "parameter 'ec_inefficiency'" in err
+
+
 # --- config files ---------------------------------------------------------------
 
 def test_config_supplies_defaults_and_flags_override(capsys, tmp_path):
@@ -132,6 +161,23 @@ def test_config_supplies_defaults_and_flags_override(capsys, tmp_path):
     )
     assert overridden["L"] == 3
     assert overridden["mu"] == 0.002
+
+
+def test_config_booleans(capsys, tmp_path):
+    cfg = tmp_path / "opt.cfg"
+    cfg.write_text("L = 2\neta-db = 20\nerror-rate = 0.03\noptimize = yes\n")
+    _, from_cfg, _ = run_cli(capsys, "keyrate", "--config", str(cfg))
+    _, from_flag, _ = run_cli(
+        capsys, "keyrate", "--L", "2", "--eta-db", "20", "--error-rate", "0.03",
+        "--optimize",
+    )
+    assert json.loads(from_cfg)["optimized"] is True
+    assert from_cfg == from_flag
+
+    cfg.write_text("L = 2\noptimize = maybe\n")
+    code, out, err = run_cli(capsys, "keyrate", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "parameter 'optimize': invalid value 'maybe'" in err
 
 
 def test_config_rejects_unknown_key(capsys, tmp_path):
@@ -209,6 +255,20 @@ def test_sweep_marks_dead_rows_as_nan(capsys):
     cells = dead.split(",")
     assert cells[3] == "nan" and math.isnan(float(cells[3]))
     assert cells[6] == "0"
+
+
+def test_sweep_mu_lo_reaches_past_the_default_bracket(capsys):
+    # the default mu_lo = 1e-6 sits above the optimum from about 57 dB on
+    code, out, err = run_cli(
+        capsys, "sweep", "--L-list", "20", "--eta-db-range", "58:60:2",
+        "--error-rate", "0.03", "--mu-lo", "1e-8",
+    )
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [float(row[1]) for row in rows] == [60.0, 58.0]
+    for row in rows:
+        assert float(row[3]) >= 1e-8
+        assert float(row[6]) > 0.0
 
 
 def test_sweep_rejects_malformed_grid(capsys):
@@ -358,6 +418,31 @@ def test_calibrate_event_log_text(capsys, tmp_path, monkeypatch, mode, simulate,
     assert log.read_bytes() == text.encode()
 
 
+def test_calibrate_two_detector_source_file(capsys, tmp_path):
+    path = tmp_path / "pairs.txt"
+    path.write_text("0 0 0.5\n1 0 0.2\n0 1 0.2\n1 1 0.05\n2 0 0.05\n")
+    (record,) = run_json(
+        capsys, "calibrate", "--mode", "2det", "--L", "2", "--mu", "0.5",
+        "--n-trains", "40000", "--seed", "9", "--source", str(path),
+    )
+    dist = SourceDistribution.from_file(str(path))
+    report = simulate_two_detector(
+        CalibSetup2(2, 0.5, n_test=40000, source=dist), seed=9
+    )
+    assert record["true_rtag"] == rtag_general(dist)
+    for name in ("mode", "n_test", "n_double", "n_triple", "bound", "true_rtag",
+                 "slack", "sigma"):
+        assert record[name] == getattr(report, name), name
+
+
+def test_calibrate_unwritable_event_log_exits_3_with_empty_stdout(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "calibrate", "--mode", "2det", "--mu", "0.02",
+        "--n-trains", "20000", "--event-log", str(tmp_path / "missing" / "ev.csv"),
+    )
+    assert code == 3 and out == ""
+
+
 def test_calibrate_rejects_foreign_mode_flags(capsys):
     code, _, err = run_cli(
         capsys, "calibrate", "--mode", "2det", "--mu", "0.01",
@@ -484,6 +569,67 @@ def test_golden_keyrate_outputs(capsys, argv, golden):
     assert code == 0 and out == golden, err
 
 
+GOLDEN_SWEEP_DEAD_ROW = (
+    "L,eta_db,eta,mu_opt,Q,rtag,rate\n"
+    "2,40,0.0001,nan,nan,nan,0\n"
+    "2,0,1,5.0516629858192609e-05,5.0515353914732041e-05,"
+    "5.1035160244228419e-09,2.1226766331470045e-09\n"
+)
+GOLDEN_RTAG_ORACLE_ARGS = ("rtag", "--L", "5", "--mu", "0.2", "--oracle", "--cap", "6")
+GOLDEN_RTAG_ORACLE = (
+    '{"L": 5, "mu": 0.2, "oracle_value": 0.17300700558420867, "record": "rtag", '
+    '"source": null, "truncation_bound": 1.0662389259330613e-08, '
+    '"value": 0.17300701624659764}\n'
+)
+GOLDEN_RTAG_ORACLE_CSV = (
+    "record,source,oracle_value,truncation_bound,L,mu,value\n"
+    "rtag,,0.17300700558420867,1.0662389259330613e-08,5,0.20000000000000001,"
+    "0.17300701624659764\n"
+)
+GOLDEN_2DET_CSV = (
+    "record,mode,L,mu,seed,n_test,n_double,n_triple,bound,true_rtag,slack,sigma,"
+    "eta1,eta2,eta3,eta_abs\n"
+    "calibration,2det,10,0.02,11,50000,21,,0.0033600000000000001,"
+    "0.0053619814728721972,-0.002001981472872197,0.00073321211119293432,"
+    "0.25,0.25,,\n"
+)
+GOLDEN_3DET_CSV = (
+    "record,mode,L,mu,seed,n_test,n_double,n_triple,bound,true_rtag,slack,sigma,"
+    "eta1,eta2,eta3,eta_abs\n"
+    "calibration,3det,10,0.050000000000000003,13,50000,59,13,0.12650666666666666,"
+    "0.031236720612125332,0.095269946054541324,0.025100006197431725,"
+    "0.25,0.25,0.25,0.5\n"
+)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("sweep", "--L-list", "2", "--eta-db-range", "0:40:40", "--error-rate", "0.11"),
+     GOLDEN_SWEEP_DEAD_ROW),
+    (GOLDEN_RTAG_ORACLE_ARGS, GOLDEN_RTAG_ORACLE),
+    (GOLDEN_RTAG_ORACLE_ARGS + ("--format", "csv"), GOLDEN_RTAG_ORACLE_CSV),
+    (("calibrate", "--mode", "2det", "--mu", "0.02", "--n-trains", "50000",
+      "--seed", "11", "--format", "csv"), GOLDEN_2DET_CSV),
+    (("calibrate", "--mode", "3det", "--mu", "0.05", "--n-trains", "50000",
+      "--seed", "13", "--eta-abs", "0.5", "--dead-time", "2", "--format", "csv"),
+     GOLDEN_3DET_CSV),
+])
+def test_golden_record_outputs(capsys, argv, golden):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out == golden, err
+
+
+def test_golden_rtag_source_output(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pairs.txt").write_text(
+        "# two-pulse table\n0 0 0.5\n1 0 0.2\n0 1 0.2\n1 1 0.1\n"
+    )
+    code, out, err = run_cli(capsys, "rtag", "--source", "pairs.txt")
+    assert code == 0 and out == (
+        '{"L": 2, "mu": null, "oracle_value": null, "record": "rtag", '
+        '"source": "pairs.txt", "truncation_bound": null, "value": 0.1}\n'
+    ), err
+
+
 def test_golden_outputs(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "calibrate", "--mode", "2det", "--mu", "0.02",
@@ -551,3 +697,26 @@ def test_no_subcommand_exits_2(capsys):
 def test_unknown_flag_exits_2(capsys):
     code, out, err = run_cli(capsys, "keyrate", "--frobnicate", "1")
     assert code == 2
+
+
+# --- entry points ----------------------------------------------------------------
+
+def run_module(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(dqps.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "dqps", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_module_entry_prints_one_record():
+    proc = run_module("rtag", "--L", "2", "--mu", "0.1")
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    assert json.loads(line)["value"] == rtag_coherent(TagParams(2, 0.1))
+
+
+def test_module_entry_passes_on_the_exit_code():
+    proc = run_module("rtag", "--L", "1", "--mu", "0.1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "parameter 'L'" in proc.stderr
