@@ -26,18 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ThinStatisticsWarning
+from .errors import (
+    ParameterError, ThinStatisticsWarning, _block_length, _check_int,
+    _mean_photon_number, _positive_count, _probability,
+)
 from .protocol import run_batches
 from .tagging import SourceDistribution, TagParams, rtag_coherent, rtag_general
 
 _BOUND_TOL = 1e-12
-
-
-def _check_prob(name: str, value: float, lo_open: bool = False) -> None:
-    lo_ok = value > 0 if lo_open else value >= 0
-    if not (lo_ok and value <= 1):
-        interval = "(0, 1]" if lo_open else "[0, 1]"
-        raise ParameterError(name, f"must be in {interval}")
 
 
 def _detection_probs(setup) -> list[float]:
@@ -49,14 +45,14 @@ def _detection_probs(setup) -> list[float]:
     probs = []
     for bound, transmission, truth, split in setup._arms():
         eta, eff = getattr(setup, bound), getattr(setup, truth)
-        _check_prob(bound, eta, lo_open=True)
+        _probability(bound, eta, interval="(0, 1]")
         if eff is None:
             if transmission == 0.0:
                 raise ParameterError(
                     split, f"arm transmits nothing, so no {truth} makes the bound exact"
                 )
             eff = eta / transmission
-        _check_prob(truth, eff)
+        _probability(truth, eff)
         prob = transmission * eff
         if eta > prob + _BOUND_TOL:
             raise ParameterError(bound, f"declared bound exceeds {truth} * transmission")
@@ -88,17 +84,14 @@ class CalibSetup2:
     source: SourceDistribution | None = None
 
     def __post_init__(self):
-        if not isinstance(self.L, int) or self.L < 2:
-            raise ParameterError("L", "train length must be an integer >= 2")
-        if not math.isfinite(self.mu) or self.mu < 0:
-            raise ParameterError("mu", "mean photon number must be finite and >= 0")
+        _block_length("L", self.L)
+        _mean_photon_number("mu", self.mu)
         for name in ("true_T", "true_R"):
-            _check_prob(name, getattr(self, name))
+            _probability(name, getattr(self, name))
         if self.true_T + self.true_R > 1 + _BOUND_TOL:
             raise ParameterError("true_T", "splitter outputs true_T + true_R exceed 1")
         _detection_probs(self)
-        if not isinstance(self.n_test, int) or self.n_test < 1:
-            raise ParameterError("n_test", "must be a positive integer")
+        _positive_count("n_test", self.n_test)
         if self.source is not None and self.source.L != self.L:
             raise ParameterError("source", "distribution length differs from L")
 
@@ -142,21 +135,17 @@ class CalibSetup3:
     n_test: int = 100000
 
     def __post_init__(self):
-        if not isinstance(self.L, int) or self.L < 2:
-            raise ParameterError("L", "train length must be an integer >= 2")
-        if not math.isfinite(self.mu) or self.mu < 0:
-            raise ParameterError("mu", "mean photon number must be finite and >= 0")
+        _block_length("L", self.L)
+        _mean_photon_number("mu", self.mu)
         for name in ("true_T1", "true_R1", "true_T2", "true_R2"):
-            _check_prob(name, getattr(self, name))
+            _probability(name, getattr(self, name))
         if self.true_T1 + self.true_R1 > 1 + _BOUND_TOL:
             raise ParameterError("true_T1", "splitter 1 outputs exceed 1")
         if self.true_T2 + self.true_R2 > 1 + _BOUND_TOL:
             raise ParameterError("true_T2", "splitter 2 outputs exceed 1")
         _detection_probs(self)
-        if not isinstance(self.dead_time, int) or self.dead_time < 0:
-            raise ParameterError("dead_time", "must be an integer >= 0 pulse slots")
-        if not isinstance(self.n_test, int) or self.n_test < 1:
-            raise ParameterError("n_test", "must be a positive integer")
+        _check_int("dead_time", self.dead_time, 0)
+        _positive_count("n_test", self.n_test)
 
     def _arms(self):
         """The arm table as in CalibSetup2, absorber first, then routing order."""
@@ -195,12 +184,10 @@ class CalibrationReport:
 
 def q3_bound(n_triple: int, n_test: int, eta1: float, eta2: float, eta3: float) -> float:
     """Bound on the three-or-more-photon emission probability per train."""
-    if not isinstance(n_triple, int) or n_triple < 0:
-        raise ParameterError("n_triple", "must be a non-negative integer")
-    if not isinstance(n_test, int) or n_test < 1:
-        raise ParameterError("n_test", "must be a positive integer")
+    _check_int("n_triple", n_triple, 0)
+    _positive_count("n_test", n_test)
     for name, value in (("eta1", eta1), ("eta2", eta2), ("eta3", eta3)):
-        _check_prob(name, value, lo_open=True)
+        _probability(name, value, interval="(0, 1]")
     return (n_triple / n_test) / (6.0 * eta1 * eta2 * eta3)
 
 
@@ -211,10 +198,8 @@ def relative_slack_limit(L: int, mu: float) -> float:
     expected bound exceeds the true tagging probability by at most this
     fraction of it: mu * (3*mu*L/4 + 20/9).
     """
-    if not isinstance(L, int) or L < 2:
-        raise ParameterError("L", "train length must be an integer >= 2")
-    if not math.isfinite(mu) or mu < 0:
-        raise ParameterError("mu", "mean photon number must be finite and >= 0")
+    _block_length("L", L)
+    _mean_photon_number("mu", mu)
     return mu * (0.75 * mu * L + 20.0 / 9.0)
 
 

@@ -34,9 +34,11 @@ from .calibration import (
 )
 from .errors import ParameterError, WorkLimitError
 from .keyrate import KeyRateReport, RateInputs, channel_q, key_rate
-from .optimize import SweepSpec, optimize_mu, sweep
+from .optimize import DEFAULT_MU_BOUNDS, DEFAULT_TOLERANCE, SweepSpec, optimize_mu, sweep
 from .protocol import ChannelModel, ProtocolParams, estimate_key_rate, run_simulation
 from .tagging import (
+    DEFAULT_PHOTON_CAP,
+    DEFAULT_WORK_LIMIT,
     SourceDistribution,
     TagParams,
     rtag_bruteforce,
@@ -139,6 +141,11 @@ def _build_parser():
         add("--output", help="write result here instead of stdout")
         return add
 
+    def optimizer_flags(add):
+        add("--mu-lo", type=float, default=DEFAULT_MU_BOUNDS[0])
+        add("--mu-hi", type=float, default=DEFAULT_MU_BOUNDS[1])
+        add("--tol", type=float, default=DEFAULT_TOLERANCE)
+
     add = command("keyrate", "secure key rate at one operating point")
     add("--L", type=int)
     add("--eta", type=float)
@@ -148,18 +155,14 @@ def _build_parser():
     add("--optimize", action="store_true", help="search mu instead of fixing it")
     add("--p0", type=float, default=1.0)
     add("--ec-inefficiency", type=float, default=1.0)
-    add("--mu-lo", type=float, default=1e-6)
-    add("--mu-hi", type=float, default=1.0)
-    add("--tol", type=float, default=1e-9)
+    optimizer_flags(add)
     add("--format", choices=("json", "csv"), default="json")
 
     add = command("sweep", "optimized key rate over a loss grid, CSV")
     add("--L-list", help="comma-separated block lengths, e.g. 2,4,20")
     add("--eta-db-range", help="lo:hi:step loss grid in dB, endpoints included")
     add("--error-rate", type=float)
-    add("--mu-lo", type=float, default=1e-6)
-    add("--mu-hi", type=float, default=1.0)
-    add("--tol", type=float, default=1e-9)
+    optimizer_flags(add)
 
     add = command("simulate", "photon-level Monte Carlo of the protocol")
     add("--L", type=int)
@@ -178,8 +181,9 @@ def _build_parser():
     add("--L", type=int)
     add("--mu", type=float)
     add("--oracle", action="store_true", help="also run the brute-force check")
-    add("--cap", type=int, default=8, help="per-pulse photon cap for the oracle")
-    add("--work-limit", type=float, default=1e8)
+    add("--cap", type=int, default=DEFAULT_PHOTON_CAP,
+        help="per-pulse photon cap for the oracle")
+    add("--work-limit", type=float, default=float(DEFAULT_WORK_LIMIT))
     add("--source", help="distribution file instead of the Poissonian model")
     add("--format", choices=("json", "csv"), default="json")
 

@@ -12,12 +12,13 @@ while rtag <= Q - 2*E1; beyond that the whole key is sacrificed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import (
+    ParameterError, _block_length, _check_real, _mean_photon_number, _probability,
+)
 from .tagging import TagParams, _where, rtag_coherent
 
 
@@ -37,14 +38,10 @@ class RateInputs:
     E1: float
 
     def __post_init__(self):
-        if not isinstance(self.L, int) or self.L < 2:
-            raise ParameterError("L", "block length must be an integer >= 2")
-        if not math.isfinite(self.mu) or self.mu <= 0:
-            raise ParameterError("mu", "mean photon number must be finite and > 0")
-        if not 0 < self.p0 <= 1:
-            raise ParameterError("p0", "data-basis probability must be in (0, 1]")
-        if not 0 <= self.Q <= 1:
-            raise ParameterError("Q", "sifted fraction must be in [0, 1]")
+        _block_length("L", self.L)
+        _mean_photon_number("mu", self.mu, interval="(0, inf)")
+        _probability("p0", self.p0, interval="(0, 1]")
+        _probability("Q", self.Q)
         if not 0 <= self.E0 <= self.Q:
             raise ParameterError("E0", "error weight must be in [0, Q]")
         if not 0 <= self.E1 <= self.Q:
@@ -55,10 +52,8 @@ class RateInputs:
         cls, L: int, mu: float, p0: float, Q: float, e0: float, e1: float
     ) -> "RateInputs":
         """Build from bit error rates e0 = E0/Q, e1 = E1/Q instead of weights."""
-        if not 0 <= e0 <= 1:
-            raise ParameterError("e0", "bit error rate must be in [0, 1]")
-        if not 0 <= e1 <= 1:
-            raise ParameterError("e1", "bit error rate must be in [0, 1]")
+        _probability("e0", e0)
+        _probability("e1", e1)
         return cls(L=L, mu=mu, p0=p0, Q=Q, E0=e0 * Q, E1=e1 * Q)
 
 
@@ -74,8 +69,7 @@ class KeyRateReport:
 
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0."""
-    if not 0 <= x <= 1:
-        raise ParameterError("x", "entropy argument must be in [0, 1]")
+    _probability("x", x)
     return float(_entropy(x))
 
 
@@ -87,12 +81,9 @@ def privacy_amp_fraction(Q: float, E1: float, rtag: float) -> tuple[float, bool]
     or below 1/2.  Infeasible points report (1.0, False): 1.0 is the
     continuous limit at the boundary, where the entire key is consumed.
     """
-    if not 0 < Q <= 1:
-        raise ParameterError("Q", "sifted fraction must be in (0, 1]")
-    if E1 < 0:
-        raise ParameterError("E1", "error weight must be >= 0")
-    if rtag < 0:
-        raise ParameterError("rtag", "tagging probability must be >= 0")
+    _probability("Q", Q, interval="(0, 1]")
+    _check_real("E1", E1, "[0, inf)")
+    _check_real("rtag", rtag, "[0, inf)")
     f_pa, feasible, _, _ = _privacy_amp(Q, E1, rtag)
     return float(f_pa), bool(feasible)
 
@@ -109,13 +100,11 @@ def key_rate(
     rtag_override replaces the coherent-source tagging probability, e.g.
     to evaluate an ideal single-photon reference.
     """
-    if not math.isfinite(ec_inefficiency) or ec_inefficiency < 1.0:
-        raise ParameterError("ec_inefficiency", "must be a finite factor >= 1")
+    _check_real("ec_inefficiency", ec_inefficiency, "[1, inf)")
     if rtag_override is None:
         rtag = rtag_coherent(TagParams(inputs.L, inputs.mu))
     else:
-        if not 0 <= rtag_override <= 1:
-            raise ParameterError("rtag_override", "must be in [0, 1]")
+        _probability("rtag_override", rtag_override)
         rtag = rtag_override
     f_pa, f_ec, rate, feasible = _rate(
         inputs.L, inputs.p0, inputs.Q, inputs.E0, inputs.E1, rtag, ec_inefficiency
@@ -171,12 +160,9 @@ def channel_q(L: int, mu: float, eta: float) -> float:
     One L-pulse block offers L-1 interference timings, each with mean
     photon number mu*eta at the receiver.
     """
-    if not isinstance(L, int) or L < 2:
-        raise ParameterError("L", "block length must be an integer >= 2")
-    if not math.isfinite(mu) or mu < 0:
-        raise ParameterError("mu", "mean photon number must be finite and >= 0")
-    if not 0 <= eta <= 1:
-        raise ParameterError("eta", "transmission must be in [0, 1]")
+    _block_length("L", L)
+    _mean_photon_number("mu", mu)
+    _probability("eta", eta)
     return float(_channel_q(L, mu, eta))
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _block_length, _check_real, _probability
 from .keyrate import _channel_q, _rate, channel_q
 from .keyrate import key_rate  # noqa: F401  perfbench/spans.py wraps this name
 from .tagging import TagParams, _rtag, rtag_coherent
@@ -56,23 +56,17 @@ class SweepSpec:
     def __post_init__(self):
         if not self.L_values:
             raise ParameterError("L_values", "must be non-empty")
-        if any(not isinstance(L, int) or L < 2 for L in self.L_values):
-            raise ParameterError("L_values", "block lengths must be integers >= 2")
+        for L in self.L_values:
+            _block_length("L_values", L)
         if not self.eta_values:
             raise ParameterError("eta_values", "must be non-empty")
-        if any(not 0 < e <= 1 for e in self.eta_values):
-            raise ParameterError("eta_values", "transmissions must be in (0, 1]")
-        _validate_mu_bounds(self.mu_bounds)
-        if not self.tolerance > 0:
-            raise ParameterError("tolerance", "must be > 0")
-        if not 0 <= self.error_rate < 0.5:
-            raise ParameterError("error_rate", "must be in [0, 0.5)")
-
-
-def _validate_mu_bounds(bounds: tuple[float, float]) -> None:
-    lo, hi = bounds
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
-        raise ParameterError("mu_bounds", "need 0 < lo < hi")
+        for eta in self.eta_values:
+            _probability("eta_values", eta, interval="(0, 1]")
+        lo, hi = self.mu_bounds
+        if not 0 < lo < hi < math.inf:
+            raise ParameterError("mu_bounds", "need 0 < lo < hi")
+        _check_real("tolerance", self.tolerance, "(0, inf)")
+        _probability("error_rate", self.error_rate, interval="[0, 0.5)")
 
 
 def _rates(L: int, eta: float, error_rate: float, mu):
@@ -97,17 +91,15 @@ def optimize_mu(
     The result is never below the best grid value.  When the rate is nonpositive on the whole
     grid, returns (None, 0.0).
     """
-    if not isinstance(L, int) or L < 2:
-        raise ParameterError("L", "block length must be an integer >= 2")
-    if not 0 < eta <= 1:
-        raise ParameterError("eta", "transmission must be in (0, 1]")
-    if not 0 <= error_rate < 0.5:
-        raise ParameterError("error_rate", "must be in [0, 0.5)")
-    _validate_mu_bounds(mu_bounds)
-    if not tolerance > 0:
-        raise ParameterError("tolerance", "must be > 0")
+    _block_length("L", L)
+    _probability("eta", eta, interval="(0, 1]")
+    _probability("error_rate", error_rate, interval="[0, 0.5)")
+    mu_lo, mu_hi = mu_bounds
+    if not 0 < mu_lo < mu_hi < math.inf:
+        raise ParameterError("mu_bounds", "need 0 < lo < hi")
+    _check_real("tolerance", tolerance, "(0, inf)")
 
-    grid = np.geomspace(mu_bounds[0], mu_bounds[1], DEFAULT_GRID_POINTS)
+    grid = np.geomspace(mu_lo, mu_hi, DEFAULT_GRID_POINTS)
     values = _rates(L, eta, error_rate, grid)
     best = int(np.argmax(values))
     if values[best] <= 0.0:
@@ -156,10 +148,8 @@ def asymptotic_optimum(L: int, eta: float) -> tuple[float, float]:
     mu_opt = (L-1) eta / (3L-2), rate_opt = (L-1)^2 eta^2 / (2L(3L-2)).
     Valid while L*eta^2 << 1; the rate tends to eta^2/6 for large L.
     """
-    if not isinstance(L, int) or L < 2:
-        raise ParameterError("L", "block length must be an integer >= 2")
-    if not 0 <= eta <= 1:
-        raise ParameterError("eta", "transmission must be in [0, 1]")
+    _block_length("L", L)
+    _probability("eta", eta)
     mu_opt = (L - 1) * eta / (3 * L - 2)
     rate_opt = (L - 1) ** 2 * eta ** 2 / (2 * L * (3 * L - 2))
     return mu_opt, rate_opt
@@ -172,10 +162,8 @@ def active_switch_optimum(eta: float, switch_loss: float = 0.0) -> float:
     decoder, quadrupling the passive L=2 rate; a lossy switch scales the
     effective transmission by (1 - switch_loss).
     """
-    if not 0 <= eta <= 1:
-        raise ParameterError("eta", "transmission must be in [0, 1]")
-    if not 0 <= switch_loss < 1:
-        raise ParameterError("switch_loss", "must be in [0, 1)")
+    _probability("eta", eta)
+    _probability("switch_loss", switch_loss, interval="[0, 1)")
     _, passive = asymptotic_optimum(2, (1.0 - switch_loss) * eta)
     return 4.0 * passive
 

@@ -33,7 +33,10 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ParameterError, ThinStatisticsWarning
+from .errors import (
+    ParameterError, ThinStatisticsWarning, _block_length, _check_real,
+    _mean_photon_number, _positive_count, _probability, _seed,
+)
 from .keyrate import KeyRateReport, RateInputs, key_rate
 from .tagging import TagParams, rtag_coherent
 
@@ -51,16 +54,11 @@ class ProtocolParams:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.L, int) or self.L < 2:
-            raise ParameterError("L", "block length must be an integer >= 2")
-        if not math.isfinite(self.mu) or self.mu <= 0:
-            raise ParameterError("mu", "mean photon number must be finite and > 0")
-        if not 0 < self.p1 < 1:
-            raise ParameterError("p1", "check-basis probability must be in (0, 1)")
-        if not isinstance(self.n_blocks, int) or self.n_blocks < 1:
-            raise ParameterError("n_blocks", "must be a positive integer")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ParameterError("seed", "must be an integer in [0, 2^64)")
+        _block_length("L", self.L)
+        _mean_photon_number("mu", self.mu, interval="(0, inf)")
+        _probability("p1", self.p1, interval="(0, 1)")
+        _positive_count("n_blocks", self.n_blocks)
+        _seed("seed", self.seed)
 
     @property
     def p0(self) -> float:
@@ -84,14 +82,10 @@ class ChannelModel:
     p_flip: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.eta <= 1:
-            raise ParameterError("eta", "transmission must be in [0, 1]")
-        if not 0 <= self.p_dark < 1:
-            raise ParameterError("p_dark", "dark-click probability must be in [0, 1)")
-        if not 0 <= self.e_mis < 0.5:
-            raise ParameterError("e_mis", "misalignment phase must be in [0, 0.5) rad")
-        if not 0 <= self.p_flip < 0.5:
-            raise ParameterError("p_flip", "bit-flip probability must be in [0, 0.5)")
+        _probability("eta", self.eta)
+        _probability("p_dark", self.p_dark, interval="[0, 1)")
+        _check_real("e_mis", self.e_mis, "[0, 0.5)")
+        _probability("p_flip", self.p_flip, interval="[0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -249,10 +243,8 @@ def run_batches(seed: int, n: int, n_jobs: int, kernel) -> list:
     n_jobs threads, and the results come back in batch order, so they do
     not depend on the thread count.
     """
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ParameterError("seed", "must be an integer in [0, 2^64)")
-    if not isinstance(n_jobs, int) or n_jobs < 1:
-        raise ParameterError("n_jobs", "must be a positive integer")
+    _seed("seed", seed)
+    _positive_count("n_jobs", n_jobs)
     n_batches = (n + BATCH_BLOCKS - 1) // BATCH_BLOCKS
     children = np.random.SeedSequence(seed).spawn(n_batches)
     sizes = [min(BATCH_BLOCKS, n - i * BATCH_BLOCKS) for i in range(n_batches)]

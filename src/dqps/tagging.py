@@ -28,7 +28,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, WorkLimitError
+from .errors import (
+    ParameterError, WorkLimitError, _block_length, _check_int, _check_real,
+    _mean_photon_number,
+)
 
 # A photon configuration is the per-pulse photon count tuple (k_0 .. k_{L-1}).
 PhotonConfig = Sequence[int]
@@ -66,10 +69,8 @@ class TagParams:
     mu: float
 
     def __post_init__(self):
-        if not isinstance(self.L, int) or self.L < 2:
-            raise ParameterError("L", "block length must be an integer >= 2")
-        if not math.isfinite(self.mu) or self.mu < 0:
-            raise ParameterError("mu", "mean photon number must be finite and >= 0")
+        _block_length("L", self.L)
+        _mean_photon_number("mu", self.mu)
 
 
 @dataclass(frozen=True)
@@ -161,11 +162,8 @@ def count_untagged_configs(L: int, m: int) -> int:
     Equals C(L+1-m, m): choosing m non-adjacent slots out of L leaves
     L-m empty ones and m photons to interleave.
     """
-    if not isinstance(L, int) or L < 2:
-        raise ParameterError("L", "block length must be an integer >= 2")
-    m_max = (L + 1) // 2
-    if not isinstance(m, int) or m < 0 or m > m_max:
-        raise ParameterError("m", f"photon number must be an integer in [0, {m_max}]")
+    _block_length("L", L)
+    _check_int("m", m, 0, (L + 1) // 2)
     return math.comb(L + 1 - m, m)
 
 
@@ -265,8 +263,8 @@ def rtag_bruteforce(
     mass the enumeration cannot see.  Work is metered as L*(cap+1)^L and
     refused above work_limit.
     """
-    if not isinstance(photon_cap, int) or photon_cap < 2:
-        raise ParameterError("photon_cap", "must be an integer >= 2")
+    _check_int("photon_cap", photon_cap, 2)
+    _check_real("work_limit", work_limit, "[-inf, inf]")  # NaN would pass the meter
     L, mu = p.L, p.mu
     work = L * (photon_cap + 1) ** L
     if work > work_limit:

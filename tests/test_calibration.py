@@ -166,6 +166,8 @@ def test_setup2_rejects_overstated_bounds():
         two_det(true_T=0.6, true_R=0.6)
     with pytest.raises(ParameterError, match="'n_test'"):
         two_det(n_test=0)
+    with pytest.raises(ParameterError, match="'n_test'"):
+        two_det(n_test=True)
 
 
 def test_setup3_rejects_overstated_bounds():
@@ -175,6 +177,8 @@ def test_setup3_rejects_overstated_bounds():
         three_det(eta_abs=0.6)
     with pytest.raises(ParameterError, match="'dead_time'"):
         three_det(dead_time=-1)
+    with pytest.raises(ParameterError, match="'dead_time'"):
+        three_det(dead_time=True)
 
 
 def test_setups_default_to_exact_declared_bounds():
@@ -450,6 +454,8 @@ def test_q3_bound_values():
         q3_bound(1, 1000, 0.5, 0.0, 0.5)
     with pytest.raises(ParameterError, match="'n_triple'"):
         q3_bound(-1, 1000, 0.5, 0.5, 0.5)
+    with pytest.raises(ParameterError, match="'n_triple'"):
+        q3_bound(True, 1000, 0.5, 0.5, 0.5)
 
 
 def test_q3_bound_covers_poisson_tail():

@@ -338,6 +338,22 @@ def test_rtag_work_limit_exits_4(capsys):
     assert "work" in err
 
 
+@pytest.mark.parametrize("argv, param", [
+    # a NaN limit would switch the oracle's work meter off; keep L small
+    (("rtag", "--L", "3", "--mu", "0.3", "--oracle", "--cap", "3",
+      "--work-limit", "nan"), "work_limit"),
+    # an infinite tolerance would skip the golden-section search
+    (("keyrate", "--L", "20", "--eta-db", "20", "--error-rate", "0.03",
+      "--optimize", "--tol", "inf"), "tolerance"),
+    (("sweep", "--L-list", "2", "--eta-db-range", "0:10:10", "--error-rate", "0.03",
+      "--tol", "inf"), "tolerance"),
+])
+def test_meter_and_search_limits_refuse_non_finite(capsys, argv, param):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"parameter '{param}'" in err
+
+
 def test_rtag_source_file(capsys, tmp_path):
     path = tmp_path / "uniform3.txt"
     lines = [

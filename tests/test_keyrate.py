@@ -41,6 +41,7 @@ def test_rate_inputs_validation_names_fields():
     good = dict(L=4, mu=0.05, p0=0.5, Q=0.1, E0=0.01, E1=0.02)
     for field, bad in (
         ("L", 1),
+        ("L", True),
         ("mu", 0.0),
         ("p0", 0.0),
         ("Q", 1.5),

@@ -91,6 +91,8 @@ def test_optimize_mu_validation():
         optimize_mu(2, 1.5, 0.03)
     with pytest.raises(ParameterError, match="mu_bounds"):
         optimize_mu(2, 0.5, 0.03, mu_bounds=(0.1, 0.1))
+    with pytest.raises(ParameterError, match="'tolerance'"):
+        optimize_mu(2, 0.5, 0.03, tolerance=math.inf)
 
 
 def test_asymptotic_optimum_values():
@@ -183,3 +185,5 @@ def test_sweep_spec_validation():
         SweepSpec(L_values=(2,), eta_values=(0.0,), error_rate=0.03)
     with pytest.raises(ParameterError, match="L_values"):
         SweepSpec(L_values=(1,), eta_values=(0.1,), error_rate=0.03)
+    with pytest.raises(ParameterError, match="'tolerance'"):
+        SweepSpec(L_values=(2,), eta_values=(0.1,), error_rate=0.03, tolerance=math.inf)

@@ -85,8 +85,12 @@ def test_params_validation():
         ProtocolParams(L=2, mu=0.0, p1=0.5, n_blocks=10, seed=0)
     with pytest.raises(ParameterError, match="'p1'"):
         ProtocolParams(L=2, mu=0.1, p1=1.0, n_blocks=10, seed=0)
+    with pytest.raises(ParameterError, match="'n_blocks'"):
+        ProtocolParams(L=2, mu=0.1, p1=0.5, n_blocks=True, seed=0)
     with pytest.raises(ParameterError, match="'seed'"):
         ProtocolParams(L=2, mu=0.1, p1=0.5, n_blocks=10, seed=-1)
+    with pytest.raises(ParameterError, match="'seed'"):
+        ProtocolParams(L=2, mu=0.1, p1=0.5, n_blocks=10, seed=True)
     with pytest.raises(ParameterError, match="'e_mis'"):
         ChannelModel(eta=0.5, e_mis=0.6)
     with pytest.raises(ParameterError, match="'p_dark'"):

@@ -75,6 +75,8 @@ def test_count_untagged_configs_domain():
         count_untagged_configs(4, -1)
     with pytest.raises(ParameterError, match="'m'"):
         count_untagged_configs(4, 3)  # max is ceil(4/2) = 2
+    with pytest.raises(ParameterError, match="'m'"):
+        count_untagged_configs(4, True)
 
 
 # --- closed form ----------------------------------------------------------
