@@ -142,9 +142,11 @@ def _build_parser():
         return add
 
     def optimizer_flags(add):
-        add("--mu-lo", type=float, default=DEFAULT_MU_BOUNDS[0])
-        add("--mu-hi", type=float, default=DEFAULT_MU_BOUNDS[1])
-        add("--tol", type=float, default=DEFAULT_TOLERANCE)
+        # no argparse default: None tells a flag left out from one given
+        add("--mu-lo", type=float)
+        add("--mu-hi", type=float)
+        add("--tol", type=float, help="width in log mu of the optimizer's "
+            "final bracket, a relative width of mu")
 
     add = command("keyrate", "secure key rate at one operating point")
     add("--L", type=int)
@@ -256,6 +258,14 @@ def _resolve_eta(args) -> tuple[float, float | None]:
     return args.eta, eta_db
 
 
+def _optimizer_settings(args) -> tuple[tuple[float, float], float]:
+    """(mu_bounds, tolerance) from --mu-lo, --mu-hi and --tol or their defaults."""
+    mu_lo = DEFAULT_MU_BOUNDS[0] if args.mu_lo is None else args.mu_lo
+    mu_hi = DEFAULT_MU_BOUNDS[1] if args.mu_hi is None else args.mu_hi
+    tolerance = DEFAULT_TOLERANCE if args.tol is None else args.tol
+    return (mu_lo, mu_hi), tolerance
+
+
 def cmd_keyrate(args) -> list[dict]:
     L = _require(args, "L")
     error_rate = _require(args, "error_rate")
@@ -264,6 +274,10 @@ def cmd_keyrate(args) -> list[dict]:
         raise ParameterError("mu", "give either --mu or --optimize, not both")
     if not args.optimize and args.mu is None:
         raise ParameterError("mu", "required unless --optimize is given")
+    if not args.optimize:
+        for name in ("mu_lo", "mu_hi", "tol"):
+            if getattr(args, name) is not None:
+                raise ParameterError(name, "applies only with --optimize")
 
     record = {
         "record": "keyrate",
@@ -279,7 +293,7 @@ def cmd_keyrate(args) -> list[dict]:
             raise ParameterError(
                 "ec_inefficiency", "fixed to 1 when optimizing; use --mu"
             )
-        mu, _ = optimize_mu(L, eta, error_rate, (args.mu_lo, args.mu_hi), args.tol)
+        mu, _ = optimize_mu(L, eta, error_rate, *_optimizer_settings(args))
     else:
         mu = args.mu
 
@@ -320,12 +334,13 @@ def cmd_sweep(args) -> list[dict]:
     etas = [10.0 ** (-db / 10.0) for db in db_grid]
     db_of = dict(zip(etas, db_grid))
 
+    mu_bounds, tolerance = _optimizer_settings(args)
     spec = SweepSpec(
         L_values=L_values,
         eta_values=tuple(etas),
         error_rate=error_rate,
-        mu_bounds=(args.mu_lo, args.mu_hi),
-        tolerance=args.tol,
+        mu_bounds=mu_bounds,
+        tolerance=tolerance,
     )
     return [
         {"L": row.L, "eta_db": db_of[row.eta], **row._asdict(),

@@ -1,9 +1,12 @@
 """Pulse-intensity optimization and channel sweeps.
 
 For each channel transmission the mean photon number trades detection rate
-against tagging: the optimizer locates the best mu on a log grid and then
-refines it with golden-section search.  Small-transmission closed forms are
-provided as references.
+against tagging.  The optimizer works on x = log mu and on every
+transmission of one block length at once: a log grid locates the best mu,
+then a fixed number of zoom rounds, each a finer grid across the bracket
+around the last best point, refine it.  Every stage is one array call of
+the rate core, so a whole sweep costs a few dozen calls, not a few dozen
+per row.  Small-transmission closed forms are provided as references.
 """
 
 from __future__ import annotations
@@ -15,15 +18,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, _block_length, _check_real, _probability
-from .keyrate import _channel_q, _rate, channel_q
-from .keyrate import key_rate  # noqa: F401  perfbench/spans.py wraps this name
-from .tagging import TagParams, _rtag, rtag_coherent
+from .keyrate import _channel_q, _rate
+from .keyrate import channel_q, key_rate  # noqa: F401  perfbench/spans.py wraps these names
+from .tagging import _rtag
+from .tagging import rtag_coherent  # noqa: F401  perfbench/spans.py wraps this name
 
 DEFAULT_MU_BOUNDS = (1e-6, 1.0)
 DEFAULT_GRID_POINTS = 200
 DEFAULT_TOLERANCE = 1e-9
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Points of each zoom round, both bracket ends included: the bracket around
+# the best of them is 2/32 of the last one, so each round shrinks it 16-fold.
+_ZOOM_POINTS = 33
+_ZOOM_STEPS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+_ZOOM_SHRINK = (_ZOOM_POINTS - 1) / 2
 
 
 class OptimizeResult(NamedTuple):
@@ -62,9 +70,7 @@ class SweepSpec:
             raise ParameterError("eta_values", "must be non-empty")
         for eta in self.eta_values:
             _probability("eta_values", eta, interval="(0, 1]")
-        lo, hi = self.mu_bounds
-        if not 0 < lo < hi < math.inf:
-            raise ParameterError("mu_bounds", "need 0 < lo < hi")
+        _check_mu_bounds(self.mu_bounds)
         _check_real("tolerance", self.tolerance, "(0, inf)")
         _probability("error_rate", self.error_rate, interval="[0, 0.5)")
 
@@ -85,61 +91,82 @@ def optimize_mu(
 ) -> OptimizeResult:
     """Maximize the key rate over the mean photon number.
 
-    A log-spaced grid, evaluated in one array call, localizes the optimum
-    (guarding against a wrong bracket if the rate were not unimodal), then
-    golden-section search refines the bracket around the best grid point.
-    The result is never below the best grid value.  When the rate is nonpositive on the whole
-    grid, returns (None, 0.0).
+    A log-spaced grid localizes the optimum (guarding against a wrong
+    bracket if the rate were not unimodal), then zoom rounds in log mu
+    refine it until the bracket is at most `tolerance` wide in log mu, a
+    relative width of mu.  The result lies in mu_bounds and is never below
+    the best grid value.  When the rate is nonpositive on the whole grid,
+    returns (None, 0.0).
     """
     _block_length("L", L)
     _probability("eta", eta, interval="(0, 1]")
     _probability("error_rate", error_rate, interval="[0, 0.5)")
-    mu_lo, mu_hi = mu_bounds
-    if not 0 < mu_lo < mu_hi < math.inf:
-        raise ParameterError("mu_bounds", "need 0 < lo < hi")
+    _check_mu_bounds(mu_bounds)
     _check_real("tolerance", tolerance, "(0, inf)")
-
-    grid = np.geomspace(mu_lo, mu_hi, DEFAULT_GRID_POINTS)
-    values = _rates(L, eta, error_rate, grid)
-    best = int(np.argmax(values))
-    if values[best] <= 0.0:
+    mu, rate = _optimize(L, [eta], error_rate, mu_bounds, tolerance)
+    if math.isnan(mu[0]):
         return OptimizeResult(None, 0.0)
-
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, len(grid) - 1)])
-
-    def rate_at(mu: float) -> float:
-        return float(_rates(L, eta, error_rate, mu))
-
-    mu_refined = _golden_section(rate_at, lo, hi, tolerance)
-    candidates = [
-        (float(values[best]), float(grid[best])),
-        (rate_at(mu_refined), mu_refined),
-    ]
-    rate, mu_opt = max(candidates)
-    return OptimizeResult(mu_opt, rate)
+    return OptimizeResult(float(mu[0]), float(rate[0]))
 
 
-def _golden_section(f, lo: float, hi: float, tolerance: float) -> float:
-    """Maximize f on [lo, hi] by golden-section search.
+def _check_mu_bounds(mu_bounds) -> None:
+    lo, hi = mu_bounds
+    if not 0 < lo < hi < math.inf:
+        raise ParameterError("mu_bounds", "need 0 < lo < hi")
 
-    Stops once hi - lo <= tolerance * max(1, |hi|): a relative width above
-    |hi| = 1 but an absolute width of tolerance below it, so a bracket that
-    lies far below 1 ends relatively coarser.
+
+def _optimize(L: int, etas, error_rate: float, mu_bounds, tolerance: float):
+    """Optimal mu and rate for every eta of one L (no validation).
+
+    Returns two arrays shaped like etas: mu (NaN where the rate is
+    nonpositive on the whole grid) and rate (0 there).  Each row is
+    computed element by element, so it has the same bits whatever other
+    rows share the call.
+
+    The first stage evaluates the log grid of DEFAULT_GRID_POINTS points.
+    Each zoom round then evaluates _ZOOM_POINTS points evenly spaced in
+    x = log mu across the bracket between the neighbours of the last
+    round's best point.  The round count follows from the first bracket's
+    widest log width w0 (none once w0 <= tolerance), so the search always
+    ends; it is taken as a difference of logs because w0 / tolerance
+    overflows for a subnormal tolerance.  A running best keeps the result
+    at or above the best grid value, and every mu evaluated is clipped to
+    mu_bounds first.
     """
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tolerance * max(1.0, abs(hi)):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    return (lo + hi) / 2.0
+    mu_lo, mu_hi = mu_bounds
+    grid = np.geomspace(mu_lo, mu_hi, DEFAULT_GRID_POINTS)
+    etas = np.asarray(etas, dtype=np.float64)[:, None]
+    values = _rates(L, etas, error_rate, grid)
+    best = np.argmax(values, axis=1)
+    rate = values.max(axis=1)
+    mu = np.where(rate > 0.0, grid[best], np.nan)
+
+    live = np.flatnonzero(rate > 0.0)
+    if not len(live):
+        return mu, rate
+    etas, best = etas[live], best[live]
+    best_rate, best_mu = rate[live], mu[live]
+    x = np.log(grid)
+    lo = x[np.maximum(best - 1, 0)]
+    hi = x[np.minimum(best + 1, DEFAULT_GRID_POINTS - 1)]
+    w0 = 2.0 * (math.log(mu_hi) - math.log(mu_lo)) / (DEFAULT_GRID_POINTS - 1)
+    rounds = math.ceil(
+        (math.log(max(w0, tolerance)) - math.log(tolerance)) / math.log(_ZOOM_SHRINK)
+    )
+    rows = np.arange(len(live))
+    for _ in range(rounds):
+        xs = lo[:, None] + (hi - lo)[:, None] * _ZOOM_STEPS
+        mus = np.clip(np.exp(xs), mu_lo, mu_hi)
+        values = _rates(L, etas, error_rate, mus)
+        j = np.argmax(values, axis=1)
+        top = values[rows, j]
+        better = top > best_rate
+        best_rate = np.where(better, top, best_rate)
+        best_mu = np.where(better, mus[rows, j], best_mu)
+        lo = xs[rows, np.maximum(j - 1, 0)]
+        hi = xs[rows, np.minimum(j + 1, _ZOOM_POINTS - 1)]
+    rate[live], mu[live] = best_rate, best_mu
+    return mu, rate
 
 
 def asymptotic_optimum(L: int, eta: float) -> tuple[float, float]:
@@ -177,29 +204,19 @@ def active_switch_crossover() -> float:
 
 
 def sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Optimize every (L, eta) pair of the spec.
+    """Optimize every (L, eta) pair of the spec, one optimizer call per L.
 
     Rows are ordered L-major with eta ascending.  A pair whose rate is
     nonpositive on the whole grid is recorded as rate 0 with mu_opt None
     and NaN Q/rtag.  An error raised by the optimizer propagates.
     """
+    etas = np.array(sorted(spec.eta_values), dtype=np.float64)
     rows = []
     for L in spec.L_values:
-        for eta in sorted(spec.eta_values):
-            mu_opt, rate = optimize_mu(
-                L, eta, spec.error_rate, spec.mu_bounds, spec.tolerance
-            )
-            if mu_opt is None:
-                rows.append(SweepRow(L, eta, None, math.nan, math.nan, 0.0))
-            else:
-                rows.append(
-                    SweepRow(
-                        L,
-                        eta,
-                        mu_opt,
-                        channel_q(L, mu_opt, eta),
-                        rtag_coherent(TagParams(L, mu_opt)),
-                        rate,
-                    )
-                )
+        mu, rate = _optimize(L, etas, spec.error_rate, spec.mu_bounds, spec.tolerance)
+        Q, rtag = _channel_q(L, mu, etas), _rtag(L, mu)
+        for k, eta in enumerate(etas.tolist()):
+            mu_opt = None if math.isnan(mu[k]) else float(mu[k])
+            rows.append(SweepRow(L, eta, mu_opt, float(Q[k]), float(rtag[k]),
+                                 float(rate[k])))
     return rows

@@ -145,6 +145,25 @@ def test_keyrate_optimize_refuses_ec_inefficiency(capsys):
     assert "parameter 'ec_inefficiency'" in err
 
 
+@pytest.mark.parametrize("flag, value, param", [
+    ("--mu-lo", "1e-7", "mu_lo"),
+    ("--mu-hi", "0.5", "mu_hi"),
+    ("--tol", "nan", "tol"),
+    ("--tol", "1e-9", "tol"),  # the default value, but given
+])
+def test_keyrate_fixed_mu_refuses_optimizer_flags(capsys, tmp_path, flag, value, param):
+    base = ("keyrate", "--L", "2", "--eta-db", "20", "--error-rate", "0.03",
+            "--mu", "0.005")
+    code, out, err = run_cli(capsys, *base, flag, value)
+    assert code == 2 and out == ""
+    assert f"parameter '{param}': applies only with --optimize" in err
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    code, out, err = run_cli(capsys, *base, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"parameter '{param}': applies only with --optimize" in err
+
+
 # --- config files ---------------------------------------------------------------
 
 def test_config_supplies_defaults_and_flags_override(capsys, tmp_path):
@@ -342,7 +361,7 @@ def test_rtag_work_limit_exits_4(capsys):
     # a NaN limit would switch the oracle's work meter off; keep L small
     (("rtag", "--L", "3", "--mu", "0.3", "--oracle", "--cap", "3",
       "--work-limit", "nan"), "work_limit"),
-    # an infinite tolerance would skip the golden-section search
+    # an infinite tolerance would skip the zoom rounds
     (("keyrate", "--L", "20", "--eta-db", "20", "--error-rate", "0.03",
       "--optimize", "--tol", "inf"), "tolerance"),
     (("sweep", "--L-list", "2", "--eta-db-range", "0:10:10", "--error-rate", "0.03",
@@ -549,11 +568,11 @@ GOLDEN_KEYRATE_CSV = (
     "0.14144054254182067,0.0001283423846522747,true\n"
 )
 GOLDEN_KEYRATE_OPTIMIZED = (
-    '{"L": 2, "Q": 1.629926107854524e-05, "error_rate": 0.03, "eta": 0.01, '
-    '"eta_db": 20.0, "f_ec": 0.1943918578315762, "f_pa": 0.5023244521834647, '
-    '"feasible": true, "mu": 0.0016299393912944495, "optimized": true, '
-    '"p0": 1.0, "rate_per_pulse": 2.471650021964713e-06, "record": "keyrate", '
-    '"rtag": 5.3018715719948795e-06}\n'
+    '{"L": 2, "Q": 1.6299262925916723e-05, "error_rate": 0.03, "eta": 0.01, '
+    '"eta_db": 20.0, "f_ec": 0.1943918578315762, "f_pa": 0.5023244865578753, '
+    '"feasible": true, "mu": 0.001629939576034609, "optimized": true, '
+    '"p0": 1.0, "rate_per_pulse": 2.4716500219647547e-06, "record": "keyrate", '
+    '"rtag": 5.301872772535996e-06}\n'
 )
 GOLDEN_KEYRATE_INFEASIBLE_ARGS = (
     "keyrate", "--L", "2", "--eta", "1e-4", "--error-rate", "0.25", "--optimize",
@@ -588,8 +607,8 @@ def test_golden_keyrate_outputs(capsys, argv, golden):
 GOLDEN_SWEEP_DEAD_ROW = (
     "L,eta_db,eta,mu_opt,Q,rtag,rate\n"
     "2,40,0.0001,nan,nan,nan,0\n"
-    "2,0,1,5.0516629858192609e-05,5.0515353914732041e-05,"
-    "5.1035160244228419e-09,2.1226766331470045e-09\n"
+    "2,0,1,5.051673070041216e-05,5.0515454751857502e-05,"
+    "5.1035363992208579e-09,2.1226766331622511e-09\n"
 )
 GOLDEN_RTAG_ORACLE_ARGS = ("rtag", "--L", "5", "--mu", "0.2", "--oracle", "--cap", "6")
 GOLDEN_RTAG_ORACLE = (

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from dqps import (
     ParameterError,
     RateInputs,
     SweepSpec,
+    TagParams,
     active_switch_crossover,
     active_switch_optimum,
     asymptotic_optimum,
     channel_q,
     key_rate,
     optimize_mu,
+    rtag_coherent,
     sweep,
 )
 from dqps.optimize import DEFAULT_GRID_POINTS, DEFAULT_MU_BOUNDS, _rates
@@ -75,6 +78,40 @@ def test_optimized_rate_matches_mpmath_at_high_loss(L, max_db):
         assert mu_opt is not None, db
         exact = rate_mpmath(mpmath, L, eta, 0.03, mu_opt)
         assert abs(rate - exact) <= 1e-9 * exact, (db, rate, exact)
+
+
+@pytest.mark.parametrize("tolerance", (1e-18, 5e-324))
+def test_optimize_mu_ends_at_any_tolerance(tolerance):
+    # a stop test on the bracket width never holds once the bracket stops
+    # shrinking in floating point; the round count must not depend on it
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.append(optimize_mu(4, 0.1, 0.03, tolerance=tolerance)),
+        daemon=True,
+    )
+    worker.start()
+    worker.join(timeout=1.0)
+    assert not worker.is_alive(), "optimize_mu still running after 1 s"
+    mu_opt, rate = result[0]
+    assert rate == pytest.approx(optimize_mu(4, 0.1, 0.03).rate, rel=1e-12)
+
+
+@pytest.mark.parametrize("L, eta, mu_bounds, grid_best", [
+    (4, 0.1, DEFAULT_MU_BOUNDS, None),
+    (2, 10 ** -5.5, DEFAULT_MU_BOUNDS, 0),  # 55 dB: the grid's best is mu_lo
+    (20, 10 ** -5.5, DEFAULT_MU_BOUNDS, 0),
+    (4, 1.0, (1e-6, 1e-3), DEFAULT_GRID_POINTS - 1),  # 0 dB: best is mu_hi
+])
+def test_optimize_mu_stays_in_bounds_and_beats_the_grid(L, eta, mu_bounds, grid_best):
+    grid = np.geomspace(*mu_bounds, DEFAULT_GRID_POINTS)
+    values = _rates(L, eta, 0.03, grid)
+    best = int(np.argmax(values))
+    if grid_best is not None:
+        assert best == grid_best
+    mu_opt, rate = optimize_mu(L, eta, 0.03, mu_bounds=mu_bounds)
+    assert mu_bounds[0] <= mu_opt <= mu_bounds[1]
+    assert rate >= values[best] > 0.0
+    assert rate == rate_at(L, eta, 0.03, mu_opt)
 
 
 def test_optimize_mu_infeasible_everywhere():
@@ -165,10 +202,23 @@ def test_sweep_propagates_optimizer_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ZeroDivisionError("optimizer fault")
 
-    monkeypatch.setattr("dqps.optimize.optimize_mu", broken)
+    monkeypatch.setattr("dqps.optimize._optimize", broken)
     spec = SweepSpec(L_values=(2,), eta_values=(0.1,), error_rate=0.03)
     with pytest.raises(ZeroDivisionError, match="optimizer fault"):
         sweep(spec)
+
+
+def test_sweep_rows_equal_single_row_optimization():
+    # one batched search per L; every row has the bits of its own call
+    etas = tuple(10.0 ** (-db / 10.0) for db in range(0, 61, 3))
+    for error_rate in (0.0, 0.03, 0.11):
+        spec = SweepSpec(L_values=(2, 20, 1000), eta_values=etas, error_rate=error_rate)
+        for row in sweep(spec):
+            assert (row.mu_opt, row.rate) == optimize_mu(row.L, row.eta, error_rate)
+            if row.mu_opt is None:
+                continue
+            assert row.Q == channel_q(row.L, row.mu_opt, row.eta)
+            assert row.rtag == rtag_coherent(TagParams(row.L, row.mu_opt))
 
 
 def test_sweep_rows_carry_consistent_Q_and_rtag():
