@@ -218,8 +218,6 @@ def _double_coincidence(clicks1: np.ndarray, clicks2: np.ndarray) -> np.ndarray:
 
 def _apply_dead_time(raw: np.ndarray, dead_time: int) -> np.ndarray:
     """Drop clicks while a detector is recovering from an earlier one."""
-    if dead_time == 0:
-        return raw
     n, L = raw.shape
     masked = np.zeros_like(raw)
     blind_until = np.full(n, -1, dtype=np.int64)

@@ -156,7 +156,7 @@ def _build_parser():
     add("--mu", type=float)
     add("--optimize", action="store_true", help="search mu instead of fixing it")
     add("--p0", type=float, default=1.0)
-    add("--ec-inefficiency", type=float, default=1.0)
+    add("--ec-inefficiency", type=float)  # None: left out, key_rate's default
     optimizer_flags(add)
     add("--format", choices=("json", "csv"), default="json")
 
@@ -289,7 +289,7 @@ def cmd_keyrate(args) -> list[dict]:
         "optimized": bool(args.optimize),
     }
     if args.optimize:
-        if args.ec_inefficiency != 1.0:
+        if args.ec_inefficiency is not None:
             raise ParameterError(
                 "ec_inefficiency", "fixed to 1 when optimizing; use --mu"
             )
@@ -301,7 +301,9 @@ def cmd_keyrate(args) -> list[dict]:
     if mu is not None:  # None: the optimizer found no feasible mu
         Q = channel_q(L, mu, eta)
         inputs = RateInputs.from_error_rates(L, mu, args.p0, Q, error_rate, error_rate)
-        report = key_rate(inputs, ec_inefficiency=args.ec_inefficiency)
+        given = {} if args.ec_inefficiency is None else {
+            "ec_inefficiency": args.ec_inefficiency}
+        report = key_rate(inputs, **given)
     record.update(mu=mu, Q=Q, **_rate_fields(report))
     return [record]
 

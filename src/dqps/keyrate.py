@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (
     ParameterError, _block_length, _check_real, _mean_photon_number, _probability,
 )
-from .tagging import TagParams, _where, rtag_coherent
+from .tagging import TagParams, rtag_coherent
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,10 @@ def _privacy_amp(Q, E1, rtag):
     rtag >= Q also covers Q = 0.
     """
     feasible = (rtag <= Q - 2.0 * E1) & (rtag < Q)
-    untagged = _where(feasible, Q - rtag, 1.0)
-    h1 = _entropy(_where(feasible, E1 / untagged, 0.0))
-    tagged_fraction = rtag / _where(feasible, Q, 1.0)
-    f_pa = _where(feasible, tagged_fraction + (1.0 - tagged_fraction) * h1, 1.0)
+    untagged = np.where(feasible, Q - rtag, 1.0)
+    h1 = _entropy(np.where(feasible, E1 / untagged, 0.0))
+    tagged_fraction = rtag / np.where(feasible, Q, 1.0)
+    f_pa = np.where(feasible, tagged_fraction + (1.0 - tagged_fraction) * h1, 1.0)
     return f_pa, feasible, untagged, h1
 
 
@@ -147,11 +147,11 @@ def _rate(L: int, p0, Q, E0, E1, rtag, ec_inefficiency=1.0):
     Q = 0 gives f_ec = 0 (E0 = 0 there); an infeasible privacy
     amplification or a nonpositive rate gives rate 0 and feasible False.
     """
-    f_ec = ec_inefficiency * _entropy(E0 / _where(Q > 0.0, Q, 1.0))
+    f_ec = ec_inefficiency * _entropy(E0 / np.where(Q > 0.0, Q, 1.0))
     f_pa, feasible, untagged, h1 = _privacy_amp(Q, E1, rtag)
     rate = p0 ** 2 / L * (untagged * (1.0 - h1) - Q * f_ec)
     feasible = feasible & (rate > 0.0)
-    return f_pa, f_ec, _where(feasible, rate, 0.0), feasible
+    return f_pa, f_ec, np.where(feasible, rate, 0.0), feasible
 
 
 def channel_q(L: int, mu: float, eta: float) -> float:

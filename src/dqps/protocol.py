@@ -11,9 +11,9 @@ The receiver keeps only the first clicked timing, and the two detector means
 always sum to mu*eta, so a timing stays dark with probability
 p_none = e^{-mu*eta} (1 - p_dark)^2 whatever the bits and bases.  The first
 click j is therefore a truncated geometric draw, and only the clicked blocks
-need their two bits and a detector outcome.  Tagging is independent of the
-clicks and is drawn only for the data-sifted blocks, the only ones a
-counter reads.  The cost per block does not grow with L.
+need their two bits and a detector outcome.  Tagging is drawn for the
+data-sifted blocks only, independently of their clicks, so its fraction
+estimates rtag (see ObservedStats).  The cost per block does not grow with L.
 
 ``run_batches`` is the one seeded batch runner, shared with the calibration
 benches: work is cut into fixed-size batches of ``BATCH_BLOCKS``, every
@@ -93,10 +93,13 @@ class ObservedStats:
     """Aggregated counters and the derived empirical estimates.
 
     Q_hat, E0_hat are normalized by n_rep * p0^2 and E1_hat by n_rep * p1^2.
-    Delta_hat is the tagged fraction of the sifted data-basis key (0 when
-    nothing was sifted); it is a diagnostic only, since no receiver can
-    observe which rounds were tagged.  j_hist_d0/d1 count the detection
-    timing j in 0..L-1 split by the measurement basis d.
+    Delta_hat is tagged_data / sifted_data (0 when nothing was sifted).
+    The tagging of those blocks is drawn independently of their clicks, so
+    it estimates rtag, not the larger tagged share of the sifted key that a
+    passive channel gives (a block that clicked emitted a photon).  It is a
+    diagnostic only: no receiver can observe which rounds were tagged.
+    j_hist_d0/d1 count the detection timing j in 0..L-1 split by the
+    measurement basis d.
     """
 
     n_rep: int

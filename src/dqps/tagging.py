@@ -5,7 +5,10 @@ the same pulse or in two neighboring pulses; such blocks are conceded to an
 eavesdropper during privacy amplification.  This module computes the
 probability of that event for phase-randomized coherent light, for
 arbitrary finite photon-number distributions, and by brute-force
-enumeration as an independent oracle.
+enumeration as an independent oracle.  Every pulse of a block has a
+neighbor, so a pulse with two photons already puts two in a neighboring
+pair: the rule is the single test "some neighboring pair holds two or
+more photons", written once as _tagged.
 
 The coherent case walks the block pulse by pulse as a three-state Markov
 chain (untagged with the last pulse empty, untagged with one photon in
@@ -20,7 +23,6 @@ untagged mass, stays as an independent combinatorial check.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,9 +41,9 @@ PhotonConfig = Sequence[int]
 DEFAULT_PHOTON_CAP = 8
 DEFAULT_WORK_LIMIT = 10**8
 
-# Suffix tables for the brute-force enumerator are capped at (cap+1)^6 rows;
-# longer blocks iterate the remaining leading pulses in Python.
-_SUFFIX_DIGITS = 6
+# The brute-force enumerator tabulates the last min(L-1, 6) pulses once, at
+# most (cap+1)^6 rows, and joins each configuration of the leading ones to it.
+_TAIL_PULSES = 6
 
 
 def _validate_counts(counts: PhotonConfig) -> tuple[int, ...]:
@@ -148,12 +150,19 @@ class BruteForceResult(NamedTuple):
     truncation_bound: float
 
 
+def _tagged(counts: np.ndarray) -> np.ndarray:
+    """Whether each row of photon counts is tagged (pulses on the last axis, 2+)."""
+    return (counts[..., :-1] + counts[..., 1:] >= 2).any(axis=-1)
+
+
+def _capped(configs) -> np.ndarray:
+    """Counts as int8 capped at 2 (the rule sees no more), with no int64 overflow."""
+    return np.minimum(np.array(configs, dtype=object), 2).astype(np.int8)
+
+
 def is_untagged_config(counts: PhotonConfig) -> bool:
     """True iff no pulse holds 2+ photons and no neighboring pair sums to 2+."""
-    t = _validate_counts(counts)
-    if any(k > 1 for k in t):
-        return False
-    return all(t[i] + t[i + 1] <= 1 for i in range(len(t) - 1))
+    return not _tagged(_capped(_validate_counts(counts)))
 
 
 def count_untagged_configs(L: int, m: int) -> int:
@@ -186,16 +195,6 @@ _P2_SERIES = tuple(1.0 / math.factorial(j + 2) for j in reversed(range(15)))
 _P2_SERIES_MAX = 0.5
 
 
-def _where(cond, a, b):
-    """np.where(cond, a, b) for finite a and b, floats or arrays.
-
-    a * True + b * False is a + (+-0.0), so the chosen value comes through
-    bit for bit; on scalars this costs a quarter of np.where.  (b becomes
-    a numpy float first: a Python float times a numpy bool is slow.)
-    """
-    return a * cond + np.float64(b) * np.logical_not(cond)
-
-
 def _rtag(L: int, mu):
     """Tagging probability for a float or a numpy array of mu (no validation).
 
@@ -220,12 +219,12 @@ def _rtag(L: int, mu):
     stay = np.exp(-mu)  # P(X = 0)
     one = mu * stay  # P(X = 1)
     small = mu <= _P2_SERIES_MAX
-    x = _where(small, mu, _P2_SERIES_MAX)
+    x = np.where(small, mu, _P2_SERIES_MAX)
     series = 0.0
     for coeff in _P2_SERIES:
         series = series * x + coeff
     any_ = -np.expm1(-mu)  # P(X >= 1)
-    two = _where(small, one * mu * series, any_ - one)  # P(X >= 2)
+    two = np.where(small, one * mu * series, any_ - one)  # P(X >= 2)
 
     # chain state after the pulses consumed so far: untagged (a, b), tagged t
     a, b, t = 1.0, 0.0, 0.0
@@ -238,8 +237,8 @@ def _rtag(L: int, mu):
         n >>= 1
         if not n:
             # rows of M sum to 1 only up to rounding, which can carry t a
-            # few ulps past 1 once mu L is large
-            return _where(t < 1.0, t, 1.0)
+            # few ulps past 1 once mu L is large; a NaN mu stays NaN
+            return np.minimum(t, 1.0)
         aa, ab, ba, bb, ca, cb = (
             aa * aa + ab * ba,
             aa * ab + ab * bb,
@@ -258,7 +257,7 @@ def rtag_bruteforce(
     """Tagging probability by explicit enumeration, with its truncation bound.
 
     Every configuration with per-pulse counts up to photon_cap is tested
-    against is_untagged_config and weighted by its product-Poisson(mu)
+    by the tagging rule and weighted by its product-Poisson(mu)
     probability.  truncation_bound = 1 - P(all pulses <= cap) bounds the
     mass the enumeration cannot see.  Work is metered as L*(cap+1)^L and
     refused above work_limit.
@@ -288,47 +287,41 @@ def rtag_bruteforce(
 
 def rtag_general(src: SourceDistribution) -> float:
     """Tagged probability mass of an explicit finite source distribution."""
-    return math.fsum(p for config, p in src.support if not is_untagged_config(config))
+    configs = _capped([c for c, _ in src.support])
+    probs = np.array([p for _, p in src.support])
+    return math.fsum(probs[_tagged(configs)])
+
+
+def _count_table(pulses: int, base: int) -> np.ndarray:
+    """Every configuration of `pulses` pulses with counts below base, one per row."""
+    return np.indices((base,) * pulses, dtype=np.int16).reshape(pulses, -1).T
 
 
 @lru_cache(maxsize=16)
 def _tagged_weight_histogram(L: int, cap: int) -> tuple[float, ...]:
     """W[n] = sum over tagged configs with n photons of prod_l 1/k_l!.
 
-    The enumeration is split into a leading prefix of L-s pulses iterated in
-    Python and a suffix of s = min(L, 6) pulses tabulated once with numpy;
-    adjacency across the boundary is the prefix's last count plus the
-    suffix's first.  The split covers the full (cap+1)^L grid exactly.
+    The block is split into a head of the leading L-s pulses and a tail of
+    the last s = min(L-1, 6), each tabulated once with numpy; every head row
+    is joined to the whole tail table, and the joined row is tagged when
+    the head, the tail or the seam pair across them is.  The joins cover
+    the full (cap+1)^L grid exactly.
     """
     base = cap + 1
-    s = min(L, _SUFFIX_DIGITS)
-    prefix_len = L - s
-
-    digits = np.indices((base,) * s, dtype=np.int16).reshape(s, -1)
+    s = min(L - 1, _TAIL_PULSES)
+    head, tail = _count_table(L - s, base), _count_table(s, base)
     inv_fact = np.array([1.0 / math.factorial(k) for k in range(base)])
-    n_suffix = digits.sum(axis=0, dtype=np.int64)
-    w_suffix = inv_fact[digits].prod(axis=0)
-    tagged_suffix = (digits >= 2).any(axis=0)
-    if s >= 2:
-        tagged_suffix |= ((digits[:-1] + digits[1:]) >= 2).any(axis=0)
-    first_suffix = digits[0].astype(np.int64)
+    n_head, n_tail = head.sum(axis=1), tail.sum(axis=1, dtype=np.int64)
+    w_head, w_tail = inv_fact[head].prod(axis=1), inv_fact[tail].prod(axis=1)
+    tagged_head, tagged_tail = _tagged(head), _tagged(tail)
+    first_tail = tail[:, 0]
 
     max_n = L * cap
     partial: list[list[float]] = [[] for _ in range(max_n + 1)]
-    for prefix in itertools.product(range(base), repeat=prefix_len):
-        n_prefix = sum(prefix)
-        w_prefix = 1.0
-        tagged_prefix = False
-        for i, k in enumerate(prefix):
-            w_prefix *= inv_fact[k]
-            if k >= 2 or (i > 0 and prefix[i - 1] + k >= 2):
-                tagged_prefix = True
-        if prefix_len:
-            tagged = tagged_prefix | tagged_suffix | (prefix[-1] + first_suffix >= 2)
-        else:
-            tagged = tagged_suffix
-        weights = np.where(tagged, w_suffix * w_prefix, 0.0)
-        chunk = np.bincount(n_suffix + n_prefix, weights=weights, minlength=max_n + 1)
+    for k in range(len(head)):
+        tagged = tagged_head[k] | tagged_tail | (head[k, -1] + first_tail >= 2)
+        weights = np.where(tagged, w_tail * w_head[k], 0.0)
+        chunk = np.bincount(n_tail + n_head[k], weights=weights, minlength=max_n + 1)
         for n in np.nonzero(chunk)[0]:
             partial[n].append(chunk[n])
     return tuple(math.fsum(parts) for parts in partial)

@@ -136,13 +136,18 @@ def test_keyrate_rejects_non_finite_eta_db(capsys):
         assert "parameter 'eta_db': must be finite" in err
 
 
-def test_keyrate_optimize_refuses_ec_inefficiency(capsys):
-    code, out, err = run_cli(
-        capsys, "keyrate", "--L", "2", "--eta-db", "20", "--error-rate", "0.03",
-        "--optimize", "--ec-inefficiency", "1.2",
-    )
-    assert code == 2 and out == ""
-    assert "parameter 'ec_inefficiency'" in err
+def test_keyrate_optimize_refuses_ec_inefficiency(capsys, tmp_path):
+    base = ("keyrate", "--L", "2", "--eta-db", "20", "--error-rate", "0.03",
+            "--optimize")
+    cfg = tmp_path / "optimize.cfg"
+    for value in ("1.2", "1"):  # 1 is the default, but given
+        code, out, err = run_cli(capsys, *base, "--ec-inefficiency", value)
+        assert code == 2 and out == ""
+        assert "parameter 'ec_inefficiency'" in err
+        cfg.write_text(f"ec-inefficiency = {value}\n")
+        code, out, err = run_cli(capsys, *base, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "parameter 'ec_inefficiency'" in err
 
 
 @pytest.mark.parametrize("flag, value, param", [

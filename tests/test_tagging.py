@@ -62,6 +62,28 @@ def test_is_untagged_config_hand_cases():
     assert not is_untagged_config((0, 2, 0))  # two photons in one pulse
     assert not is_untagged_config((1, 1, 0))  # adjacent pair
     assert is_untagged_config((1, 0, 0, 1))
+    # counts past int64 must neither overflow nor wrap round
+    assert not is_untagged_config((2**63 - 1, 1))
+    assert not is_untagged_config((0, 2**70))
+
+
+def paper_tagged(counts):
+    """The paper's two clauses: a pulse with 2+ photons or a neighboring pair with 2+."""
+    return any(k >= 2 for k in counts) or any(
+        a + b >= 2 for a, b in zip(counts, counts[1:])
+    )
+
+
+@pytest.mark.parametrize("L", range(2, 7))
+def test_tagging_rule_equals_the_two_clause_definition(L):
+    configs = list(itertools.product(range(4), repeat=L))
+    for c in configs:
+        assert is_untagged_config(c) == (not paper_tagged(c)), c
+    weights = np.random.default_rng(L).random(len(configs))
+    probs = (weights / math.fsum(weights)).tolist()
+    dist = SourceDistribution(tuple(zip(configs, probs)))
+    expected = math.fsum(p for c, p in zip(configs, probs) if paper_tagged(c))
+    assert rtag_general(dist) == expected
 
 
 def test_count_untagged_configs_matches_enumeration_small():
@@ -218,6 +240,8 @@ def test_rtag_general_uniform_binary_L3():
 def test_rtag_general_single_tagged_config():
     dist = SourceDistribution((((2, 0, 0), 0.25), ((0, 1, 0), 0.75)))
     assert rtag_general(dist) == pytest.approx(0.25, abs=1e-15)
+    dist = SourceDistribution((((2**70, 0, 0), 0.25), ((0, 1, 0), 0.75)))
+    assert rtag_general(dist) == 0.25
 
 
 def test_source_distribution_rejects_bad_probabilities():
