@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ParameterError, ThinStatisticsWarning, _block_length, _check_int,
-    _mean_photon_number, _positive_count, _probability,
+    ParameterError, ThinStatisticsWarning, _block_length, _block_photon_mean,
+    _check_int, _mean_photon_number, _positive_count, _probability,
 )
 from .protocol import run_batches
 from .tagging import SourceDistribution, TagParams, rtag_coherent, rtag_general
@@ -86,6 +86,7 @@ class CalibSetup2:
     def __post_init__(self):
         _block_length("L", self.L)
         _mean_photon_number("mu", self.mu)
+        _block_photon_mean(self.L, self.mu)
         for name in ("true_T", "true_R"):
             _probability(name, getattr(self, name))
         if self.true_T + self.true_R > 1 + _BOUND_TOL:
@@ -94,6 +95,8 @@ class CalibSetup2:
         _positive_count("n_test", self.n_test)
         if self.source is not None and self.source.L != self.L:
             raise ParameterError("source", "distribution length differs from L")
+        if self.source is not None and max(sum(c) for c, _ in self.source.support) >= 2**63:
+            raise ParameterError("source", "photons per train must fit in int64")
 
     def _arms(self):
         """(declared bound, transmission, truth, split named when dark) per arm."""
@@ -137,6 +140,7 @@ class CalibSetup3:
     def __post_init__(self):
         _block_length("L", self.L)
         _mean_photon_number("mu", self.mu)
+        _block_photon_mean(self.L, self.mu)
         for name in ("true_T1", "true_R1", "true_T2", "true_R2"):
             _probability(name, getattr(self, name))
         if self.true_T1 + self.true_R1 > 1 + _BOUND_TOL:

@@ -8,8 +8,9 @@ sweep is CSV only, simulate JSON lines only.  Floats in CSV use 17
 significant digits so files round-trip bit-exactly.
 
 A flat key=value config file (--config) can supply any long option of the
-chosen subcommand; explicit flags win.  Relative --output and --event-log
-paths resolve against $DQPS_OUTPUT_DIR when it is set.
+chosen subcommand; explicit flags win.  Handlers pass on to the library only
+the flags given, so a flag left out takes the library's default.  Relative
+--output and --event-log paths resolve against $DQPS_OUTPUT_DIR when set.
 
 Exit codes: 0 success, 2 validation, 3 I/O, 4 resource limit.
 """
@@ -34,11 +35,9 @@ from .calibration import (
 )
 from .errors import ParameterError, WorkLimitError
 from .keyrate import KeyRateReport, RateInputs, channel_q, key_rate
-from .optimize import DEFAULT_MU_BOUNDS, DEFAULT_TOLERANCE, SweepSpec, optimize_mu, sweep
+from .optimize import DEFAULT_MU_BOUNDS, SweepSpec, optimize_mu, sweep
 from .protocol import ChannelModel, ProtocolParams, estimate_key_rate, run_simulation
 from .tagging import (
-    DEFAULT_PHOTON_CAP,
-    DEFAULT_WORK_LIMIT,
     SourceDistribution,
     TagParams,
     rtag_bruteforce,
@@ -47,6 +46,11 @@ from .tagging import (
 )
 
 _EVENT_LOG_CHUNK = 1 << 16  # event-log rows formatted per write
+
+# calibrate's bench flags: every field of the two setups but L, mu, n_test and source
+_BENCH_FIELDS = {field.name: field for setup in (CalibSetup2, CalibSetup3)
+                 for field in dataclasses.fields(setup)
+                 if field.name not in ("L", "mu", "n_test", "source")}
 
 
 def _parse_bool(text: str) -> bool:
@@ -106,6 +110,17 @@ def _rate_fields(report: KeyRateReport | None) -> dict:
     return _fields(report, "mu_used")
 
 
+def _given(args, *names: str, **renamed: str) -> dict:
+    """The flags given, by flag or --config, as {library parameter: value}.
+
+    renamed maps a parameter to its flag's dest.  A flag left out is
+    dropped, so the library's own default applies.
+    """
+    dests = {name: name for name in names} | renamed
+    return {name: getattr(args, dest) for name, dest in dests.items()
+            if getattr(args, dest) is not None}
+
+
 def _require(args, name: str):
     value = getattr(args, name)
     if value is None:
@@ -142,7 +157,6 @@ def _build_parser():
         return add
 
     def optimizer_flags(add):
-        # no argparse default: None tells a flag left out from one given
         add("--mu-lo", type=float)
         add("--mu-hi", type=float)
         add("--tol", type=float, help="width in log mu of the optimizer's "
@@ -156,7 +170,7 @@ def _build_parser():
     add("--mu", type=float)
     add("--optimize", action="store_true", help="search mu instead of fixing it")
     add("--p0", type=float, default=1.0)
-    add("--ec-inefficiency", type=float)  # None: left out, key_rate's default
+    add("--ec-inefficiency", type=float)
     optimizer_flags(add)
     add("--format", choices=("json", "csv"), default="json")
 
@@ -173,19 +187,18 @@ def _build_parser():
     add("--blocks", type=int)
     add("--seed", type=int, default=0)
     add("--p1", type=float, default=0.5, help="check-basis probability")
-    add("--p-dark", type=float, default=0.0)
-    add("--delta", type=float, default=0.0, help="misalignment phase, radians")
-    add("--bitflip", type=float, default=0.0, help="direct bit-flip probability")
-    add("--jobs", type=int, default=1)
+    add("--p-dark", type=float)
+    add("--delta", type=float, help="misalignment phase, radians")
+    add("--bitflip", type=float, help="direct bit-flip probability")
+    add("--jobs", type=int)
     add("--format", choices=("json", "csv"), default="json")
 
     add = command("rtag", "tagging probability of a block source")
     add("--L", type=int)
     add("--mu", type=float)
     add("--oracle", action="store_true", help="also run the brute-force check")
-    add("--cap", type=int, default=DEFAULT_PHOTON_CAP,
-        help="per-pulse photon cap for the oracle")
-    add("--work-limit", type=float, default=float(DEFAULT_WORK_LIMIT))
+    add("--cap", type=int, help="per-pulse photon cap for the oracle")
+    add("--work-limit", type=float)
     add("--source", help="distribution file instead of the Poissonian model")
     add("--format", choices=("json", "csv"), default="json")
 
@@ -195,22 +208,9 @@ def _build_parser():
     add("--mu", type=float)
     add("--n-trains", type=int)
     add("--seed", type=int, default=0)
-    add("--jobs", type=int, default=1)
-    add("--eta1", type=float)
-    add("--eta2", type=float)
-    add("--eta3", type=float)
-    add("--eta-abs", type=float)
-    add("--true-T", type=float)
-    add("--true-R", type=float)
-    add("--true-T1", type=float)
-    add("--true-R1", type=float)
-    add("--true-T2", type=float)
-    add("--true-R2", type=float)
-    add("--true-eff1", type=float)
-    add("--true-eff2", type=float)
-    add("--true-eff3", type=float)
-    add("--true-eta-abs", type=float)
-    add("--dead-time", type=int)
+    add("--jobs", type=int)
+    for name, field in _BENCH_FIELDS.items():  # annotations are strings here
+        add("--" + name.replace("_", "-"), type=int if field.type == "int" else float)
     add("--source", help="distribution file (two-detector mode only)")
     add("--event-log", help="write per-train coincidence flags to this CSV")
     add("--format", choices=("json", "csv"), default="json")
@@ -258,12 +258,11 @@ def _resolve_eta(args) -> tuple[float, float | None]:
     return args.eta, eta_db
 
 
-def _optimizer_settings(args) -> tuple[tuple[float, float], float]:
-    """(mu_bounds, tolerance) from --mu-lo, --mu-hi and --tol or their defaults."""
+def _optimizer_settings(args) -> dict:
+    """mu_bounds (a lone --mu-lo or --mu-hi pairs with the default) and a given --tol."""
     mu_lo = DEFAULT_MU_BOUNDS[0] if args.mu_lo is None else args.mu_lo
     mu_hi = DEFAULT_MU_BOUNDS[1] if args.mu_hi is None else args.mu_hi
-    tolerance = DEFAULT_TOLERANCE if args.tol is None else args.tol
-    return (mu_lo, mu_hi), tolerance
+    return {"mu_bounds": (mu_lo, mu_hi), **_given(args, tolerance="tol")}
 
 
 def cmd_keyrate(args) -> list[dict]:
@@ -275,9 +274,11 @@ def cmd_keyrate(args) -> list[dict]:
     if not args.optimize and args.mu is None:
         raise ParameterError("mu", "required unless --optimize is given")
     if not args.optimize:
-        for name in ("mu_lo", "mu_hi", "tol"):
-            if getattr(args, name) is not None:
-                raise ParameterError(name, "applies only with --optimize")
+        for name in _given(args, "mu_lo", "mu_hi", "tol"):
+            raise ParameterError(name, "applies only with --optimize")
+    given = _given(args, "ec_inefficiency")
+    if args.optimize and given:
+        raise ParameterError("ec_inefficiency", "fixed to 1 when optimizing; use --mu")
 
     record = {
         "record": "keyrate",
@@ -289,11 +290,7 @@ def cmd_keyrate(args) -> list[dict]:
         "optimized": bool(args.optimize),
     }
     if args.optimize:
-        if args.ec_inefficiency is not None:
-            raise ParameterError(
-                "ec_inefficiency", "fixed to 1 when optimizing; use --mu"
-            )
-        mu, _ = optimize_mu(L, eta, error_rate, *_optimizer_settings(args))
+        mu, _ = optimize_mu(L, eta, error_rate, **_optimizer_settings(args))
     else:
         mu = args.mu
 
@@ -301,8 +298,6 @@ def cmd_keyrate(args) -> list[dict]:
     if mu is not None:  # None: the optimizer found no feasible mu
         Q = channel_q(L, mu, eta)
         inputs = RateInputs.from_error_rates(L, mu, args.p0, Q, error_rate, error_rate)
-        given = {} if args.ec_inefficiency is None else {
-            "ec_inefficiency": args.ec_inefficiency}
         report = key_rate(inputs, **given)
     record.update(mu=mu, Q=Q, **_rate_fields(report))
     return [record]
@@ -320,8 +315,10 @@ def _parse_db_grid(text: str) -> list[float]:
         raise ParameterError("eta_db_range", "bounds must be finite")
     if step <= 0 or hi < lo:
         raise ParameterError("eta_db_range", "need step > 0 and hi >= lo")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + k * step for k in range(count)]
+    span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise ParameterError("eta_db_range", "too many grid points")
+    return [lo + k * step for k in range(int(math.floor(span + 1e-9)) + 1)]
 
 
 def cmd_sweep(args) -> list[dict]:
@@ -336,13 +333,11 @@ def cmd_sweep(args) -> list[dict]:
     etas = [10.0 ** (-db / 10.0) for db in db_grid]
     db_of = dict(zip(etas, db_grid))
 
-    mu_bounds, tolerance = _optimizer_settings(args)
     spec = SweepSpec(
         L_values=L_values,
         eta_values=tuple(etas),
         error_rate=error_rate,
-        mu_bounds=mu_bounds,
-        tolerance=tolerance,
+        **_optimizer_settings(args),
     )
     return [
         {"L": row.L, "eta_db": db_of[row.eta], **row._asdict(),
@@ -363,11 +358,9 @@ def cmd_simulate(args) -> list[dict]:
     )
     channel = ChannelModel(
         eta=_require(args, "eta"),
-        p_dark=args.p_dark,
-        e_mis=args.delta,
-        p_flip=args.bitflip,
+        **_given(args, "p_dark", e_mis="delta", p_flip="bitflip"),
     )
-    stats = run_simulation(params, channel, n_jobs=args.jobs)
+    stats = run_simulation(params, channel, **_given(args, n_jobs="jobs"))
     report = estimate_key_rate(stats, params)
     stats_record = {"record": "observed_stats", **_fields(stats)}
     rate_record = {
@@ -404,7 +397,7 @@ def cmd_rtag(args) -> list[dict]:
         record.update(L=params.L, mu=params.mu, value=rtag_coherent(params))
         if args.oracle:
             result = rtag_bruteforce(
-                params, photon_cap=args.cap, work_limit=args.work_limit
+                params, **_given(args, "work_limit", photon_cap="cap")
             )
             record["oracle_value"] = result.value
             record["truncation_bound"] = result.truncation_bound
@@ -421,25 +414,18 @@ def cmd_calibrate(args) -> list[dict]:
     collect = args.event_log is not None
 
     # pass on the setup flags that were given; the setup fills in the rest
+    given = _given(args, "L", "mu", *_BENCH_FIELDS, "source", n_test="n_trains")
     own = {field.name for field in dataclasses.fields(setup_cls)}
-    setup_flags = {
-        field.name
-        for cls in (CalibSetup2, CalibSetup3)
-        for field in dataclasses.fields(cls)
-    }
-    given = {}
-    for dest, value in vars(args).items():
-        name = "n_test" if dest == "n_trains" else dest
-        if value is None or name not in setup_flags:
-            continue
+    for name in given:
         if name not in own:
-            raise ParameterError(dest, f"not valid for mode {mode}")
-        given[name] = value
+            raise ParameterError(name, f"not valid for mode {mode}")
     path = given.pop("source", None)
     if path:
         given["source"] = SourceDistribution.from_file(path)
     setup = setup_cls(**given)
-    report = simulate(setup, seed=args.seed, n_jobs=args.jobs, collect_events=collect)
+    report = simulate(
+        setup, seed=args.seed, collect_events=collect, **_given(args, n_jobs="jobs")
+    )
 
     if collect:
         columns = ["train", "double"] + (["triple"] if mode == "3det" else [])

@@ -34,8 +34,8 @@ from functools import partial
 import numpy as np
 
 from .errors import (
-    ParameterError, ThinStatisticsWarning, _block_length, _check_real,
-    _mean_photon_number, _positive_count, _probability, _seed,
+    ParameterError, ThinStatisticsWarning, _block_length, _block_photon_mean,
+    _check_real, _mean_photon_number, _positive_count, _probability, _seed,
 )
 from .keyrate import KeyRateReport, RateInputs, key_rate
 from .tagging import TagParams, rtag_coherent
@@ -56,6 +56,7 @@ class ProtocolParams:
     def __post_init__(self):
         _block_length("L", self.L)
         _mean_photon_number("mu", self.mu, interval="(0, inf)")
+        _block_photon_mean(self.L, self.mu)
         _probability("p1", self.p1, interval="(0, 1)")
         _positive_count("n_blocks", self.n_blocks)
         _seed("seed", self.seed)

@@ -26,6 +26,7 @@ from dqps.calibration import (
     _three_detector_batch,
     _two_detector_batch,
 )
+from dqps.errors import _POISSON_MEAN_MAX
 
 
 def two_det(L=10, mu=0.02, n_test=100000, **overrides):
@@ -215,6 +216,27 @@ def test_replace_rederives_unset_truths():
         L=10, mu=0.02, true_T1=0.7, true_R1=0.3, true_T2=0.4, true_R2=0.6
     )
     assert _detection_probs(three) == pytest.approx([0.1, 0.25, 0.25, 0.25], rel=1e-15)
+
+
+def test_setups_refuse_a_train_mean_numpy_cannot_draw():
+    # a train's photon total is Poisson(mu * L * sum of arm probabilities) <= mu * L
+    too_high = np.nextafter(_POISSON_MEAN_MAX / 2, 1e300)
+    for setup in (CalibSetup2, CalibSetup3):
+        for L, mu in ((10, 1e308), (2, too_high)):
+            with pytest.raises(ParameterError, match="'mu': mu \\* L must be at most"):
+                setup(L=L, mu=mu)
+        top = setup(L=2, mu=_POISSON_MEAN_MAX / 2)
+        np.random.default_rng(0).poisson(top.mu * top.L * sum(_detection_probs(top)))
+
+
+def test_setup2_refuses_a_source_whose_trains_overflow_int64():
+    def source(*config):
+        return SourceDistribution(((config, 1.0),))
+
+    CalibSetup2(L=2, mu=0.1, source=source(2**63 - 1, 0))
+    for config in ((2**63, 0), (2**62, 2**62), (10**20, 0)):
+        with pytest.raises(ParameterError, match="'source'"):
+            CalibSetup2(L=2, mu=0.1, source=source(*config))
 
 
 def test_setups_reject_a_zero_transmission_arm():

@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,14 +17,19 @@ import dqps
 from dqps import (
     CalibrationReport,
     CalibSetup2,
+    CalibSetup3,
+    ChannelModel,
     RateInputs,
     SourceDistribution,
     TagParams,
     channel_q,
     key_rate,
     optimize_mu,
+    rtag_bruteforce,
     rtag_coherent,
     rtag_general,
+    run_simulation,
+    simulate_three_detector,
     simulate_two_detector,
 )
 from dqps.cli import main
@@ -304,6 +312,15 @@ def test_sweep_rejects_malformed_grid(capsys):
     assert "eta_db_range" in err
 
 
+def test_sweep_refuses_a_grid_of_unbounded_size(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--L-list", "2", "--eta-db-range", "0:1e308:1e-300",
+        "--error-rate", "0.03",
+    )
+    assert code == 2 and out == ""
+    assert "parameter 'eta_db_range'" in err
+
+
 # --- simulate --------------------------------------------------------------------
 
 def test_simulate_emits_stats_then_rate(capsys):
@@ -445,7 +462,7 @@ def test_calibrate_three_detector_with_event_log(capsys, tmp_path):
 ])
 def test_calibrate_event_log_text(capsys, tmp_path, monkeypatch, mode, simulate,
                                   events, text):
-    def fake(setup, seed, n_jobs, collect_events):
+    def fake(setup, seed, collect_events, n_jobs=1):
         return CalibrationReport(
             mode=mode, n_test=3, n_double=2, n_triple=1, bound=0.0, true_rtag=0.0,
             slack=0.0, sigma=0.0, events=np.array(events, dtype=bool),
@@ -505,6 +522,60 @@ def test_calibrate_rejects_foreign_mode_flags(capsys):
     assert code == 2 and "'eta3': not valid for mode 2det" in err
 
 
+# calibrate's 15 bench flags, each with the modes whose setup owns its field
+BENCH_FLAGS = {
+    "--eta1": ("2det", "3det"), "--eta2": ("2det", "3det"), "--eta3": ("3det",),
+    "--eta-abs": ("3det",), "--true-T": ("2det",), "--true-R": ("2det",),
+    "--true-T1": ("3det",), "--true-R1": ("3det",), "--true-T2": ("3det",),
+    "--true-R2": ("3det",), "--true-eff1": ("2det", "3det"),
+    "--true-eff2": ("2det", "3det"), "--true-eff3": ("3det",),
+    "--true-eta-abs": ("3det",), "--dead-time": ("3det",),
+}
+
+
+def test_calibrate_bench_flags_are_the_setups_fields(capsys):
+    code, out, _ = run_cli(capsys, "calibrate", "--help")
+    other = {"--help", "--config", "--output", "--mode", "--L", "--mu", "--n-trains",
+             "--seed", "--jobs", "--source", "--event-log", "--format"}
+    assert code == 0 and set(re.findall(r"--[\w-]+", out)) - other == set(BENCH_FLAGS)
+    for flag, modes in BENCH_FLAGS.items():
+        name = flag[2:].replace("-", "_")
+        for mode in ("2det", "3det"):
+            _, _, err = run_cli(capsys, "calibrate", "--mode", mode, "--mu", "0", flag, "1")
+            refused = f"parameter '{name}': not valid for mode {mode}" in err
+            assert refused == (mode not in modes), (flag, mode)
+    # the type follows the field: dead_time is an int
+    code, _, err = run_cli(
+        capsys, "calibrate", "--mode", "3det", "--mu", "0", "--dead-time", "1.5"
+    )
+    assert code == 2 and "invalid int value" in err
+
+
+def test_calibrate_refuses_a_source_table_beyond_int64(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("0 " * 10 + "0.5\n99999999999999999999" + " 0" * 9 + " 0.5\n")
+    code, out, err = run_cli(
+        capsys, "calibrate", "--mode", "2det", "--mu", "0.02", "--n-trains", "1000",
+        "--source", str(path),
+    )
+    assert code == 2 and out == ""
+    assert "parameter 'source'" in err
+    # rtag reads the same table
+    (record,) = run_json(capsys, "rtag", "--source", str(path))
+    assert record["value"] == 0.5
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--L", "2", "--mu", "1e308", "--eta", "1", "--blocks", "10"),
+    ("calibrate", "--mode", "2det", "--mu", "1e308", "--n-trains", "10"),
+    ("calibrate", "--mode", "3det", "--mu", "1e308", "--n-trains", "10"),
+])
+def test_mu_beyond_the_poisson_ceiling_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "parameter 'mu': mu * L must be at most" in err
+
+
 def test_calibrate_two_detector_zero_transmission_arm_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "calibrate", "--mode", "2det", "--mu", "0.02", "--true-T", "0",
@@ -519,6 +590,61 @@ def test_calibrate_three_detector_zero_transmission_arm_exits_2(capsys):
     )
     assert code == 2 and out == ""
     assert "parameter 'true_R1'" in err and "Traceback" not in err
+
+
+# --- library defaults ---------------------------------------------------------------
+
+def _default(func, name):
+    return str(inspect.signature(func).parameters[name].default)
+
+
+def _setup_defaults(setup):
+    """Every set default of a calibration setup as its flag and value."""
+    argv = []
+    for field in dataclasses.fields(setup):
+        if field.name not in ("L", "mu") and field.default is not None:
+            flag = "n-trains" if field.name == "n_test" else field.name.replace("_", "-")
+            argv += ["--" + flag, str(field.default)]
+    return argv
+
+
+def _channel_defaults():
+    flags = {"p_dark": "--p-dark", "e_mis": "--delta", "p_flip": "--bitflip"}
+    defaults = {field.name: field.default for field in dataclasses.fields(ChannelModel)}
+    return [arg for name, flag in flags.items() for arg in (flag, str(defaults[name]))]
+
+
+KEYRATE = ("keyrate", "--L", "20", "--eta-db", "20", "--error-rate", "0.03")
+MU_LO, MU_HI = inspect.signature(optimize_mu).parameters["mu_bounds"].default
+OPTIMIZER_DEFAULTS = (
+    "--mu-lo", str(MU_LO), "--mu-hi", str(MU_HI),
+    "--tol", _default(optimize_mu, "tolerance"),
+)
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (("simulate", "--L", "4", "--mu", "0.1", "--eta", "0.3", "--blocks", "5000",
+      "--seed", "17"),
+     _channel_defaults() + ["--jobs", _default(run_simulation, "n_jobs")]),
+    (("calibrate", "--mode", "2det", "--mu", "0.02", "--seed", "11"),
+     _setup_defaults(CalibSetup2) + ["--jobs", _default(simulate_two_detector, "n_jobs")]),
+    (("calibrate", "--mode", "3det", "--mu", "0.05", "--seed", "13"),
+     _setup_defaults(CalibSetup3)
+     + ["--jobs", _default(simulate_three_detector, "n_jobs")]),
+    (("rtag", "--L", "4", "--mu", "0.3", "--oracle"),
+     ["--cap", _default(rtag_bruteforce, "photon_cap"),
+      "--work-limit", _default(rtag_bruteforce, "work_limit")]),
+    (KEYRATE + ("--mu", "0.005"),
+     ["--ec-inefficiency", _default(key_rate, "ec_inefficiency")]),
+    (KEYRATE + ("--optimize",), OPTIMIZER_DEFAULTS),
+    (("sweep", "--L-list", "2,4", "--eta-db-range", "0:20:10", "--error-rate", "0.03"),
+     OPTIMIZER_DEFAULTS),
+])
+def test_left_out_flags_take_the_library_defaults(capsys, argv, defaults):
+    code, left_out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    code, explicit, err = run_cli(capsys, *argv, *defaults)
+    assert code == 0 and explicit == left_out, err
 
 
 # --- golden outputs ---------------------------------------------------------------

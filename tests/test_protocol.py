@@ -18,6 +18,7 @@ from dqps import (
     rtag_coherent,
     run_simulation,
 )
+from dqps.errors import _POISSON_MEAN_MAX
 from dqps.keyrate import RateInputs
 from dqps.protocol import BATCH_BLOCKS, _simulate_batch
 
@@ -95,6 +96,16 @@ def test_params_validation():
         ChannelModel(eta=0.5, e_mis=0.6)
     with pytest.raises(ParameterError, match="'p_dark'"):
         ChannelModel(eta=0.5, p_dark=1.0)
+
+
+def test_params_refuse_a_block_mean_numpy_cannot_draw():
+    # a block's photon total is Poisson(mu * L); numpy refuses means above ~9.22e18
+    for L, mu in ((2, 1e308), (10, 1e18), (2, np.nextafter(_POISSON_MEAN_MAX / 2, 1e300))):
+        with pytest.raises(ParameterError, match="'mu': mu \\* L must be at most"):
+            ProtocolParams(L=L, mu=mu, p1=0.5, n_blocks=10, seed=0)
+    # the largest block mean still draws
+    params = ProtocolParams(L=2, mu=_POISSON_MEAN_MAX / 2, p1=0.5, n_blocks=10, seed=0)
+    assert quiet_run(params, ChannelModel(eta=1.0)).n_rep == 10
 
 
 def test_detection_means_conserve_flux():
