@@ -64,10 +64,10 @@ _seed = partial(_check_int, lo=0, hi=2**64 - 1)
 _mean_photon_number = partial(_check_real, interval="[0, inf)")
 _probability = partial(_check_real, interval="[0, 1]")  # also a transmission
 
-# numpy's Poisson draw refuses a mean above its POISSON_LAM_MAX, about 9.22e18
+# the largest mean numpy's Poisson draw takes (POISSON_LAM_MAX, about 9.22e18)
 _POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 
-def _block_photon_mean(L: int, mu: float) -> None:  # the mean photons per block
+def _block_photon_mean(L: int, mu: float) -> None:
     if mu * L > _POISSON_MEAN_MAX:
         raise ParameterError("mu", f"mu * L must be at most {_POISSON_MEAN_MAX:.6g}")
