@@ -221,8 +221,13 @@ def _double_coincidence(clicks1: np.ndarray, clicks2: np.ndarray) -> np.ndarray:
 
 
 def _apply_dead_time(raw: np.ndarray, dead_time: int) -> np.ndarray:
-    """Drop clicks while a detector is recovering from an earlier one."""
+    """Drop clicks while a detector is recovering from an earlier one.
+
+    A dead time beyond the train's L slots hides the same clicks as L, so it
+    is clamped there and t + dead_time stays within int64.
+    """
     n, L = raw.shape
+    dead_time = min(dead_time, L)
     masked = np.zeros_like(raw)
     blind_until = np.full(n, -1, dtype=np.int64)
     for t in range(L):

@@ -375,6 +375,9 @@ def cmd_simulate(args) -> list[dict]:
 
 
 def cmd_rtag(args) -> list[dict]:
+    if not args.oracle:
+        for name in _given(args, "cap", "work_limit"):
+            raise ParameterError(name, "applies only with --oracle")
     record = {
         "record": "rtag",
         "source": args.source,
@@ -420,7 +423,7 @@ def cmd_calibrate(args) -> list[dict]:
         if name not in own:
             raise ParameterError(name, f"not valid for mode {mode}")
     path = given.pop("source", None)
-    if path:
+    if path is not None:
         given["source"] = SourceDistribution.from_file(path)
     setup = setup_cls(**given)
     report = simulate(

@@ -281,7 +281,9 @@ def rtag_bruteforce(
     cdf = math.fsum(
         math.exp(-mu + k * log_mu - math.lgamma(k + 1)) for k in range(photon_cap + 1)
     )
-    trunc = -math.expm1(L * math.log(cdf)) if cdf < 1.0 else 0.0
+    # far above the cap (mu > ~788 at cap 8) the cdf underflows to 0: nothing is seen
+    log_cdf = math.log(cdf) if cdf > 0.0 else -math.inf
+    trunc = -math.expm1(L * log_cdf) if cdf < 1.0 else 0.0
     return BruteForceResult(value, max(trunc, 0.0))
 
 

@@ -1,10 +1,11 @@
+import collections
 import dataclasses
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
 
 from dqps import (
     CalibSetup2,
@@ -19,14 +20,9 @@ from dqps import (
     simulate_three_detector,
     simulate_two_detector,
 )
-from dqps.calibration import (
-    _apply_dead_time,
-    _detection_probs,
-    _double_coincidence,
-    _three_detector_batch,
-    _two_detector_batch,
-)
+from dqps.calibration import _apply_dead_time, _detection_probs, _double_coincidence
 from dqps.errors import _POISSON_MEAN_MAX
+from test_protocol import assert_fits
 
 
 def two_det(L=10, mu=0.02, n_test=100000, **overrides):
@@ -50,100 +46,72 @@ def three_det(L=10, mu=0.02, n_test=100000, dead_time=1, **overrides):
     return CalibSetup3(**fields)
 
 
-def _dense_route(photons, probs, rng):
-    """Photons reaching each of a set of exclusive outputs, thinned in order."""
-    routed = []
-    remaining = 1.0
-    for prob in probs:
-        if remaining <= 0.0:
-            taken = np.zeros_like(photons)
-        else:
-            taken = rng.binomial(photons, min(1.0, prob / remaining))
-        routed.append(taken)
-        photons = photons - taken
-        remaining -= prob
-    return routed
+def slot_law(probs, dark):
+    """P(S is the set of detectors that click in a slot), for every S.
 
-
-def _dense_counts(setup, source, rng, n):
-    if source is None:
-        return rng.poisson(setup.mu, size=(n, setup.L))
-    configs, probs = source.as_arrays()
-    return configs[rng.choice(len(probs), size=n, p=probs / probs.sum())]
-
-
-def dense_two_detector_batch(setup, probs, rng, n):
-    """Statistical reference: every pulse's photons drawn and routed, O(n*L)."""
-    n1, n2 = _dense_route(_dense_counts(setup, setup.source, rng, n), probs, rng)
-    double = _double_coincidence(n1 >= 1, n2 >= 1)
-    return int(double.sum()), 0, double[:, None]
-
-
-def dense_three_detector_batch(setup, probs, rng, n):
-    """Statistical reference: every pulse through absorber and splitters, O(n*L)."""
-    p_abs, *arms = probs
-    survived = rng.binomial(_dense_counts(setup, None, rng, n), p_abs)
-    m1, m2, m3 = (
-        _apply_dead_time(photons >= 1, setup.dead_time)
-        for photons in _dense_route(survived, arms, rng)
-    )
-    double = _double_coincidence(m1, m2)
-    triple = m1.any(axis=1) & m2.any(axis=1) & m3.any(axis=1)
-    return int(double.sum()), int(triple.sum()), np.stack([double, triple], axis=1)
-
-
-def no_double_probability(L, slot_states):
-    """Exact P(no neighboring-slot double) for independent slots.
-
-    slot_states(k) gives (P(no click), P(only detector 1), P(only detector 2))
-    for slot k.  A double is a slot where both click or two neighboring
-    slots where different detectors click, so the train avoids one exactly
-    when its slots walk the states {none, only 1, only 2} without stepping
-    between 1 and 2: a 3-state transfer matrix, O(L).
+    probs[i] is the chance that a photon reaches detector i, and dark(m) the
+    chance that no photon reaches detectors that one reaches with chance m;
+    inclusion-exclusion over the subsets of S gives the law.
     """
-    allowed = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 1]], dtype=float)
-    v = np.array(slot_states(0), dtype=float)
-    for k in range(1, L):
-        v = v @ (allowed * np.array(slot_states(k), dtype=float))
-    return float(v.sum())
+    sets = list(itertools.product((False, True), repeat=len(probs)))
+
+    def dark_outside(within):
+        return dark(math.fsum(p for p, w in zip(probs, within) if not w))
+
+    return {clicked: math.fsum(
+        (-1) ** (sum(clicked) - sum(within)) * dark_outside(within)
+        for within in sets if all(c or not w for c, w in zip(clicked, within))
+    ) for clicked in sets}
 
 
-def poisson_double_rate(L, mu, p1, p2):
-    a1, a2 = -math.expm1(-mu * p1), -math.expm1(-mu * p2)
-    states = ((1 - a1) * (1 - a2), a1 * (1 - a2), (1 - a1) * a2)
-    return 1.0 - no_double_probability(L, lambda k: states)
+def train_law(slot_laws, dead_time=0):
+    """Exact law of a train's outcome double + 2 * triple, its slots independent.
+
+    A slot-by-slot walk; the state holds, for detectors 1 and 2, the blind
+    slots left and whether the last slot registered a click, then whether
+    each detector ever clicked and whether a double was seen.  A registered
+    click blinds its detector for dead_time slots (beyond L it hides what L
+    hides); a triple needs a click on each of three detectors, and a first
+    click always registers.
+    """
+    dead = min(dead_time, len(slot_laws))
+    detectors = len(next(iter(slot_laws[0])))
+    states = {((0, 0), (False, False), (False,) * detectors, False): 1.0}
+    for law in slot_laws:
+        walked = collections.defaultdict(float)
+        for (blind, last, ever, double), p in states.items():
+            for clicked, q in law.items():
+                now = tuple(c and b == 0 for c, b in zip(clicked, blind))
+                walked[(
+                    tuple(dead if r else max(b - 1, 0) for r, b in zip(now, blind)),
+                    now,
+                    tuple(e or c for e, c in zip(ever, clicked)),
+                    double or (now[0] and (now[1] or last[1])) or (last[0] and now[1]),
+                )] += p * q
+        states = walked
+    law = np.zeros(4)
+    for (_, _, ever, double), p in states.items():
+        law[double + 2 * (detectors == 3 and all(ever))] += p
+    return law
 
 
-def table_double_rate(source, p1, p2):
-    def states(config):
-        def at(k):
-            none = (1 - p1 - p2) ** config[k]
-            return none, (1 - p2) ** config[k] - none, (1 - p1) ** config[k] - none
-        return at
+def calibration_law(setup):
+    """Exact law of a train's outcome double + 2 * triple on a bench.
 
-    return 1.0 - math.fsum(
-        p * no_double_probability(source.L, states(config))
-        for config, p in source.support
-    )
-
-
-def z_score(count, n, rate):
-    return (count - n * rate) / math.sqrt(n * rate * (1 - rate))
-
-
-def assert_same_outcomes(setup, kernel, reference, n):
-    """Two-sample chi-square test on the (double, triple) outcome of each train."""
+    A Poissonian slot sends Poisson(mu * p) photons to a detector reached
+    with chance p (3det: through the absorber), independently per detector;
+    a table slot holds its fixed count.
+    """
     probs = _detection_probs(setup)
-    table = []
-    for seed, batch in enumerate((kernel, reference)):
-        *_, events = batch(setup, probs, np.random.default_rng(seed), n)
-        outcome = events.astype(int) @ (1, 2)[: events.shape[1]]
-        table.append(np.bincount(outcome, minlength=4))
-    table = np.array(table)
-    table = table[:, table.sum(axis=0) > 0]
-    assert table[:, 1:].min() >= 100, table
-    p_value = chi2_contingency(table).pvalue
-    assert p_value > 1e-3, (p_value, table)
+    if isinstance(setup, CalibSetup3):
+        p_abs, *arms = probs
+        law = slot_law([p_abs * p for p in arms], lambda m: math.exp(-setup.mu * m))
+        return train_law([law] * setup.L, setup.dead_time)
+    if setup.source is None:
+        return train_law([slot_law(probs, lambda m: math.exp(-setup.mu * m))] * setup.L)
+    return sum(weight * train_law([slot_law(probs, lambda m, k=k: (1 - m) ** k)
+                                   for k in config])
+               for config, weight in setup.source.support)
 
 
 def quiet_two(setup, **kwargs):
@@ -276,7 +244,9 @@ def test_dead_time_masking_patterns():
     assert (_apply_dead_time(raw, 0) == raw).all()
     assert (_apply_dead_time(raw, 1) == [[1, 0, 1, 0, 1]]).all()
     assert (_apply_dead_time(raw, 2) == [[1, 0, 0, 0, 1]]).all()
-    assert (_apply_dead_time(raw, 9) == [[1, 0, 0, 0, 0]]).all()
+    # a dead time beyond the train hides the same clicks; t + dead_time once overflowed
+    for dead in (5, 9, 2**63 - 1, 10**20):
+        assert (_apply_dead_time(raw, dead) == [[1, 0, 0, 0, 0]]).all()
 
 
 def test_dead_time_never_creates_clicks():
@@ -344,28 +314,6 @@ MIXED_TABLE = SourceDistribution((
 ))
 
 
-@pytest.mark.parametrize("setup, seed", [
-    (two_det(L=5, mu=0.3), 1),
-    (CalibSetup2(L=3, mu=1.0, true_T=0.6, true_R=0.35, eta1=0.2, eta2=0.3), 2),
-    (two_det(L=50, mu=0.05), 3),
-    (two_det(L=4, mu=0.0, source=MIXED_TABLE), 4),
-])
-def test_two_detector_double_rate_is_exact(setup, seed):
-    n = 2_000_000
-    p1, p2 = _detection_probs(setup)
-    if setup.source is None:
-        rate = poisson_double_rate(setup.L, setup.mu, p1, p2)
-    else:
-        rate = table_double_rate(setup.source, p1, p2)
-    report = simulate_two_detector(dataclasses.replace(setup, n_test=n), seed=seed)
-    assert abs(z_score(report.n_double, n, rate)) < 4, (report.n_double, n * rate)
-
-
-def test_two_detector_matches_dense_reference():
-    setup = two_det(L=4, mu=0.0, source=MIXED_TABLE)
-    assert_same_outcomes(setup, _two_detector_batch, dense_two_detector_batch, 200_000)
-
-
 def test_two_detector_deterministic():
     a = quiet_two(two_det(), seed=77, n_jobs=1, collect_events=True)
     b = quiet_two(two_det(), seed=77, n_jobs=4, collect_events=True)
@@ -430,29 +378,6 @@ def test_three_detector_no_dead_time_matches_two_detector_flux():
     assert abs(p3 - p2) < 4 * sigma
 
 
-@pytest.mark.parametrize("L, mu, dead_time", [(10, 0.1, 1), (4, 0.5, 3)])
-def test_three_detector_triple_rate_is_exact(L, mu, dead_time):
-    # a detector's first click always survives its dead time, so a triple
-    # is any train in which every detector receives a photon
-    n = 2_000_000
-    setup = three_det(L=L, mu=mu, n_test=n, dead_time=dead_time,
-                      eta_abs=0.8, true_eta_abs=0.8)
-    p_abs, *arms = _detection_probs(setup)
-    rate = math.prod(-math.expm1(-mu * L * p_abs * p) for p in arms)
-    report = simulate_three_detector(setup, seed=L + dead_time)
-    assert abs(z_score(report.n_triple, n, rate)) < 4, (report.n_triple, n * rate)
-
-
-@pytest.mark.parametrize("dead_time", [0, 1, 3])
-def test_three_detector_matches_dense_reference(dead_time):
-    # doubles under dead time have no closed form; compare with the direct
-    # simulation of every pulse instead
-    setup = three_det(L=6, mu=0.5, dead_time=dead_time, eta_abs=0.8, true_eta_abs=0.8)
-    assert_same_outcomes(
-        setup, _three_detector_batch, dense_three_detector_batch, 200_000
-    )
-
-
 def test_three_detector_deterministic():
     a = quiet_three(three_det(), seed=15, n_jobs=1, collect_events=True)
     b = quiet_three(three_det(), seed=15, n_jobs=4, collect_events=True)
@@ -465,6 +390,32 @@ def test_three_detector_event_log():
     assert report.events.shape == (20000, 2)
     assert int(report.events[:, 0].sum()) == report.n_double
     assert int(report.events[:, 1].sum()) == report.n_triple
+
+
+# --- exact law of a train's outcome ------------------------------------------
+
+def bright_three_det(L, mu, dead_time):
+    return three_det(L=L, mu=mu, dead_time=dead_time, eta_abs=0.8, true_eta_abs=0.8)
+
+
+@pytest.mark.parametrize("setup, seed", [
+    (two_det(L=5, mu=0.3), 1),
+    (CalibSetup2(L=3, mu=1.0, true_T=0.6, true_R=0.35, eta1=0.2, eta2=0.3), 2),
+    (two_det(L=50, mu=0.05), 3),
+    (two_det(L=4, mu=0.0, source=MIXED_TABLE), 4),
+    (bright_three_det(10, 0.1, 1), 11),
+    (bright_three_det(4, 0.5, 3), 7),
+    (bright_three_det(6, 0.5, 0), 20),
+    (bright_three_det(6, 0.5, 1), 21),
+    (bright_three_det(6, 0.5, 3), 23),
+])
+def test_bench_follows_exact_law(setup, seed):
+    n = 2_000_000
+    simulate = (simulate_two_detector if isinstance(setup, CalibSetup2)
+                else simulate_three_detector)
+    report = simulate(dataclasses.replace(setup, n_test=n), seed=seed, collect_events=True)
+    outcome = report.events.astype(int) @ (1, 2)[: report.events.shape[1]]
+    assert_fits(np.bincount(outcome, minlength=4), calibration_law(setup))
 
 
 # --- q3 bound ----------------------------------------------------------------

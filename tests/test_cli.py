@@ -379,6 +379,28 @@ def test_rtag_work_limit_exits_4(capsys):
     assert "work" in err
 
 
+def test_rtag_oracle_far_above_the_cap_sees_nothing(capsys):
+    (record,) = run_json(capsys, "rtag", "--L", "2", "--mu", "800", "--oracle")
+    assert (record["oracle_value"], record["truncation_bound"]) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("flag, value, param", [
+    ("--cap", "3", "cap"),
+    ("--work-limit", "nan", "work_limit"),
+    ("--cap", "8", "cap"),  # the default value, but given
+])
+def test_rtag_without_oracle_refuses_oracle_flags(capsys, tmp_path, flag, value, param):
+    base = ("rtag", "--L", "4", "--mu", "0.1")
+    code, out, err = run_cli(capsys, *base, flag, value)
+    assert code == 2 and out == ""
+    assert f"parameter '{param}': applies only with --oracle" in err
+    cfg = tmp_path / "closed.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    code, out, err = run_cli(capsys, *base, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"parameter '{param}': applies only with --oracle" in err
+
+
 @pytest.mark.parametrize("argv, param", [
     # a NaN limit would switch the oracle's work meter off; keep L small
     (("rtag", "--L", "3", "--mu", "0.3", "--oracle", "--cap", "3",
@@ -549,6 +571,23 @@ def test_calibrate_bench_flags_are_the_setups_fields(capsys):
         capsys, "calibrate", "--mode", "3det", "--mu", "0", "--dead-time", "1.5"
     )
     assert code == 2 and "invalid int value" in err
+
+
+def test_calibrate_reads_an_empty_source_path(capsys):
+    # an empty path is a file name like any other, as for rtag --source
+    for argv in (("calibrate", "--mode", "2det", "--mu", "0.02"), ("rtag",)):
+        code, out, err = run_cli(capsys, *argv, "--source", "")
+        assert code == 3 and out == "" and "No such file" in err
+
+
+def test_calibrate_dead_time_beyond_the_train_counts_as_L(capsys):
+    base = ("calibrate", "--mode", "3det", "--mu", "0.3", "--n-trains", "20000",
+            "--seed", "1")
+    code, at_L, err = run_cli(capsys, *base, "--dead-time", "10")
+    assert code == 0, err
+    for dead in ("9223372036854775807", "100000000000000000000"):
+        code, out, err = run_cli(capsys, *base, "--dead-time", dead)
+        assert code == 0 and out == at_L, err
 
 
 def test_calibrate_refuses_a_source_table_beyond_int64(capsys, tmp_path):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency, chisquare
+from scipy.stats import chisquare
 
 from dqps import (
     ChannelModel,
@@ -20,57 +20,53 @@ from dqps import (
 )
 from dqps.errors import _POISSON_MEAN_MAX
 from dqps.keyrate import RateInputs
-from dqps.protocol import BATCH_BLOCKS, _simulate_batch
+from dqps.protocol import BATCH_BLOCKS
 
 
-def dense_reference_batch(params, channel, rng, n):
-    """Statistical reference: the direct O(n*L) simulation of n blocks.
+def protocol_law(params, channel):
+    """Exact law of one block's counters in run_simulation.
 
-    Draws every pulse bit, every signal and dark click at every timing and
-    every pulse's photon number, then keeps the first clicked timing.
-    Returns the same counters as the batch kernel.
+    A timing stays dark with p_none = e^{-mu eta} (1 - p_dark)^2, so the
+    first click j is truncated-geometric and independent of d.  At a clicked
+    matched-basis timing the right port has the mean mu eta cos^2(e_mis/2)
+    and the wrong one mu eta sin^2(e_mis/2), each dark with
+    q = e^{-m} (1 - p_dark); a double click is a coin flip, and flips turn
+    the error e into e + p_flip (1 - 2e).  Tags follow rtag_coherent.
+    Returns the cell probabilities of j_hist_d0 + j_hist_d1, of the classes
+    (data right, data wrong, check right, check wrong, not sifted) and of
+    [tagged, untagged] among the data-sifted blocks.
     """
-    L = params.L
-    c = rng.random(n) < params.p1
-    d = rng.random(n) < params.p1
-    a = rng.integers(0, 2, size=(n, L), dtype=np.int8)
-
-    means = detection_means(params, channel, a, c, d)
-    signal = rng.poisson(means) >= 1
-    dark = rng.random((n, L - 1, 2)) < channel.p_dark
-    clicks = signal | dark
-
-    tie = rng.integers(0, 2, size=n, dtype=np.int8)
-    flip = rng.random(n) < channel.p_flip
-    emitted = rng.poisson(params.mu, size=(n, L))
-
-    any_click = clicks.any(axis=2)
-    has_click = any_click.any(axis=1)
-    t = np.argmax(any_click, axis=1)  # first clicked timing index, j = t + 1
-    j = np.where(has_click, t + 1, 0)
-
-    rows = np.arange(n)
-    click0 = clicks[rows, t, 0]
-    click1 = clicks[rows, t, 1]
-    b = np.where(click0 & click1, tie, click1.astype(np.int8))
-    b = b ^ flip.astype(np.int8)
-    a_key = a[rows, t] ^ a[rows, t + 1]  # t <= L-2 always
-
-    tagged = (emitted >= 2).any(axis=1)
-    tagged |= ((emitted[:, :-1] + emitted[:, 1:]) >= 2).any(axis=1)
-
-    error = a_key != b
-    data = ~c & ~d & has_click
-    check = c & d & has_click
-    return (
-        int(data.sum()),
-        int((data & error).sum()),
-        int(check.sum()),
-        int((check & error).sum()),
-        int((data & tagged).sum()),
-        np.bincount(j[~d], minlength=L),
-        np.bincount(j[d], minlength=L),
+    L, mu_eta, p_dark = params.L, params.mu * channel.eta, channel.p_dark
+    p_none = math.exp(-mu_eta) * (1.0 - p_dark) ** 2
+    j_law = [p_none ** (L - 1)] + [p_none ** (k - 1) * (1 - p_none) for k in range(1, L)]
+    Q = 1.0 - j_law[0]
+    q_right, q_wrong = (
+        math.exp(-mu_eta * port(channel.e_mis / 2) ** 2) * (1.0 - p_dark)
+        for port in (math.cos, math.sin)
     )
+    e = (1 - q_wrong) * (q_right + (1 - q_right) / 2) / (1 - q_right * q_wrong)
+    e += channel.p_flip * (1 - 2 * e)
+    data, check = params.p0**2 * Q, params.p1**2 * Q
+    rtag = rtag_coherent(TagParams(L, params.mu))
+    return (
+        np.multiply.outer([params.p0, params.p1], j_law).ravel(),
+        [data * (1 - e), data * e, check * (1 - e), check * e, 1 - data - check],
+        [rtag, 1 - rtag],
+    )
+
+
+def assert_fits(observed, law):
+    """One-sample chi-square test of counts against their cell probabilities.
+
+    A cell of probability 0 must stay empty, and leaves the test.
+    """
+    observed, law = np.asarray(observed), np.asarray(law, dtype=float)
+    assert law.min() >= 0.0 and abs(law.sum() - 1.0) < 1e-12, law
+    empty = law == 0.0
+    assert not observed[empty].any(), (observed, law)
+    expected = observed.sum() * law[~empty] / law[~empty].sum()
+    p_value = chisquare(observed[~empty], expected).pvalue
+    assert p_value > 1e-3, (p_value, observed, expected)
 
 
 def quiet_run(params, channel, n_jobs=1):
@@ -272,52 +268,25 @@ def test_estimate_key_rate_requires_detections():
         estimate_key_rate(stats, params)
 
 
-KERNEL_SETTINGS = [
-    (5, 0.3, dict(eta=0.8, p_dark=0.01, e_mis=0.3, p_flip=0.05)),
-    (20, 0.005, dict(eta=0.01, p_dark=1e-4)),
-    (3, 2.0, dict(eta=1.0)),
-    (4, 0.1, dict(eta=0.0, p_dark=0.01)),
-]
-
-
-@pytest.mark.parametrize("L, mu, channel_kw", KERNEL_SETTINGS)
-def test_batch_kernel_matches_dense_reference(L, mu, channel_kw):
-    n = 100_000
-    params = ProtocolParams(L=L, mu=mu, p1=0.5, n_blocks=n, seed=0)
+@pytest.mark.parametrize("L, mu, p1, channel_kw", [
+    (5, 0.3, 0.5, dict(eta=0.8, p_dark=0.01, e_mis=0.3, p_flip=0.05)),
+    (20, 0.005, 0.5, dict(eta=0.01, p_dark=1e-4)),
+    (3, 2.0, 0.5, dict(eta=1.0)),
+    (4, 0.1, 0.5, dict(eta=0.0, p_dark=0.01)),
+    (5, 0.3, 0.5, dict(eta=0.5, p_dark=0.01, e_mis=0.3)),
+    (6, 0.1, 0.3, dict(eta=0.3, p_dark=1e-3, e_mis=0.2, p_flip=0.02)),
+])
+def test_run_simulation_follows_exact_law(L, mu, p1, channel_kw):
+    n = 2_000_000
+    params = ProtocolParams(L=L, mu=mu, p1=p1, n_blocks=n, seed=1)
     channel = ChannelModel(**channel_kw)
-    kernel = _simulate_batch(params, channel, np.random.default_rng(31), n)
-    dense = dense_reference_batch(params, channel, np.random.default_rng(32), n)
-
-    def tables(counters):
-        sd, ed, sc, ec, tg, h0, h1 = counters
-        # disjoint outcome classes of a block, then tagging of the sifted key
-        classes = [sd - ed, ed, sc - ec, ec, n - sd - sc]
-        return np.concatenate([h0, h1]), classes, [tg, sd - tg]
-
-    p_values = []
-    for new, ref in zip(tables(kernel), tables(dense)):
-        table = np.array([new, ref])
-        table = table[:, table.sum(axis=0) > 0]
-        if table.shape[1] > 1:
-            p_values.append(chi2_contingency(table).pvalue)
-    assert len(p_values) >= 2
-    assert min(p_values) > 1e-3, (p_values, kernel, dense)
-
-
-@pytest.mark.parametrize("L, mu, channel_kw", KERNEL_SETTINGS)
-def test_first_click_follows_truncated_geometric_law(L, mu, channel_kw):
-    # a timing stays dark with p_none whatever the bits, so j is geometric
-    # in 1..L-1 and 0 when all L-1 timings stay dark
-    params = ProtocolParams(L=L, mu=mu, p1=0.5, n_blocks=200_000, seed=0)
-    channel = ChannelModel(**channel_kw)
-    stats = quiet_run(params, channel)
-    p_none = math.exp(-mu * channel.eta) * (1.0 - channel.p_dark) ** 2
-    law = [p_none ** (L - 1)] + [
-        p_none ** (k - 1) * (1.0 - p_none) for k in range(1, L)
-    ]
-    observed = np.add(stats.j_hist_d0, stats.j_hist_d1)
-    expected = params.n_blocks * np.array(law)
-    assert chisquare(observed, expected).pvalue > 1e-3, (observed, expected)
+    stats = run_simulation(params, channel)
+    j_law, class_law, tag_law = protocol_law(params, channel)
+    sd, ed, sc, ec = (stats.sifted_data, stats.errors_data,
+                      stats.sifted_check, stats.errors_check)
+    assert_fits(stats.j_hist_d0 + stats.j_hist_d1, j_law)
+    assert_fits([sd - ed, ed, sc - ec, ec, n - sd - sc], class_law)
+    assert_fits([stats.tagged_data, sd - stats.tagged_data], tag_law)
 
 
 def test_degenerate_channels():

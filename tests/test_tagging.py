@@ -203,6 +203,12 @@ def test_bruteforce_agrees_with_closed_form():
         assert diff <= result.truncation_bound + 1e-12
 
 
+def test_bruteforce_sees_nothing_far_above_the_cap():
+    # P(X <= 8) underflows to 0 above mu ~ 787.9; the bound then covers everything
+    for mu in (787.0, 800.0, 1e6):
+        assert rtag_bruteforce(TagParams(2, mu)) == (0.0, 1.0)
+
+
 def test_bruteforce_truncation_shrinks_with_cap():
     p = TagParams(4, 0.3)
     loose = rtag_bruteforce(p, photon_cap=4)
