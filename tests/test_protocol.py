@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -268,24 +269,45 @@ def test_estimate_key_rate_requires_detections():
         estimate_key_rate(stats, params)
 
 
-@pytest.mark.parametrize("L, mu, p1, channel_kw", [
+EXACT_LAW_SETTINGS = [
     (5, 0.3, 0.5, dict(eta=0.8, p_dark=0.01, e_mis=0.3, p_flip=0.05)),
     (20, 0.005, 0.5, dict(eta=0.01, p_dark=1e-4)),
     (3, 2.0, 0.5, dict(eta=1.0)),
     (4, 0.1, 0.5, dict(eta=0.0, p_dark=0.01)),
     (5, 0.3, 0.5, dict(eta=0.5, p_dark=0.01, e_mis=0.3)),
     (6, 0.1, 0.3, dict(eta=0.3, p_dark=1e-3, e_mis=0.2, p_flip=0.02)),
-])
-def test_run_simulation_follows_exact_law(L, mu, p1, channel_kw):
-    n = 2_000_000
-    params = ProtocolParams(L=L, mu=mu, p1=p1, n_blocks=n, seed=1)
+]
+
+cached_run = functools.cache(run_simulation)
+
+
+def exact_law_run(L, mu, p1, channel_kw):
+    """run_simulation at 2e6 blocks and the exact law of its counters.
+
+    The run is cached, so the tests that fit different counters of one
+    setting share it.
+    """
+    params = ProtocolParams(L=L, mu=mu, p1=p1, n_blocks=2_000_000, seed=1)
     channel = ChannelModel(**channel_kw)
-    stats = run_simulation(params, channel)
-    j_law, class_law, tag_law = protocol_law(params, channel)
+    return cached_run(params, channel), protocol_law(params, channel)
+
+
+@pytest.mark.parametrize(
+    "L, mu, p1, channel_kw", EXACT_LAW_SETTINGS,
+    ids=[f"{L}-{mu}-channel_kw{i}" for i, (L, mu, *_) in enumerate(EXACT_LAW_SETTINGS)],
+)
+def test_first_click_follows_truncated_geometric_law(L, mu, p1, channel_kw):
+    # j split by d: truncated-geometric whatever the bits, so independent of d
+    stats, (j_law, _, _) = exact_law_run(L, mu, p1, channel_kw)
+    assert_fits(stats.j_hist_d0 + stats.j_hist_d1, j_law)
+
+
+@pytest.mark.parametrize("L, mu, p1, channel_kw", EXACT_LAW_SETTINGS)
+def test_run_simulation_follows_exact_law(L, mu, p1, channel_kw):
+    stats, (_, class_law, tag_law) = exact_law_run(L, mu, p1, channel_kw)
     sd, ed, sc, ec = (stats.sifted_data, stats.errors_data,
                       stats.sifted_check, stats.errors_check)
-    assert_fits(stats.j_hist_d0 + stats.j_hist_d1, j_law)
-    assert_fits([sd - ed, ed, sc - ec, ec, n - sd - sc], class_law)
+    assert_fits([sd - ed, ed, sc - ec, ec, stats.n_rep - sd - sc], class_law)
     assert_fits([stats.tagged_data, sd - stats.tagged_data], tag_law)
 
 
