@@ -7,10 +7,12 @@ record's keys as the one header, and writes them to stdout or --output.
 sweep is CSV only, simulate JSON lines only.  Floats in CSV use 17
 significant digits so files round-trip bit-exactly.
 
-A flat key=value config file (--config) can supply any long option of the
-chosen subcommand; explicit flags win.  Handlers pass on to the library only
-the flags given, so a flag left out takes the library's default.  Relative
---output and --event-log paths resolve against $DQPS_OUTPUT_DIR when set.
+main(argv) may be called any number of times in one process: the parser is
+built on the first call and reused.  A flat key=value config file (--config)
+can supply any long option of the chosen subcommand, for its own call only;
+explicit flags win.  Handlers pass on to the library only the flags given,
+so a flag left out takes the library's default.  Relative --output and
+--event-log paths resolve against $DQPS_OUTPUT_DIR when set.
 
 Exit codes: 0 success, 2 validation, 3 I/O, 4 resource limit.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -218,6 +221,12 @@ def _build_parser():
     return parser, registry
 
 
+@functools.cache
+def _parser():
+    """The parser every call shares, built on first use; --config never alters it."""
+    return _build_parser()
+
+
 def _config_defaults(path: str, converters: dict) -> dict:
     text = Path(path).read_text()
     overrides = {}
@@ -331,7 +340,10 @@ def cmd_sweep(args) -> list[dict]:
         raise ParameterError("L_list", f"non-integer entry in {L_text!r}") from None
     db_grid = _parse_db_grid(db_text)
     etas = [10.0 ** (-db / 10.0) for db in db_grid]
-    db_of = dict(zip(etas, db_grid))
+    # sweep's rows run L-major, eta-ascending (ties: dB descending); label
+    # them by position, since points that round to one eta are distinct rows
+    order = sorted(reversed(range(len(etas))), key=etas.__getitem__)
+    labels = [db_grid[i] for i in order]
 
     spec = SweepSpec(
         L_values=L_values,
@@ -340,9 +352,9 @@ def cmd_sweep(args) -> list[dict]:
         **_optimizer_settings(args),
     )
     return [
-        {"L": row.L, "eta_db": db_of[row.eta], **row._asdict(),
+        {"L": row.L, "eta_db": db, **row._asdict(),
          "mu_opt": math.nan if row.mu_opt is None else row.mu_opt}
-        for row in sweep(spec)
+        for row, db in zip(sweep(spec), labels * len(L_values))
     ]
 
 
@@ -456,7 +468,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser, registry = _build_parser()
+    parser, _ = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -466,6 +478,8 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.config is not None:
+            # the file's defaults go on a parser of this call's own
+            parser, registry = _build_parser()
             sub, converters = registry[args.command]
             sub.set_defaults(**_config_defaults(args.config, converters))
             args = parser.parse_args(argv)

@@ -429,6 +429,19 @@ def test_three_detector_doubles_under_dead_time_are_exact(dead_time):
     assert_bench_follows_exact_law(bright_three_det(6, 0.5, dead_time), seed=20 + dead_time)
 
 
+@pytest.mark.parametrize("mu, bias", [
+    (0.02, 0.029357905472602974),   # E[bound] 0.0055194 against 0.0053620
+    (0.005, 0.007014345668024058),
+])
+def test_two_detector_bound_bias_is_exact(mu, bias):
+    # criterion 6's bench: E[bound] = P(double) / (2 eta1 eta2) from the train law
+    setup = two_det(L=10, mu=mu)
+    expected_bound = calibration_law(setup)[1] / (2 * setup.eta1 * setup.eta2)
+    relative = expected_bound / rtag_coherent(TagParams(10, mu)) - 1
+    assert 0 <= relative <= relative_slack_limit(10, mu)
+    assert relative == pytest.approx(bias, rel=1e-9, abs=0)
+
+
 # --- q3 bound ----------------------------------------------------------------
 
 def test_q3_bound_values():

@@ -303,6 +303,19 @@ def test_sweep_mu_lo_reaches_past_the_default_bracket(capsys):
         assert float(row[6]) > 0.0
 
 
+def test_sweep_labels_grid_points_that_round_to_one_eta(capsys):
+    # 0, 1e-17 and 2e-17 dB all give eta = 1; each row keeps its own dB
+    code, out, err = run_cli(
+        capsys, "sweep", "--L-list", "2,3", "--eta-db-range", "0:2e-17:1e-17",
+        "--error-rate", "0.03",
+    )
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(row[0], float(row[1]), row[2]) for row in rows] == [
+        (L, db, "1") for L in ("2", "3") for db in (2e-17, 1e-17, 0.0)
+    ]
+
+
 def test_sweep_rejects_malformed_grid(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--L-list", "2", "--eta-db-range", "10:0:5",
@@ -906,12 +919,15 @@ def test_unknown_flag_exits_2(capsys):
 
 # --- entry points ----------------------------------------------------------------
 
-def run_module(*argv):
+def run_python(*args):
     env = dict(os.environ, PYTHONPATH=str(Path(dqps.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "dqps", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def run_module(*argv):
+    return run_python("-m", "dqps", *argv)
 
 
 def test_module_entry_prints_one_record():
@@ -925,3 +941,61 @@ def test_module_entry_passes_on_the_exit_code():
     proc = run_module("rtag", "--L", "1", "--mu", "0.1")
     assert proc.returncode == 2 and proc.stdout == ""
     assert "parameter 'L'" in proc.stderr
+
+
+# --- one process, many calls ------------------------------------------------------
+
+def test_config_applies_to_its_own_call_only(capsys, tmp_path):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("error-rate = 0.05\n")
+    argv = ("keyrate", "--L", "20", "--eta-db", "20", "--mu", "0.005")
+    (record,) = run_json(capsys, *argv, "--config", str(cfg))
+    assert record["error_rate"] == 0.05
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "parameter 'error_rate': required" in err
+    (again,) = run_json(capsys, *argv, "--config", str(cfg))
+    assert again == record
+
+
+# every subcommand in turn, with help and argparse errors in between
+IN_PROCESS_SEQUENCE = (
+    GOLDEN_KEYRATE_ARGS,
+    ("--help",),
+    ("sweep", "--L-list", "2", "--eta-db-range", "0:40:40", "--error-rate", "0.11"),
+    ("keyrate", "--L", "x"),
+    ("simulate", "--L", "4", "--mu", "0.1", "--eta", "0.3", "--blocks", "50000"),
+    ("sweep", "--help"),
+    GOLDEN_RTAG_ORACLE_ARGS + ("--format", "csv"),
+    ("calibrate", "--mode", "4det"),
+    ("calibrate", "--mode", "2det", "--mu", "0.02", "--n-trains", "20000"),
+)
+
+
+def test_in_process_calls_match_fresh_processes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # help text wraps at the same width
+    for argv in IN_PROCESS_SEQUENCE:
+        code, out, _ = run_cli(capsys, *argv)
+        proc = run_module(*argv)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    cfg = tmp_path / "rtag.cfg"
+    cfg.write_text("L = 2\nmu = 0.1\n")
+    script = (
+        "import sys, dqps.cli as cli\n"
+        "builds = []\n"
+        "build = cli._build_parser\n"
+        "cli._build_parser = lambda: builds.append(1) or build()\n"
+        "counts = []\n"
+        "for extra in ([], [], [], ['--config', sys.argv[1]], []):\n"
+        "    assert cli.main(['rtag', '--L', '2', '--mu', '0.1', *extra]) == 0\n"
+        "    counts.append(len(builds))\n"
+        "print(*counts)\n"
+    )
+    proc = run_python("-c", script, str(cfg))
+    assert proc.returncode == 0, proc.stderr
+    # import built nothing, the first call built the shared parser, and
+    # --config built one of its own
+    assert proc.stdout.splitlines()[-1] == "1 1 1 2 2"
