@@ -1,0 +1,265 @@
+"""The CLI parity matrix: what every kind of dqps call prints, writes and returns.
+
+CASES covers every subcommand, JSON and CSV, --output, --event-log,
+--source, --help, --config (one case per subcommand, flags over the file,
+and each way a config file can be refused) and the exit codes 0, 2, 3 and 4.
+Every case runs in one working directory that holds INPUTS.  The golden
+file keeps, per case, the exit code, the sha256 of stdout, the sha256 of
+each file the case writes, and the last stderr line when dqps itself
+reports the error (argparse's own messages are left out).  Help text is
+kept by exit code only, since argparse lays it out differently across
+Python versions.
+
+A change to the golden file changes what the CLI does, so it has to be
+deliberate.  To rewrite it:
+
+    PYTHONPATH=src python tests/test_cli_parity.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import dqps
+from dqps.cli import main
+
+GOLDEN_PATH = Path(__file__).resolve().with_name("cli_parity.json")
+
+INPUTS = {
+    "keyrate.cfg": "# a fixed-mu point\nL = 3\neta = 0.05\n\nerror-rate = 0.02\nmu = 0.01\n",
+    "optimize.cfg": "L = 2\neta-db = 20\nerror_rate = 0.03\noptimize = yes\nmu-lo = 1e-5\n",
+    "no-optimize.cfg": "optimize = no\n",
+    "csv.cfg": "format = csv\n",
+    "output.cfg": "output = out.json\n",
+    "sweep.cfg": "L-list = 2,20\neta-db-range = 0:20:10\nerror-rate = 0.03\n",
+    "simulate.cfg": "L = 4\nmu = 0.1\neta = 0.3\nblocks = 20000\nseed = 17\n"
+                    "p-dark = 1e-3\ndelta = 0.2\njobs = 2\n",
+    "rtag.cfg": "L = 5\nmu = 0.2\noracle = true\ncap = 6\n",
+    "calibrate.cfg": "mode = 3det\nmu = 0.05\nn-trains = 20000\nseed = 13\n"
+                     "eta-abs = 0.5\ndead-time = 2  # slots\nevent-log = events.csv\n",
+    "unknown.cfg": "frobnicate = 1\n",
+    "config.cfg": "config = keyrate.cfg\n",
+    "help.cfg": "help = yes\n",
+    "command.cfg": "command = sweep\n",
+    "bad-int.cfg": "L = x\n",
+    "bad-choice.cfg": "format = xml\n",
+    "bad-bool.cfg": "optimize = maybe\n",
+    "malformed.cfg": "L 3\n",
+    "foreign.cfg": "blocks = 100\n",
+    "pairs.txt": "# two-pulse table\n0 0 0.5\n1 0 0.2\n0 1 0.2\n1 1 0.05\n2 0 0.05\n",
+}
+
+KEYRATE = ("keyrate", "--L", "3", "--eta", "0.05", "--error-rate", "0.02", "--mu", "0.01")
+INFEASIBLE = ("keyrate", "--L", "2", "--eta", "1e-4", "--error-rate", "0.25", "--optimize")
+SIMULATE = ("simulate", "--L", "4", "--mu", "0.1", "--eta", "0.3", "--blocks", "20000",
+            "--seed", "17")
+RTAG = ("rtag", "--L", "5", "--mu", "0.2", "--oracle", "--cap", "6")
+CAL_2DET = ("calibrate", "--mode", "2det", "--mu", "0.02", "--n-trains", "20000",
+            "--seed", "11")
+CAL_3DET = ("calibrate", "--mode", "3det", "--mu", "0.05", "--n-trains", "20000",
+            "--seed", "13", "--eta-abs", "0.5", "--dead-time", "2")
+
+CASES = (
+    (),
+    ("--help",),
+    ("frobnicate",),
+    # keyrate
+    KEYRATE,
+    KEYRATE + ("--format", "csv"),
+    KEYRATE + ("--output", "out.json"),
+    KEYRATE + ("--output", "missing/out.json"),
+    ("keyrate", "--L", "2", "--eta-db", "20", "--error-rate", "0.03", "--optimize"),
+    INFEASIBLE,
+    INFEASIBLE + ("--format", "csv"),
+    ("keyrate", "--L", "1", "--eta", "0.05", "--error-rate", "0.02", "--mu", "0.01"),
+    ("keyrate", "--L", "x"),
+    ("keyrate", "--frobnicate", "1"),
+    ("keyrate", "--format", "xml"),
+    ("keyrate", "--help"),
+    # keyrate --config, and each way a config file is refused
+    ("keyrate", "--config", "keyrate.cfg"),
+    ("keyrate", "--config", "keyrate.cfg", "--mu", "0.02", "--format", "csv"),
+    ("keyrate", "--mu", "0.02", "--config", "keyrate.cfg"),
+    ("keyrate", "--config", "keyrate.cfg", "--optimize"),
+    ("keyrate", "--config", "optimize.cfg"),
+    ("keyrate", "--config", "optimize.cfg", "--mu-hi", "0.001", "--error-rate", "0.05"),
+    ("keyrate", "--config", "no-optimize.cfg") + KEYRATE[1:],
+    ("keyrate", "--config", "no-optimize.cfg", "--optimize", "--L", "2", "--eta-db", "20",
+     "--error-rate", "0.03"),
+    KEYRATE + ("--config", "csv.cfg"),
+    KEYRATE + ("--config", "output.cfg"),
+    KEYRATE + ("--config", "output.cfg", "--output", "mine.json"),
+    ("keyrate", "--config", "unknown.cfg"),
+    ("keyrate", "--config", "config.cfg"),
+    ("keyrate", "--config", "help.cfg"),
+    ("keyrate", "--config", "command.cfg"),
+    ("keyrate", "--config", "bad-int.cfg"),
+    ("keyrate", "--config", "bad-choice.cfg"),
+    ("keyrate", "--config", "bad-bool.cfg"),
+    ("keyrate", "--config", "malformed.cfg"),
+    ("keyrate", "--config", "missing.cfg"),
+    ("keyrate", "--config", "foreign.cfg"),
+    ("keyrate", "--config"),
+    # sweep
+    ("sweep", "--L-list", "2", "--eta-db-range", "0:40:40", "--error-rate", "0.11"),
+    ("sweep", "--L-list", "2,x", "--eta-db-range", "0:40:40", "--error-rate", "0.11"),
+    ("sweep", "--config", "sweep.cfg"),
+    ("sweep", "--config", "sweep.cfg", "--error-rate", "0.05", "--output", "sweep.csv"),
+    ("sweep", "--config", "simulate.cfg"),
+    ("sweep", "--config", "csv.cfg"),
+    ("sweep", "--help"),
+    # simulate
+    SIMULATE,
+    SIMULATE + ("--jobs", "2", "--bitflip", "0.01", "--output", "sim.json"),
+    SIMULATE + ("--format", "csv"),
+    ("simulate", "--config", "simulate.cfg"),
+    ("simulate", "--config", "simulate.cfg", "--seed", "3", "--jobs", "1"),
+    ("simulate", "--config", "simulate.cfg", "--config", "csv.cfg"),
+    ("simulate", "--config", "rtag.cfg"),
+    ("simulate", "--help"),
+    # rtag
+    RTAG,
+    RTAG + ("--format", "csv"),
+    ("rtag", "--source", "pairs.txt"),
+    ("rtag", "--source", "pairs.txt", "--format", "csv", "--output", "tag.csv"),
+    ("rtag", "--source", "missing.txt"),
+    ("rtag", "--L", "9", "--mu", "0.1", "--oracle", "--cap", "10", "--work-limit", "1e8"),
+    ("rtag", "--L", "2", "--mu", "0.1", "--cap", "4"),
+    ("rtag", "--config", "rtag.cfg"),
+    ("rtag", "--config", "rtag.cfg", "--cap", "4", "--format", "csv"),
+    ("rtag", "--config", "rtag.cfg", "--work-limit", "10"),
+    ("rtag", "--config", "rtag.cfg", "--source", "pairs.txt"),
+    ("rtag", "--help"),
+    # calibrate
+    CAL_2DET,
+    CAL_2DET + ("--format", "csv"),
+    CAL_3DET + ("--event-log", "events.csv", "--jobs", "2"),
+    CAL_3DET + ("--event-log", "missing/events.csv"),
+    ("calibrate", "--mode", "2det", "--L", "2", "--mu", "0.5", "--n-trains", "20000",
+     "--seed", "9", "--source", "pairs.txt"),
+    ("calibrate", "--mode", "3det", "--mu", "0.02", "--source", "pairs.txt"),
+    ("calibrate", "--mode", "2det", "--mu", "0.02", "--eta-abs", "0.5"),
+    ("calibrate", "--mode", "4det"),
+    ("calibrate", "--config", "calibrate.cfg"),
+    ("calibrate", "--config", "calibrate.cfg", "--format", "csv", "--output", "cal.csv"),
+    ("calibrate", "--config", "calibrate.cfg", "--mode", "2det"),
+    ("calibrate", "--config", "keyrate.cfg"),
+    ("calibrate", "--help"),
+)
+
+# cases also run as fresh `python -m dqps` processes
+FRESH_CASES = (
+    (),
+    ("--help",),
+    ("keyrate", "--config", "keyrate.cfg", "--mu", "0.02", "--format", "csv"),
+    ("keyrate", "--config", "missing.cfg"),
+    ("rtag", "--L", "9", "--mu", "0.1", "--oracle", "--cap", "10", "--work-limit", "1e8"),
+    ("calibrate", "--config", "calibrate.cfg"),
+)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _outcome(argv, code, out: str, err: str, workdir: Path) -> dict:
+    """What a case left behind; the files it wrote are read, then removed."""
+    files = {}
+    for path in sorted(workdir.iterdir()):
+        if path.name not in INPUTS:
+            files[path.name] = _sha256(path.read_bytes())
+            path.unlink()
+    lines = err.splitlines()
+    return {
+        "exit": code,
+        "stdout": None if "--help" in argv else _sha256(out.encode()),
+        "files": files,
+        "error": lines[-1] if lines and lines[-1].startswith("error: ") else None,
+    }
+
+
+def _run_in_process(argv, workdir: Path) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return _outcome(argv, code, out.getvalue(), err.getvalue(), workdir)
+
+
+def _run_fresh(argv, workdir: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "DQPS_OUTPUT_DIR"}
+    env.update(PYTHONPATH=str(Path(dqps.__file__).parents[1]), COLUMNS="100")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dqps", *argv], cwd=workdir, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    return _outcome(argv, proc.returncode, proc.stdout, proc.stderr, workdir)
+
+
+def _write_inputs(workdir: Path) -> None:
+    for name, text in INPUTS.items():
+        (workdir / name).write_text(text)
+
+
+def _key(argv) -> str:
+    return " ".join(argv)
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def _prepare(monkeypatch, tmp_path):
+    monkeypatch.delenv("DQPS_OUTPUT_DIR", raising=False)
+    monkeypatch.setenv("COLUMNS", "100")
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+
+
+def test_every_case_has_one_golden_entry():
+    assert len(set(map(_key, CASES))) == len(CASES)
+    assert set(_golden()) == set(map(_key, CASES))
+    assert set(FRESH_CASES) <= set(CASES)
+
+
+def test_the_matrix_covers_every_exit_code_and_subcommand():
+    golden = _golden()
+    assert {entry["exit"] for entry in golden.values()} == {0, 2, 3, 4}
+    for command in ("keyrate", "sweep", "simulate", "rtag", "calibrate"):
+        assert golden[_key((command, "--help"))]["exit"] == 0
+        assert any(argv[:2] == (command, "--config") and golden[_key(argv)]["exit"] == 0
+                   for argv in CASES), command
+
+
+def test_in_process_calls_match_the_golden_file(monkeypatch, tmp_path):
+    _prepare(monkeypatch, tmp_path)
+    golden = _golden()
+    for argv in CASES:
+        assert _run_in_process(argv, tmp_path) == golden[_key(argv)], argv
+
+
+def test_fresh_processes_match_the_golden_file(monkeypatch, tmp_path):
+    _prepare(monkeypatch, tmp_path)
+    golden = _golden()
+    for argv in FRESH_CASES:
+        assert _run_fresh(argv, tmp_path) == golden[_key(argv)], argv
+
+
+def _record() -> None:
+    os.environ.pop("DQPS_OUTPUT_DIR", None)
+    os.environ["COLUMNS"] = "100"
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        os.chdir(workdir)
+        _write_inputs(workdir)
+        golden = {_key(argv): _run_in_process(argv, workdir) for argv in CASES}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    _record()
