@@ -60,6 +60,25 @@ def _detection_probs(setup) -> list[float]:
     return probs
 
 
+def _refuse_overflow(declared: dict) -> None:
+    """Refuse the declared efficiencies, naming the smallest."""
+    raise ParameterError(min(declared, key=declared.get),
+                         "declared efficiencies so small that the bound is not finite")
+
+
+def _check_bound_finite(setup) -> None:
+    """Refuse efficiencies that let some count of the test overflow the bound or sigma.
+
+    Both grow with the counts, and no count exceeds n_test, so the largest decides.
+    """
+    try:
+        finite = all(map(math.isfinite, setup._bound(setup.n_test, setup.n_test)))
+    except (ZeroDivisionError, OverflowError):  # float / 0.0, float ** 2
+        finite = False
+    if not finite:
+        _refuse_overflow({bound: getattr(setup, bound) for bound, *_ in setup._arms()})
+
+
 @dataclass(frozen=True)
 class CalibSetup2:
     """Two-detector test bench.
@@ -93,6 +112,7 @@ class CalibSetup2:
             raise ParameterError("true_T", "splitter outputs true_T + true_R exceed 1")
         _detection_probs(self)
         _positive_count("n_test", self.n_test)
+        _check_bound_finite(self)
         if self.source is not None and self.source.L != self.L:
             raise ParameterError("source", "distribution length differs from L")
         if self.source is not None and max(sum(c) for c, _ in self.source.support) >= 2**63:
@@ -104,6 +124,13 @@ class CalibSetup2:
             ("eta1", self.true_T, "true_eff1", "true_T"),
             ("eta2", self.true_R, "true_eff2", "true_R"),
         )
+
+    def _bound(self, n_double: int, n_triple: int) -> tuple[float, float]:
+        """The bound on the tagging probability from the counts, and its sigma."""
+        scale = 2.0 * self.eta1 * self.eta2
+        bound = (n_double / self.n_test) / scale
+        sigma = math.sqrt(max(n_double, 1)) / self.n_test / scale
+        return bound, sigma
 
 
 @dataclass(frozen=True)
@@ -150,6 +177,7 @@ class CalibSetup3:
         _detection_probs(self)
         _check_int("dead_time", self.dead_time, 0)
         _positive_count("n_test", self.n_test)
+        _check_bound_finite(self)
 
     def _arms(self):
         """The arm table as in CalibSetup2, absorber first, then routing order."""
@@ -160,6 +188,19 @@ class CalibSetup3:
             ("eta2", T1 * self.true_R2, "true_eff2", "true_R2" if T1 else "true_T1"),
             ("eta3", self.true_R1, "true_eff3", "true_R1"),
         )
+
+    def _bound(self, n_double: int, n_triple: int) -> tuple[float, float]:
+        """As in CalibSetup2, the triples compensating for dead time."""
+        q3 = q3_bound(n_triple, self.n_test, self.eta1, self.eta2, self.eta3)
+        scale = 2.0 * self.eta1 * self.eta2 * self.eta_abs**2
+        bound = (n_double / self.n_test + q3) / scale
+        triple_weight = 1.0 / (6.0 * self.eta1 * self.eta2 * self.eta3)
+        sigma = (
+            math.sqrt(max(n_double, 1) + max(n_triple, 1) * triple_weight**2)
+            / self.n_test
+            / scale
+        )
+        return bound, sigma
 
 
 @dataclass(frozen=True)
@@ -190,9 +231,14 @@ def q3_bound(n_triple: int, n_test: int, eta1: float, eta2: float, eta3: float) 
     """Bound on the three-or-more-photon emission probability per train."""
     _check_int("n_triple", n_triple, 0)
     _positive_count("n_test", n_test)
-    for name, value in (("eta1", eta1), ("eta2", eta2), ("eta3", eta3)):
+    declared = {"eta1": eta1, "eta2": eta2, "eta3": eta3}
+    for name, value in declared.items():
         _probability(name, value, interval="(0, 1]")
-    return (n_triple / n_test) / (6.0 * eta1 * eta2 * eta3)
+    weight = 6.0 * eta1 * eta2 * eta3
+    q3 = (n_triple / n_test) / weight if weight else math.inf
+    if not math.isfinite(q3):
+        _refuse_overflow(declared)
+    return q3
 
 
 def relative_slack_limit(L: int, mu: float) -> float:
@@ -306,9 +352,7 @@ def simulate_two_detector(
     n_double, _, events = _run_batches(
         setup, seed, n_jobs, collect_events, _two_detector_batch
     )
-    scale = 2.0 * setup.eta1 * setup.eta2
-    bound = (n_double / setup.n_test) / scale
-    sigma = math.sqrt(max(n_double, 1)) / setup.n_test / scale
+    bound, sigma = setup._bound(n_double, 0)
     if setup.source is None:
         true_rtag = rtag_coherent(TagParams(setup.L, setup.mu))
     else:
@@ -338,15 +382,7 @@ def simulate_three_detector(
     n_double, n_triple, events = _run_batches(
         setup, seed, n_jobs, collect_events, _three_detector_batch
     )
-    q3 = q3_bound(n_triple, setup.n_test, setup.eta1, setup.eta2, setup.eta3)
-    scale = 2.0 * setup.eta1 * setup.eta2 * setup.eta_abs**2
-    bound = (n_double / setup.n_test + q3) / scale
-    triple_weight = 1.0 / (6.0 * setup.eta1 * setup.eta2 * setup.eta3)
-    sigma = (
-        math.sqrt(max(n_double, 1) + max(n_triple, 1) * triple_weight**2)
-        / setup.n_test
-        / scale
-    )
+    bound, sigma = setup._bound(n_double, n_triple)
     true_rtag = rtag_coherent(TagParams(setup.L, setup.mu))
     return CalibrationReport(
         mode="3det",

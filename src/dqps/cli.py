@@ -8,11 +8,13 @@ sweep is CSV only, simulate JSON lines only.  Floats in CSV use 17
 significant digits so files round-trip bit-exactly.
 
 main(argv) may be called any number of times in one process: the parser is
-built on the first call and reused.  A flat key=value config file (--config)
-can supply any long option of the chosen subcommand, for its own call only;
-explicit flags win.  Handlers pass on to the library only the flags given,
-so a flag left out takes the library's default.  Relative --output and
---event-log paths resolve against $DQPS_OUTPUT_DIR when set.
+built on the first call and serves every call, --config calls included.  A
+flat key=value config file (--config) can supply any long option of the
+chosen subcommand, for its own call only: its values go into that call's
+namespace, never on the parser, and explicit flags win.  Handlers pass on
+to the library only the flags given, so a flag left out takes the
+library's default.  Relative --output and --event-log paths resolve
+against $DQPS_OUTPUT_DIR when set.
 
 Exit codes: 0 success, 2 validation, 3 I/O, 4 resource limit.
 """
@@ -141,20 +143,9 @@ def _build_parser():
         "differential-quadrature-phase-shift QKD.",
     )
     subparsers = parser.add_subparsers(dest="command")
-    registry: dict[str, tuple[argparse.ArgumentParser, dict]] = {}
 
     def command(name, help_text):
-        sub = subparsers.add_parser(name, help=help_text)
-        converters: dict = {}
-        registry[name] = (sub, converters)
-
-        def add(flag, **kwargs):
-            conv = kwargs.get("type", str)
-            if kwargs.get("action") == "store_true":
-                conv = _parse_bool
-            action = sub.add_argument(flag, **kwargs)
-            converters[action.dest] = (conv, action.choices)
-
+        add = subparsers.add_parser(name, help=help_text).add_argument
         add("--config", help="flat key=value file supplying defaults")
         add("--output", help="write result here instead of stdout")
         return add
@@ -218,16 +209,19 @@ def _build_parser():
     add("--event-log", help="write per-train coincidence flags to this CSV")
     add("--format", choices=("json", "csv"), default="json")
 
-    return parser, registry
+    return parser, subparsers.choices
 
 
 @functools.cache
 def _parser():
-    """The parser every call shares, built on first use; --config never alters it."""
+    """The parser and its subcommands' parsers, built once, shared by every call."""
     return _build_parser()
 
 
-def _config_defaults(path: str, converters: dict) -> dict:
+def _config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
+    """The file's values by dest, converted and checked as sub's flags are."""
+    actions = {action.dest: action for action in sub._actions
+               if action.dest not in ("help", "config")}
     text = Path(path).read_text()
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -238,14 +232,15 @@ def _config_defaults(path: str, converters: dict) -> dict:
             raise ParameterError("config", f"line {lineno}: expected key=value")
         key, value = line.split("=", 1)
         dest = key.strip().replace("-", "_")
-        if dest == "config" or dest not in converters:
+        if dest not in actions:
             raise ParameterError("config", f"unknown key {key.strip()!r}")
-        convert, choices = converters[dest]
+        action = actions[dest]
+        convert = _parse_bool if action.nargs == 0 else action.type or str
         try:
             overrides[dest] = convert(value.strip())
         except ValueError:
             raise ParameterError(dest, f"invalid value {value.strip()!r}") from None
-        if choices is not None and overrides[dest] not in choices:
+        if action.choices is not None and overrides[dest] not in action.choices:
             raise ParameterError(dest, f"invalid value {value.strip()!r}")
     return overrides
 
@@ -468,7 +463,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser, _ = _parser()
+    parser, subs = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -478,11 +474,12 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.config is not None:
-            # the file's defaults go on a parser of this call's own
-            parser, registry = _build_parser()
-            sub, converters = registry[args.command]
-            sub.set_defaults(**_config_defaults(args.config, converters))
-            args = parser.parse_args(argv)
+            # argparse fills in a default only where the namespace has no
+            # value, so the file's values stand in for defaults, flags win
+            sub = subs[args.command]
+            config = argparse.Namespace(
+                command=args.command, **_config_defaults(args.config, sub))
+            args = sub.parse_args(argv[argv.index(args.command) + 1:], config)
         records = _HANDLERS[args.command](args)
         # sweep has no --format: its records are CSV
         _emit(_render(records, getattr(args, "format", "csv")), args.output)

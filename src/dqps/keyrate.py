@@ -167,4 +167,6 @@ def channel_q(L: int, mu: float, eta: float) -> float:
 
 
 def _channel_q(L: int, mu, eta):
-    return -np.expm1(-(L - 1) * mu * eta)
+    # a huge (L-1)*mu overflows to inf, and Q = 1 there is right
+    with np.errstate(over="ignore"):
+        return -np.expm1(-(L - 1) * mu * eta)

@@ -293,7 +293,8 @@ def run_simulation(
         tagged_data=tagged_data,
         Q_hat=sifted_data / norm_data,
         E0_hat=errors_data / norm_data,
-        E1_hat=errors_check / norm_check,
+        # a tiny p1 underflows norm_check to 0; no check errors read as 0
+        E1_hat=errors_check / norm_check if errors_check else 0.0,
         Delta_hat=tagged_data / sifted_data if sifted_data else 0.0,
         j_hist_d0=tuple(int(x) for x in h0),
         j_hist_d1=tuple(int(x) for x in h1),

@@ -219,6 +219,25 @@ def test_setups_reject_a_zero_transmission_arm():
         CalibSetup2(L=10, mu=0.02, true_T=0.0, true_eff1=1.0)
 
 
+@pytest.mark.parametrize("setup, declared, name", [
+    (CalibSetup2, dict(eta1=1e-200, eta2=1e-200), "eta1"),  # scale underflows to 0
+    (CalibSetup2, dict(eta1=1e-160, eta2=1e-160), "eta1"),  # bound and sigma overflow
+    (CalibSetup3, dict(eta1=1e-120, eta2=1e-120, eta3=1e-120), "eta1"),
+    (CalibSetup3, dict(eta1=1e-52, eta2=1e-52, eta3=1e-52), "eta1"),  # sigma alone, by **
+    (CalibSetup3, dict(eta_abs=1e-170), "eta_abs"),
+    (CalibSetup3, dict(eta2=1e-300, eta3=1e-20), "eta2"),
+])
+def test_setups_refuse_efficiencies_that_overflow_the_bound(setup, declared, name):
+    with pytest.raises(ParameterError, match=f"'{name}': declared efficiencies so small"):
+        setup(L=10, mu=0.02, n_test=20000, **declared)
+
+
+def test_tiny_efficiencies_with_a_finite_bound_still_run():
+    setup = CalibSetup2(L=10, mu=0.02, eta1=1e-150, eta2=1e-150, n_test=20000)
+    report = simulate_two_detector(setup, seed=1)
+    assert report.bound == 0.0 and report.sigma == 1 / 20000 / (2 * 1e-150 * 1e-150)
+
+
 def test_setup2_source_length_must_match():
     dist = SourceDistribution((((0, 0), 1.0),))
     with pytest.raises(ParameterError, match="'source'"):
@@ -453,6 +472,14 @@ def test_q3_bound_values():
         q3_bound(-1, 1000, 0.5, 0.5, 0.5)
     with pytest.raises(ParameterError, match="'n_triple'"):
         q3_bound(True, 1000, 0.5, 0.5, 0.5)
+    # efficiencies whose product underflows, or overflows the bound, are refused
+    with pytest.raises(ParameterError, match="'eta1': declared efficiencies so small"):
+        q3_bound(10, 1, 5e-324, 5e-324, 5e-324)
+    with pytest.raises(ParameterError, match="'eta3'"):
+        q3_bound(0, 1, 0.5, 1e-200, 1e-300)
+    with pytest.raises(ParameterError, match="'eta2'"):
+        q3_bound(1, 1, 0.5, 1e-300, 1e-9)
+    assert q3_bound(0, 1, 0.5, 1e-300, 1e-9) == 0.0
 
 
 def test_q3_bound_covers_poisson_tail():

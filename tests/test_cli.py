@@ -303,6 +303,15 @@ def test_sweep_mu_lo_reaches_past_the_default_bracket(capsys):
         assert float(row[6]) > 0.0
 
 
+def test_sweep_mu_hi_at_the_largest_float_prints_no_warning(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--L-list", "2,20", "--eta-db-range", "0:20:20",
+        "--error-rate", "0.03", "--mu-hi", "1e308",
+    )
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 5
+
+
 def test_sweep_labels_grid_points_that_round_to_one_eta(capsys):
     # 0, 1e-17 and 2e-17 dB all give eta = 1; each row keeps its own dB
     code, out, err = run_cli(
@@ -642,6 +651,23 @@ def test_calibrate_three_detector_zero_transmission_arm_exits_2(capsys):
     )
     assert code == 2 and out == ""
     assert "parameter 'true_R1'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("declared, name", [
+    (("--mode", "2det", "--eta1", "1e-200", "--eta2", "1e-200"), "eta1"),
+    (("--mode", "2det", "--eta1", "1e-160", "--eta2", "1e-160"), "eta1"),
+    (("--mode", "3det", "--eta1", "1e-120", "--eta2", "1e-120", "--eta3", "1e-120"),
+     "eta1"),
+    (("--mode", "3det", "--eta1", "1e-52", "--eta2", "1e-52", "--eta3", "1e-52"),
+     "eta1"),
+    (("--mode", "3det", "--eta-abs", "1e-170"), "eta_abs"),
+])
+def test_calibrate_refuses_efficiencies_that_overflow_the_bound(capsys, declared, name):
+    code, out, err = run_cli(
+        capsys, "calibrate", "--mu", "0.02", "--n-trains", "20000", *declared,
+    )
+    assert code == 2 and out == ""
+    assert f"parameter '{name}': declared efficiencies so small" in err
 
 
 # --- library defaults ---------------------------------------------------------------
@@ -996,6 +1022,6 @@ def test_parser_is_built_once_per_process(tmp_path):
     )
     proc = run_python("-c", script, str(cfg))
     assert proc.returncode == 0, proc.stderr
-    # import built nothing, the first call built the shared parser, and
-    # --config built one of its own
-    assert proc.stdout.splitlines()[-1] == "1 1 1 2 2"
+    # import built nothing and the first call built the parser that every
+    # call shares, the --config call too
+    assert proc.stdout.splitlines()[-1] == "1 1 1 1 1"

@@ -114,6 +114,17 @@ def test_optimize_mu_stays_in_bounds_and_beats_the_grid(L, eta, mu_bounds, grid_
     assert rate == rate_at(L, eta, 0.03, mu_opt)
 
 
+@pytest.mark.parametrize("L", [2, 20, 1000])
+@pytest.mark.parametrize("mu_bounds", [(1e-6, 1e308), (1e-300, 1.7e308)])
+def test_optimize_mu_brackets_up_to_the_largest_float_quietly(L, mu_bounds):
+    # (L-1) * mu overflows to inf at the grid's top, where Q = 1 is right;
+    # the suite turns a RuntimeWarning into an error
+    mu_opt, rate = optimize_mu(L, 0.01, 0.03, mu_bounds=mu_bounds)
+    default = optimize_mu(L, 0.01, 0.03)
+    assert mu_opt == pytest.approx(default.mu_opt, rel=1e-3)
+    assert rate == pytest.approx(default.rate, rel=1e-9)
+
+
 def test_optimize_mu_infeasible_everywhere():
     # error rate past the distillation threshold kills every intensity
     result = optimize_mu(2, 0.5, 0.4)

@@ -249,6 +249,15 @@ def test_thin_statistics_warning():
         run_simulation(params, ChannelModel(eta=0.01))
 
 
+def test_check_basis_too_rare_to_normalise_reads_no_errors():
+    # n_blocks * p1**2 underflows to 0 at p1 = 1e-170; 1e-100 still divides
+    tiny, small = (
+        quiet_run(ProtocolParams(2, 0.1, p1, 1000, seed=0), ChannelModel(eta=0.5))
+        for p1 in (1e-170, 1e-100)
+    )
+    assert tiny == small and tiny.E1_hat == 0.0 and tiny.errors_check == 0
+
+
 def test_estimate_key_rate_consistency():
     params = ProtocolParams(L=10, mu=0.02, p1=0.5, n_blocks=300000, seed=8)
     stats = quiet_run(params, ChannelModel(eta=0.5))
