@@ -13,9 +13,13 @@ detector only loosens the result.  The setups own their defaults: a truth
 left unset stays None and counts as the value that makes the declared bound
 exact.  Photons route independently, which is exact for the Poissonian
 and diagonal sources in scope.  Only trains where two or more photons reach
-a detector can coincide, so only those are simulated pulse by pulse.  Trains
-run through the protocol's seeded batch runner, ``protocol.run_batches``, so
-a seed gives the same counts for any thread count.
+a detector can coincide, so only those are simulated pulse by pulse.
+
+Both benches run through one driver, ``_calibrate``, on the protocol's seeded
+batch runner, ``protocol.run_batches``, so a seed gives the same counts for
+any thread count.  A bench's kernel only reports the trains that can coincide
+and their flags, [double] or [double, triple]; the driver counts the flags,
+applies the setup's bound and builds the report.
 """
 
 from __future__ import annotations
@@ -125,8 +129,8 @@ class CalibSetup2:
             ("eta2", self.true_R, "true_eff2", "true_R"),
         )
 
-    def _bound(self, n_double: int, n_triple: int) -> tuple[float, float]:
-        """The bound on the tagging probability from the counts, and its sigma."""
+    def _bound(self, n_double: int, n_triple: int | None) -> tuple[float, float]:
+        """The bound on the tagging probability from the doubles, and its sigma."""
         scale = 2.0 * self.eta1 * self.eta2
         bound = (n_double / self.n_test) / scale
         sigma = math.sqrt(max(n_double, 1)) / self.n_test / scale
@@ -253,17 +257,12 @@ def relative_slack_limit(L: int, mu: float) -> float:
     return mu * (0.75 * mu * L + 20.0 / 9.0)
 
 
-def _neighbor_or(clicks: np.ndarray) -> np.ndarray:
-    """OR of each slot with its immediate neighbors, per train."""
-    out = clicks.copy()
-    out[:, :-1] |= clicks[:, 1:]
-    out[:, 1:] |= clicks[:, :-1]
-    return out
-
-
 def _double_coincidence(clicks1: np.ndarray, clicks2: np.ndarray) -> np.ndarray:
     """Trains where the detectors clicked within one slot of each other."""
-    return (clicks1 & _neighbor_or(clicks2)).any(axis=1)
+    near = clicks2.copy()  # each slot of detector 2 OR its immediate neighbors
+    near[:, :-1] |= clicks2[:, 1:]
+    near[:, 1:] |= clicks2[:, :-1]
+    return (clicks1 & near).any(axis=1)
 
 
 def _apply_dead_time(raw: np.ndarray, dead_time: int) -> np.ndarray:
@@ -309,9 +308,7 @@ def _clicks(setup, source, probs, rng, n: int):
 
 def _two_detector_batch(setup: CalibSetup2, probs, rng, n: int):
     rows, clicks = _clicks(setup, setup.source, probs, rng, n)
-    events = np.zeros((n, 1), dtype=bool)
-    events[rows, 0] = _double_coincidence(*clicks)
-    return int(np.count_nonzero(events)), 0, events
+    return rows, _double_coincidence(*clicks)[:, None]
 
 
 def _three_detector_batch(setup: CalibSetup3, probs, rng, n: int):
@@ -319,26 +316,52 @@ def _three_detector_batch(setup: CalibSetup3, probs, rng, n: int):
     rows, clicks = _clicks(setup, None, [p_abs * p for p in arms], rng, n)
     masked = [_apply_dead_time(c, setup.dead_time) for c in clicks[:2]]
     # dead time never hides a detector's first click, so triples use raw clicks
-    found = np.stack([_double_coincidence(*masked), clicks.any(axis=2).all(axis=0)], 1)
-    events = np.zeros((n, 2), dtype=bool)
-    events[rows] = found
-    return *np.count_nonzero(found, axis=0).tolist(), events
+    triple = clicks.any(axis=2).all(axis=0)
+    return rows, np.stack([_double_coincidence(*masked), triple], 1)
 
 
-def _run_batches(setup, seed: int, n_jobs: int, collect_events: bool, kernel):
+def _calibrate(mode, setup, kernel, seed, n_jobs, collect_events, source=None):
+    """Run kernel over setup.n_test trains and report the bound it gives.
+
+    kernel(setup, probs, rng, n) returns the trains among n that can coincide
+    and their flags, one row each; the counts come from those rows alone.
+    """
     probs = _detection_probs(setup)
-    results = run_batches(
-        seed, setup.n_test, n_jobs, lambda rng, size: kernel(setup, probs, rng, size)
-    )
+
+    def batch(rng, size):
+        rows, found = kernel(setup, probs, rng, size)
+        events = None
+        if collect_events:
+            events = np.zeros((size, found.shape[1]), dtype=bool)
+            events[rows] = found
+        return np.count_nonzero(found, axis=0), events
+
+    results = run_batches(seed, setup.n_test, n_jobs, batch)
     if setup.n_test < 10**4:
         warnings.warn(
             f"{setup.n_test} test trains give a statistically meaningless bound",
             ThinStatisticsWarning,
             stacklevel=3,
         )
-    doubles, triples, events = zip(*results)
-    events = np.concatenate(events) if collect_events else None
-    return sum(doubles), sum(triples), events
+    counts, events = zip(*results)
+    # a kernel with one column of flags counts no triples
+    n_double, n_triple = (*sum(counts).tolist(), None)[:2]
+    bound, sigma = setup._bound(n_double, n_triple)
+    if source is None:
+        true_rtag = rtag_coherent(TagParams(setup.L, setup.mu))
+    else:
+        true_rtag = rtag_general(source)
+    return CalibrationReport(
+        mode=mode,
+        n_test=setup.n_test,
+        n_double=n_double,
+        n_triple=n_triple,
+        bound=bound,
+        true_rtag=true_rtag,
+        slack=bound - true_rtag,
+        sigma=sigma,
+        events=np.concatenate(events) if collect_events else None,
+    )
 
 
 def simulate_two_detector(
@@ -349,25 +372,8 @@ def simulate_two_detector(
     The bound is (n_double / n_test) / (2 * eta1 * eta2) with the declared
     efficiency bounds, valid for any photon-number-diagonal source.
     """
-    n_double, _, events = _run_batches(
-        setup, seed, n_jobs, collect_events, _two_detector_batch
-    )
-    bound, sigma = setup._bound(n_double, 0)
-    if setup.source is None:
-        true_rtag = rtag_coherent(TagParams(setup.L, setup.mu))
-    else:
-        true_rtag = rtag_general(setup.source)
-    return CalibrationReport(
-        mode="2det",
-        n_test=setup.n_test,
-        n_double=n_double,
-        n_triple=None,
-        bound=bound,
-        true_rtag=true_rtag,
-        slack=bound - true_rtag,
-        sigma=sigma,
-        events=events,
-    )
+    return _calibrate("2det", setup, _two_detector_batch, seed, n_jobs, collect_events,
+                      setup.source)
 
 
 def simulate_three_detector(
@@ -379,19 +385,4 @@ def simulate_three_detector(
     term: bound = (n_double/n_test + q3_bound) / (2 * eta1 * eta2 * eta_abs^2),
     with every efficiency a declared lower bound.
     """
-    n_double, n_triple, events = _run_batches(
-        setup, seed, n_jobs, collect_events, _three_detector_batch
-    )
-    bound, sigma = setup._bound(n_double, n_triple)
-    true_rtag = rtag_coherent(TagParams(setup.L, setup.mu))
-    return CalibrationReport(
-        mode="3det",
-        n_test=setup.n_test,
-        n_double=n_double,
-        n_triple=n_triple,
-        bound=bound,
-        true_rtag=true_rtag,
-        slack=bound - true_rtag,
-        sigma=sigma,
-        events=events,
-    )
+    return _calibrate("3det", setup, _three_detector_batch, seed, n_jobs, collect_events)

@@ -8,13 +8,13 @@ sweep is CSV only, simulate JSON lines only.  Floats in CSV use 17
 significant digits so files round-trip bit-exactly.
 
 main(argv) may be called any number of times in one process: the parser is
-built on the first call and serves every call, --config calls included.  A
-flat key=value config file (--config) can supply any long option of the
-chosen subcommand, for its own call only: its values go into that call's
-namespace, never on the parser, and explicit flags win.  Handlers pass on
-to the library only the flags given, so a flag left out takes the
-library's default.  Relative --output and --event-log paths resolve
-against $DQPS_OUTPUT_DIR when set.
+built on the first call and serves every call, --config calls included.  One
+flat key=value config file (--config; a second one is refused) can supply
+any long option of the chosen subcommand, for its own call only: its values
+go into that call's namespace, never on the parser, and explicit flags win.
+Handlers pass on to the library only the flags given, so a flag left out
+takes the library's default.  Relative --output and --event-log paths
+resolve against $DQPS_OUTPUT_DIR when set.
 
 Exit codes: 0 success, 2 validation, 3 I/O, 4 resource limit.
 """
@@ -146,7 +146,7 @@ def _build_parser():
 
     def command(name, help_text):
         add = subparsers.add_parser(name, help=help_text).add_argument
-        add("--config", help="flat key=value file supplying defaults")
+        add("--config", action="append", help="flat key=value file supplying defaults")
         add("--output", help="write result here instead of stdout")
         return add
 
@@ -438,7 +438,7 @@ def cmd_calibrate(args) -> list[dict]:
     )
 
     if collect:
-        columns = ["train", "double"] + (["triple"] if mode == "3det" else [])
+        columns = ["train", "double", "triple"][:1 + report.events.shape[1]]
         row = ",".join(["%d"] * len(columns)) + "\n"
         with open(_resolve_out(args.event_log), "w", newline="") as handle:
             handle.write(",".join(columns) + "\n")
@@ -474,11 +474,13 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.config is not None:
+            if len(args.config) > 1:
+                raise ParameterError("config", "give at most one --config file")
             # argparse fills in a default only where the namespace has no
             # value, so the file's values stand in for defaults, flags win
             sub = subs[args.command]
             config = argparse.Namespace(
-                command=args.command, **_config_defaults(args.config, sub))
+                command=args.command, **_config_defaults(args.config[0], sub))
             args = sub.parse_args(argv[argv.index(args.command) + 1:], config)
         records = _HANDLERS[args.command](args)
         # sweep has no --format: its records are CSV

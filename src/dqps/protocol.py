@@ -38,7 +38,7 @@ from .errors import (
     _check_real, _mean_photon_number, _positive_count, _probability, _seed,
 )
 from .keyrate import KeyRateReport, RateInputs, key_rate
-from .tagging import TagParams, rtag_coherent
+from .tagging import rtag_coherent  # noqa: F401  perfbench/spans.py wraps this name
 
 BATCH_BLOCKS = 32768
 
@@ -311,7 +311,6 @@ def estimate_key_rate(stats: ObservedStats, params: ProtocolParams) -> KeyRateRe
     """
     if stats.Q_hat <= 0.0:
         raise ParameterError("Q_hat", "no detections; key rate undefined")
-    rtag = rtag_coherent(TagParams(params.L, params.mu))
     inputs = RateInputs(
         L=params.L,
         mu=params.mu,
@@ -320,4 +319,4 @@ def estimate_key_rate(stats: ObservedStats, params: ProtocolParams) -> KeyRateRe
         E0=stats.E0_hat,
         E1=stats.E1_hat,
     )
-    return key_rate(inputs, rtag_override=rtag)
+    return key_rate(inputs)

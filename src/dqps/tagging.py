@@ -24,6 +24,7 @@ untagged mass, stays as an independent combinatorial check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -44,6 +45,10 @@ DEFAULT_WORK_LIMIT = 10**8
 # The brute-force enumerator tabulates the last min(L-1, 6) pulses once, at
 # most (cap+1)^6 rows, and joins each configuration of the leading ones to it.
 _TAIL_PULSES = 6
+
+# The oracle refuses a photon total whose weight underflows only where the
+# total carries Poisson mass above this.
+_LOG_MASS_FLOOR = math.log(1e-16)
 
 
 def _validate_counts(counts: PhotonConfig) -> tuple[int, ...]:
@@ -260,7 +265,9 @@ def rtag_bruteforce(
     by the tagging rule and weighted by its product-Poisson(mu)
     probability.  truncation_bound = 1 - P(all pulses <= cap) bounds the
     mass the enumeration cannot see.  Work is metered as L*(cap+1)^L and
-    refused above work_limit.
+    refused above work_limit.  A photon total that carries mass but whose
+    weight underflows a float is refused too (ParameterError naming
+    photon_cap); with L*cap <= 170 none does.
     """
     _check_int("photon_cap", photon_cap, 2)
     _check_real("work_limit", work_limit, "[-inf, inf]")  # NaN would pass the meter
@@ -273,6 +280,7 @@ def rtag_bruteforce(
 
     hist = _tagged_weight_histogram(L, photon_cap)
     log_mu = math.log(mu)
+    _check_enumerable(hist, L, mu)
     value = math.fsum(
         w * math.exp(-mu * L + n * log_mu) for n, w in enumerate(hist) if w > 0.0
     )
@@ -287,6 +295,22 @@ def rtag_bruteforce(
     return BruteForceResult(value, max(trunc, 0.0))
 
 
+def _check_enumerable(hist: tuple[float, ...], L: int, mu: float) -> None:
+    """Refuse an enumeration whose weights underflow where mass lies, for mu > 0.
+
+    Every photon total n >= 2 that holds Poisson(n; mu L) mass above 1e-16
+    needs a normal weight W[n], or the sum would drop mass it must see.
+    W[n] <= L^n / n!, so W[n] e^{-mu L} mu^n <= Poisson(n; mu L): a normal
+    W[n] keeps e^{-mu L} mu^n below 1 / float_min, and where the mass is
+    below 1e-16 any nonzero W[n] keeps it below e^709, so it never overflows.
+    """
+    log_mean = math.log(L) + math.log(mu)
+    for n in range(2, len(hist)):
+        if (hist[n] < sys.float_info.min
+                and n * log_mean - mu * L - math.lgamma(n + 1) > _LOG_MASS_FLOOR):
+            raise ParameterError("photon_cap", f"the weight of {n} photons underflows")
+
+
 def rtag_general(src: SourceDistribution) -> float:
     """Tagged probability mass of an explicit finite source distribution."""
     configs = _capped([c for c, _ in src.support])
@@ -297,6 +321,11 @@ def rtag_general(src: SourceDistribution) -> float:
 def _count_table(pulses: int, base: int) -> np.ndarray:
     """Every configuration of `pulses` pulses with counts below base, one per row."""
     return np.indices((base,) * pulses, dtype=np.int16).reshape(pulses, -1).T
+
+
+def _inverse_factorial(k: int) -> float:
+    """1/k!; above 170 k! overflows a float, and 1/k! is subnormal or 0."""
+    return 1.0 / math.factorial(k) if k <= 170 else math.exp(-math.lgamma(k + 1))
 
 
 @lru_cache(maxsize=16)
@@ -312,7 +341,7 @@ def _tagged_weight_histogram(L: int, cap: int) -> tuple[float, ...]:
     base = cap + 1
     s = min(L - 1, _TAIL_PULSES)
     head, tail = _count_table(L - s, base), _count_table(s, base)
-    inv_fact = np.array([1.0 / math.factorial(k) for k in range(base)])
+    inv_fact = np.array([_inverse_factorial(k) for k in range(base)])
     n_head, n_tail = head.sum(axis=1), tail.sum(axis=1, dtype=np.int64)
     w_head, w_tail = inv_fact[head].prod(axis=1), inv_fact[tail].prod(axis=1)
     tagged_head, tagged_tail = _tagged(head), _tagged(tail)

@@ -411,6 +411,29 @@ def test_three_detector_event_log():
     assert int(report.events[:, 1].sum()) == report.n_triple
 
 
+# --- both benches -------------------------------------------------------------
+
+BENCHES = [(simulate_two_detector, two_det), (simulate_three_detector, three_det)]
+
+
+@pytest.mark.parametrize("simulate, setup", BENCHES)
+def test_report_without_events_equals_report_with_events(simulate, setup):
+    # 40000 trains run as two batches
+    with_events = simulate(setup(n_test=40000, mu=0.1), seed=5, n_jobs=2,
+                           collect_events=True)
+    without = simulate(setup(n_test=40000, mu=0.1), seed=5)
+    assert without.events is None and with_events.events.shape[0] == 40000
+    assert without == with_events
+    assert (without.n_triple is None) == (with_events.events.shape[1] == 1)
+
+
+@pytest.mark.parametrize("simulate, setup", BENCHES)
+def test_thin_statistics_warning_names_the_caller(simulate, setup):
+    with pytest.warns(ThinStatisticsWarning) as caught:
+        simulate(setup(n_test=5000), seed=0)
+    assert [warning.filename for warning in caught] == [__file__]
+
+
 # --- exact law of a train's outcome ------------------------------------------
 
 def assert_bench_follows_exact_law(setup, seed):

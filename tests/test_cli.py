@@ -239,6 +239,18 @@ def test_config_values_obey_the_option_choices(capsys, tmp_path):
     assert "parameter 'mode': invalid value '4det'" in err
 
 
+def test_config_given_twice_exits_2(capsys, tmp_path):
+    first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    first.write_text("L = 3\neta = 0.05\nerror-rate = 0.02\nmu = 0.01\n")
+    second.write_text("L = 2\n")
+    for files in ((first, second), (first, first)):
+        code, out, err = run_cli(
+            capsys, "keyrate", "--config", str(files[0]), "--config", str(files[1])
+        )
+        assert code == 2 and out == ""
+        assert "parameter 'config'" in err
+
+
 # --- sweep ---------------------------------------------------------------------
 
 def test_sweep_grid_shape_and_round_trip(capsys):
@@ -404,6 +416,24 @@ def test_rtag_work_limit_exits_4(capsys):
 def test_rtag_oracle_far_above_the_cap_sees_nothing(capsys):
     (record,) = run_json(capsys, "rtag", "--L", "2", "--mu", "800", "--oracle")
     assert (record["oracle_value"], record["truncation_bound"]) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("cap_and_mu, param", [
+    (("--L", "2", "--mu", "0.1", "--cap", "200"), None),  # 1/200! once overflowed
+    (("--L", "2", "--mu", "100", "--cap", "150"), "photon_cap"),
+    (("--L", "3", "--mu", "150", "--cap", "170"), "photon_cap"),
+])
+def test_rtag_oracle_answers_within_its_bound_or_exits_2(capsys, cap_and_mu, param):
+    code, out, err = run_cli(capsys, "rtag", "--oracle", *cap_and_mu)
+    if param is not None:
+        assert code == 2 and out == ""
+        assert f"parameter '{param}'" in err
+        return
+    assert code == 0, err
+    (record,) = map(json.loads, out.splitlines())
+    assert abs(record["oracle_value"] - record["value"]) <= (
+        record["truncation_bound"] + 1e-12
+    )
 
 
 @pytest.mark.parametrize("flag, value, param", [

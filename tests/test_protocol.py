@@ -245,8 +245,10 @@ def test_tagged_fraction_tracks_rtag():
 
 def test_thin_statistics_warning():
     params = ProtocolParams(L=2, mu=0.001, p1=0.5, n_blocks=1000, seed=7)
-    with pytest.warns(ThinStatisticsWarning):
+    with pytest.warns(ThinStatisticsWarning) as caught:
         run_simulation(params, ChannelModel(eta=0.01))
+    # the warning points at the caller's line, not into the package
+    assert [warning.filename for warning in caught] == [__file__]
 
 
 def test_check_basis_too_rare_to_normalise_reads_no_errors():

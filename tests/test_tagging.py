@@ -234,6 +234,40 @@ def test_bruteforce_rejects_tiny_cap():
         rtag_bruteforce(TagParams(3, 0.1), photon_cap=1)
 
 
+# caps above 170 once overflowed 1/cap!, and high mu at high caps once
+# overflowed e^{-mu L} mu^n or let the weights underflow to a wrong value
+ORACLE_SCAN_CAPS = {2: (8, 85, 86, 120, 150, 171, 200, 300), 3: (8, 56, 57, 80, 120, 170),
+                    4: (8, 42, 43, 60)}
+ORACLE_SCAN_MU = (0.1, 1, 5, 10, 20, 30, 40, 50, 60, 80, 100, 120, 150, 200, 300, 500)
+
+
+def oracle_or_refusal(L, cap, mu):
+    """The oracle's excess over its bound, or the parameter it refuses."""
+    p = TagParams(L, mu)
+    try:
+        result = rtag_bruteforce(p, photon_cap=cap, work_limit=math.inf)
+    except ParameterError as exc:
+        return exc.param
+    return abs(result.value - rtag_coherent(p)) - result.truncation_bound
+
+
+def test_bruteforce_answers_within_its_bound_or_refuses():
+    for L, caps in ORACLE_SCAN_CAPS.items():
+        for cap, mu in itertools.product(caps, ORACLE_SCAN_MU):
+            outcome = oracle_or_refusal(L, cap, mu)
+            if isinstance(outcome, str):
+                assert outcome == "photon_cap", (L, cap, mu)
+            else:
+                assert outcome <= 1e-12, (L, cap, mu)
+
+
+def test_bruteforce_refuses_nothing_up_to_170_photons():
+    # every weight is then at least 1/170!, a normal float, and mu^n stays finite
+    for L, cap in ((2, 85), (3, 56), (4, 42)):
+        for mu in ORACLE_SCAN_MU:
+            assert oracle_or_refusal(L, cap, mu) <= 1e-12, (L, cap, mu)
+
+
 # --- general source distributions -----------------------------------------
 
 def test_rtag_general_uniform_binary_L3():
