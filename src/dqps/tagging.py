@@ -4,11 +4,11 @@ A block of L weak pulses is *tagged* when it carries two or more photons in
 the same pulse or in two neighboring pulses; such blocks are conceded to an
 eavesdropper during privacy amplification.  This module computes the
 probability of that event for phase-randomized coherent light, for
-arbitrary finite photon-number distributions, and by brute-force
-enumeration as an independent oracle.  Every pulse of a block has a
-neighbor, so a pulse with two photons already puts two in a neighboring
-pair: the rule is the single test "some neighboring pair holds two or
-more photons", written once as _tagged.
+arbitrary finite photon-number distributions, and by an independent oracle
+that joins two half-block tables of every configuration up to a photon cap.
+Every pulse has a neighbor, so a pulse with two photons already puts two in
+a neighboring pair: the rule is the single test "some neighboring pair
+holds two or more photons", written once as _tagged.
 
 The coherent case walks the block pulse by pulse as a three-state Markov
 chain (untagged with the last pulse empty, untagged with one photon in
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -41,10 +41,6 @@ PhotonConfig = Sequence[int]
 
 DEFAULT_PHOTON_CAP = 8
 DEFAULT_WORK_LIMIT = 10**8
-
-# The brute-force enumerator tabulates the last min(L-1, 6) pulses once, at
-# most (cap+1)^6 rows, and joins each configuration of the leading ones to it.
-_TAIL_PULSES = 6
 
 # The oracle refuses a photon total whose weight underflows only where the
 # total carries Poisson mass above this.
@@ -264,9 +260,10 @@ def rtag_bruteforce(
     Every configuration with per-pulse counts up to photon_cap is tested
     by the tagging rule and weighted by its product-Poisson(mu)
     probability.  truncation_bound = 1 - P(all pulses <= cap) bounds the
-    mass the enumeration cannot see.  Work is metered as L*(cap+1)^L and
-    refused above work_limit.  A photon total that carries mass but whose
-    weight underflows a float is refused too (ParameterError naming
+    mass the enumeration cannot see.  Work is metered as L*(cap+1)^L, the
+    grid the enumeration covers (from tables of (cap+1)^ceil(L/2) rows),
+    and refused above work_limit.  A photon total that carries mass but
+    whose weight underflows a float is refused too (ParameterError naming
     photon_cap); with L*cap <= 170 none does.
     """
     _check_int("photon_cap", photon_cap, 2)
@@ -332,27 +329,29 @@ def _inverse_factorial(k: int) -> float:
 def _tagged_weight_histogram(L: int, cap: int) -> tuple[float, ...]:
     """W[n] = sum over tagged configs with n photons of prod_l 1/k_l!.
 
-    The block is split into a head of the leading L-s pulses and a tail of
-    the last s = min(L-1, 6), each tabulated once with numpy; every head row
-    is joined to the whole tail table, and the joined row is tagged when
-    the head, the tail or the seam pair across them is.  The joins cover
-    the full (cap+1)^L grid exactly.
+    Joins the head (first ceil(L/2) pulses) and tail (last floor(L/2)) of
+    the (cap+1)^L grid meet-in-the-middle.  A tagged head joins every tail;
+    an untagged head ending in a = min(k, 2) photons joins the tails that
+    are tagged or start with 2 - a or more.  Each side is one bincount by
+    tag, photon count and seam-pulse count; math.fsum adds the columns each
+    seam class needs, so no in-order float sum runs long: every W[n] lands
+    within a few ulps of exact (no term is negative).
     """
     base = cap + 1
-    s = min(L - 1, _TAIL_PULSES)
-    head, tail = _count_table(L - s, base), _count_table(s, base)
     inv_fact = np.array([_inverse_factorial(k) for k in range(base)])
-    n_head, n_tail = head.sum(axis=1), tail.sum(axis=1, dtype=np.int64)
-    w_head, w_tail = inv_fact[head].prod(axis=1), inv_fact[tail].prod(axis=1)
-    tagged_head, tagged_tail = _tagged(head), _tagged(tail)
-    first_tail = tail[:, 0]
 
-    max_n = L * cap
-    partial: list[list[float]] = [[] for _ in range(max_n + 1)]
-    for k in range(len(head)):
-        tagged = tagged_head[k] | tagged_tail | (head[k, -1] + first_tail >= 2)
-        weights = np.where(tagged, w_tail * w_head[k], 0.0)
-        chunk = np.bincount(n_tail + n_head[k], weights=weights, minlength=max_n + 1)
-        for n in np.nonzero(chunk)[0]:
-            partial[n].append(chunk[n])
-    return tuple(math.fsum(parts) for parts in partial)
+    def by_seam(pulses: int, seam: int) -> np.ndarray:
+        """Weights by tag (untagged first), photon count and seam-pulse count."""
+        rows, bins = _count_table(pulses, base), pulses * cap + 1
+        key = (_tagged(rows) * bins + rows.sum(axis=1)) * base + rows[:, seam]
+        weight = reduce(np.multiply.outer, (inv_fact,) * pulses).ravel()  # C order, as rows
+        return np.bincount(key, weight, 2 * bins * base).reshape(2, bins, base)
+
+    def total(*blocks: np.ndarray) -> np.ndarray:
+        return np.array([math.fsum(row) for row in np.hstack(blocks).tolist()])
+
+    (head_u, head_t), (tail_u, tail_t) = by_seam((L + 1) // 2, -1), by_seam(L // 2, 0)
+    parts = [np.convolve(total(head_t), total(tail_t, tail_u))]
+    parts += [np.convolve(total(end), total(tail_t, tail_u[:, 2 - a:]))
+              for a, end in enumerate((head_u[:, :1], head_u[:, 1:2], head_u[:, 2:]))]
+    return tuple(math.fsum(bin_parts) for bin_parts in zip(*parts))

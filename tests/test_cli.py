@@ -418,6 +418,19 @@ def test_rtag_oracle_far_above_the_cap_sees_nothing(capsys):
     assert (record["oracle_value"], record["truncation_bound"]) == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("L, cap", [(8, 6), (7, 9)])
+def test_rtag_largest_default_oracles(capsys, L, cap):
+    # the largest grids the default meter admits at L = 8 and 7; one more
+    # photon per pulse exits 4
+    argv = ("rtag", "--L", str(L), "--mu", "0.2", "--oracle", "--cap")
+    (record,) = run_json(capsys, *argv, str(cap))
+    assert abs(record["oracle_value"] - record["value"]) <= (
+        record["truncation_bound"] + 1e-12
+    )
+    code, out, err = run_cli(capsys, *argv, str(cap + 1))
+    assert code == 4 and out == ""
+
+
 @pytest.mark.parametrize("cap_and_mu, param", [
     (("--L", "2", "--mu", "0.1", "--cap", "200"), None),  # 1/200! once overflowed
     (("--L", "2", "--mu", "100", "--cap", "150"), "photon_cap"),

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from dqps import (
     rtag_coherent,
     rtag_general,
 )
-from dqps.tagging import _rtag
+from dqps.tagging import _rtag, _tagged_weight_histogram
 
 
 def enumerate_untagged(L, m):
@@ -232,6 +234,64 @@ def test_bruteforce_work_limit_override():
 def test_bruteforce_rejects_tiny_cap():
     with pytest.raises(ParameterError, match="photon_cap"):
         rtag_bruteforce(TagParams(3, 0.1), photon_cap=1)
+
+
+def exact_tagged_weights(L, cap):
+    """W[n] as Fractions, by a pulse-by-pulse walk over the states untagged
+    with the last pulse empty, untagged with one photon in it, and tagged."""
+    size = L * cap + 1
+    empty, single, tagged = [Fraction(0)] * size, [Fraction(0)] * size, [Fraction(0)] * size
+    empty[0] = Fraction(1)
+    for _ in range(L):
+        nxt = [[Fraction(0)] * size for _ in range(3)]
+        for n, k in itertools.product(range(size), range(cap + 1)):
+            if n + k >= size:
+                continue
+            w = Fraction(1, math.factorial(k))
+            nxt[min(k, 2)][n + k] += empty[n] * w
+            nxt[0 if k == 0 else 2][n + k] += single[n] * w
+            nxt[2][n + k] += tagged[n] * w
+        empty, single, tagged = nxt
+    return tagged
+
+
+@pytest.mark.parametrize("L, cap", [(2, 8), (3, 8), (5, 6), (6, 8), (7, 8), (8, 6)])
+def test_oracle_histogram_matches_exact_rationals(L, cap):
+    exact = exact_tagged_weights(L, cap)
+    # with every count up to cap on the grid, tagged + untagged = L^n / n!
+    for n in range(cap + 1):
+        untagged = math.comb(L + 1 - n, n) if 2 * n <= L + 1 else 0
+        assert exact[n] + untagged == Fraction(L**n, math.factorial(n)), n
+    _tagged_weight_histogram.cache_clear()
+    hist = _tagged_weight_histogram(L, cap)
+    assert len(hist) == len(exact)
+    for n, (w, ref) in enumerate(zip(hist, exact)):
+        if ref == 0:
+            assert w == 0.0, n
+        else:
+            assert abs(Fraction(w) - ref) <= 8 * Fraction(math.ulp(float(ref))), n
+
+
+def test_oracle_histogram_is_a_clearable_cache():
+    # perfbench/run.py clears it before every timed call to time a cold oracle
+    _tagged_weight_histogram.cache_clear()
+    first = _tagged_weight_histogram(4, 3)
+    assert _tagged_weight_histogram(4, 3) is first
+    assert _tagged_weight_histogram.cache_info().hits == 1
+    _tagged_weight_histogram.cache_clear()
+    assert _tagged_weight_histogram.cache_info().currsize == 0
+
+
+def test_oracle_histogram_memory_stays_small():
+    # the tables hold (cap+1)^ceil(L/2) rows, 6,561 here
+    _tagged_weight_histogram.cache_clear()
+    tracemalloc.start()
+    try:
+        _tagged_weight_histogram(7, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # caps above 170 once overflowed 1/cap!, and high mu at high caps once
