@@ -59,6 +59,9 @@ KEYRATE = ("keyrate", "--L", "3", "--eta", "0.05", "--error-rate", "0.02", "--mu
 INFEASIBLE = ("keyrate", "--L", "2", "--eta", "1e-4", "--error-rate", "0.25", "--optimize")
 SIMULATE = ("simulate", "--L", "4", "--mu", "0.1", "--eta", "0.3", "--blocks", "20000",
             "--seed", "17")
+# the benchmark's sparse regime (about 0.1% of blocks click) over four batches
+SIM_SPARSE = ("simulate", "--L", "20", "--mu", "0.005", "--eta", "0.01", "--delta", "0.2",
+              "--blocks", "131072", "--seed", "17")
 RTAG = ("rtag", "--L", "5", "--mu", "0.2", "--oracle", "--cap", "6")
 CAL_2DET = ("calibrate", "--mode", "2det", "--mu", "0.02", "--n-trains", "20000",
             "--seed", "11")
@@ -118,6 +121,15 @@ CASES = (
     SIMULATE,
     SIMULATE + ("--jobs", "2", "--bitflip", "0.01", "--output", "sim.json"),
     SIMULATE + ("--format", "csv"),
+    SIM_SPARSE + ("--jobs", "1"),
+    SIM_SPARSE + ("--jobs", "2"),
+    ("simulate", "--L", "1000", "--mu", "0.001", "--eta", "0.001", "--p-dark", "1e-6",
+     "--blocks", "50000", "--seed", "17"),
+    # every block clicks at j = 1; Q_hat is noise around 1, so some seeds exit 2
+    ("simulate", "--L", "4", "--mu", "50", "--eta", "1", "--blocks", "20000", "--seed", "17"),
+    ("simulate", "--L", "4", "--mu", "50", "--eta", "1", "--blocks", "20000", "--seed", "1"),
+    # no block clicks
+    ("simulate", "--L", "4", "--mu", "0.1", "--eta", "0", "--blocks", "20000", "--seed", "17"),
     ("simulate", "--config", "simulate.cfg"),
     ("simulate", "--config", "simulate.cfg", "--seed", "3", "--jobs", "1"),
     ("simulate", "--config", "simulate.cfg", "--config", "csv.cfg"),
