@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -282,21 +283,29 @@ def _apply_dead_time(raw: np.ndarray, dead_time: int) -> np.ndarray:
     return masked
 
 
-def _clicks(setup, source, probs, rng, n: int):
+def _source_table(source: SourceDistribution):
+    """A source's configurations, photons per train and normalised weights."""
+    configs, weights = source.as_arrays()
+    return configs, configs.sum(axis=1), weights / weights.sum()
+
+
+def _clicks(setup, table, probs, rng, n: int):
     """Trains among n where two or more photons reach a detector, and their clicks.
 
-    probs[i] is the chance that a photon reaches detector i.  A thinned
-    Poissonian train is again Poissonian, so that source draws detected photons only.
+    probs[i] is the chance that a photon reaches detector i.  table is None
+    for a Poissonian source, else the _source_table of the run's source.  A
+    thinned Poissonian train is again Poissonian, so that source draws
+    detected photons only.
     """
-    if source is None:
+    if table is None:
         hits = rng.poisson(setup.mu * setup.L * sum(probs), size=n)
         rows = np.flatnonzero(hits >= 2)
         train = np.repeat(np.arange(rows.size), hits[rows])
         slot = rng.integers(setup.L, size=train.size)
     else:
-        configs, weights = source.as_arrays()
-        config = rng.choice(len(weights), size=n, p=weights / weights.sum())
-        rows = np.flatnonzero(configs.sum(axis=1)[config] >= 2)
+        configs, totals, p = table
+        config = rng.choice(len(p), size=n, p=p)
+        rows = np.flatnonzero(totals[config] >= 2)
         photons = configs[config[rows]]
         placed = np.repeat(np.nonzero(photons), photons[photons > 0], axis=1)
         train, slot = placed[:, rng.random(placed.shape[1]) < sum(probs)]
@@ -306,8 +315,8 @@ def _clicks(setup, source, probs, rng, n: int):
     return rows, clicks
 
 
-def _two_detector_batch(setup: CalibSetup2, probs, rng, n: int):
-    rows, clicks = _clicks(setup, setup.source, probs, rng, n)
+def _two_detector_batch(table, setup: CalibSetup2, probs, rng, n: int):
+    rows, clicks = _clicks(setup, table, probs, rng, n)
     return rows, _double_coincidence(*clicks)[:, None]
 
 
@@ -372,8 +381,10 @@ def simulate_two_detector(
     The bound is (n_double / n_test) / (2 * eta1 * eta2) with the declared
     efficiency bounds, valid for any photon-number-diagonal source.
     """
-    return _calibrate("2det", setup, _two_detector_batch, seed, n_jobs, collect_events,
-                      setup.source)
+    source = setup.source
+    table = None if source is None else _source_table(source)  # once per run, not per batch
+    return _calibrate("2det", setup, partial(_two_detector_batch, table), seed, n_jobs,
+                      collect_events, source)
 
 
 def simulate_three_detector(

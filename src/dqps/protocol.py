@@ -13,7 +13,9 @@ p_none = e^{-mu*eta} (1 - p_dark)^2 whatever the bits and bases.  The first
 click j is therefore a truncated geometric draw, and only the clicked blocks
 need their two bits and a detector outcome.  Tagging is drawn for the
 data-sifted blocks only, independently of their clicks, so its fraction
-estimates rtag (see ObservedStats).  The cost per block does not grow with L.
+estimates rtag (see ObservedStats).  The cost per block is three uniform
+draws, whatever L: the log behind j, the timing and the histograms touch
+only the blocks that can click, a share 1 - p_none^(L-1) of them.
 
 ``run_batches`` is the one seeded batch runner, shared with the calibration
 benches: work is cut into fixed-size batches of ``BATCH_BLOCKS``, every
@@ -143,19 +145,30 @@ def detection_means(
     return np.stack([base * (1.0 + cos_rel), base * (1.0 - cos_rel)], axis=-1)
 
 
-def _first_click(L: int, log_p_none: float, u: np.ndarray) -> np.ndarray:
-    """First clicked timing j in 1..L-1 per block, 0 for none.
+def _first_click(L: int, log_p_none: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks that click and their first clicked timing j in 1..L-1.
 
     T = floor(log U / log p_none) is geometric with P(T >= k) = p_none^k,
     the chance that timings 1..k all stay dark; j = T + 1 when T < L - 1.
     U = 1 - u lies in (0, 1], so log U is finite.
+
+    Only candidates, u < -expm1(bound) + margin with bound = (L-1) log p_none,
+    take the log.  Every hit is a candidate: a hit needs the computed log U
+    above bound, so for a log with relative error eps the true U exceeds
+    exp(bound / (1 - eps)), and 1 - u is U to within its rounding, 2**-54.
+    The margin 1e-12 * |bound| + 2**-52 covers eps and the error of expm1
+    up to 1e-12 relative (thousands of ulp), that rounding and the rounding
+    of the sum.  The candidates then take the exact test and formula, so j
+    is bit for bit what evaluating every block gives.
     """
-    j = np.zeros(u.size, dtype=np.int64)
-    if log_p_none < 0.0:  # p_none = 1 (eta = p_dark = 0) never clicks
-        log_u = np.log(1.0 - u)
-        hit = log_u > (L - 1) * log_p_none  # T < L - 1, without overflow
-        j[hit] = np.minimum(log_u[hit] / log_p_none, L - 2).astype(np.int64) + 1
-    return j
+    if log_p_none == 0.0:  # p_none = 1 (eta = p_dark = 0) never clicks
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64)
+    bound = (L - 1) * log_p_none
+    candidate = np.flatnonzero(u < -math.expm1(bound) + (2.0**-52 - 1e-12 * bound))
+    log_u = np.log(1.0 - u[candidate])
+    hit = log_u > bound  # T < L - 1, without overflow
+    j = np.minimum(log_u[hit] / log_p_none, L - 2).astype(np.int64) + 1
+    return candidate[hit], j
 
 
 def _click_pattern(log_q_dark: float, means: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -205,15 +218,15 @@ def _simulate_batch(
     block, one uniform per block for the first click j, then for the k
     clicked blocks the bit pair at j, the detector outcome, tie bits and
     flip draws, and last the tagging of the data-sifted blocks.  Only O(n)
-    values are drawn, whatever L.
+    values are drawn, whatever L.  Beyond the three draws of n, every step
+    works on the candidate or clicked blocks alone; bin 0 of each histogram
+    is that basis's block count less its clicks.
     """
     L = params.L
     c = rng.random(n) < params.p1
     d = rng.random(n) < params.p1
     log_q_dark = math.log1p(-channel.p_dark)
-    j = _first_click(L, -params.mu * channel.eta + 2.0 * log_q_dark, rng.random(n))
-
-    hit = np.flatnonzero(j)
+    hit, j = _first_click(L, -params.mu * channel.eta + 2.0 * log_q_dark, rng.random(n))
     k = hit.size
     c_hit, d_hit = c[hit], d[hit]
     bits = rng.integers(0, 2, size=(k, 2), dtype=np.int8)
@@ -229,14 +242,19 @@ def _simulate_batch(
     data = ~c_hit & ~d_hit
     check = c_hit & d_hit
     n_data = int(data.sum())
+    # bin 0 of each basis holds its blocks that never clicked
+    hists = []
+    for in_basis, blocks in ((~d_hit, n - np.count_nonzero(d)), (d_hit, np.count_nonzero(d))):
+        hist = np.bincount(j[in_basis], minlength=L)
+        hist[0] = blocks - hist.sum()
+        hists.append(hist)
     return (
         n_data,
         int((data & error).sum()),
         int(check.sum()),
         int((check & error).sum()),
         int(_draw_tagged(L, params.mu, rng, n_data).sum()),
-        np.bincount(j[~d], minlength=L),
-        np.bincount(j[d], minlength=L),
+        *hists,
     )
 
 
