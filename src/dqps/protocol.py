@@ -243,8 +243,9 @@ def _simulate_batch(
     check = c_hit & d_hit
     n_data = int(data.sum())
     # bin 0 of each basis holds its blocks that never clicked
+    n_d1 = np.count_nonzero(d)
     hists = []
-    for in_basis, blocks in ((~d_hit, n - np.count_nonzero(d)), (d_hit, np.count_nonzero(d))):
+    for in_basis, blocks in ((~d_hit, n - n_d1), (d_hit, n_d1)):
         hist = np.bincount(j[in_basis], minlength=L)
         hist[0] = blocks - hist.sum()
         hists.append(hist)
