@@ -62,6 +62,9 @@ SIMULATE = ("simulate", "--L", "4", "--mu", "0.1", "--eta", "0.3", "--blocks", "
 # the benchmark's sparse regime (about 0.1% of blocks click) over four batches
 SIM_SPARSE = ("simulate", "--L", "20", "--mu", "0.005", "--eta", "0.01", "--delta", "0.2",
               "--blocks", "131072", "--seed", "17")
+# bright and noisy over three batches: double clicks, ties, flips and misalignment
+SIM_BRIGHT = ("simulate", "--L", "3", "--mu", "2", "--eta", "1", "--p-dark", "0.05",
+              "--delta", "0.4", "--bitflip", "0.05", "--blocks", "70000")
 RTAG = ("rtag", "--L", "5", "--mu", "0.2", "--oracle", "--cap", "6")
 CAL_2DET = ("calibrate", "--mode", "2det", "--mu", "0.02", "--n-trains", "20000",
             "--seed", "11")
@@ -123,6 +126,8 @@ CASES = (
     SIMULATE + ("--format", "csv"),
     SIM_SPARSE + ("--jobs", "1"),
     SIM_SPARSE + ("--jobs", "2"),
+    SIM_BRIGHT + ("--jobs", "1"),
+    SIM_BRIGHT + ("--jobs", "2"),
     ("simulate", "--L", "1000", "--mu", "0.001", "--eta", "0.001", "--p-dark", "1e-6",
      "--blocks", "50000", "--seed", "17"),
     # every block clicks at j = 1; Q_hat is noise around 1, so some seeds exit 2
