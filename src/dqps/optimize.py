@@ -33,6 +33,10 @@ _ZOOM_POINTS = 33
 _ZOOM_STEPS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
 _ZOOM_SHRINK = (_ZOOM_POINTS - 1) / 2
 
+# Rows per _optimize call in sweep: its arrays hold DEFAULT_GRID_POINTS
+# values a row, so a chunk bounds the memory whatever the grid size.
+_SWEEP_CHUNK = 2048
+
 
 class OptimizeResult(NamedTuple):
     mu_opt: float | None
@@ -204,8 +208,9 @@ def active_switch_crossover() -> float:
 
 
 def sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Optimize every (L, eta) pair of the spec, one optimizer call per L.
+    """Optimize every (L, eta) pair of the spec.
 
+    One optimizer call covers up to _SWEEP_CHUNK transmissions of one L.
     Rows are ordered L-major with eta ascending.  A pair whose rate is
     nonpositive on the whole grid is recorded as rate 0 with mu_opt None
     and NaN Q/rtag.  An error raised by the optimizer propagates.
@@ -213,7 +218,11 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     etas = np.array(sorted(spec.eta_values), dtype=np.float64)
     rows = []
     for L in spec.L_values:
-        mu, rate = _optimize(L, etas, spec.error_rate, spec.mu_bounds, spec.tolerance)
+        mu, rate = map(np.concatenate, zip(*(
+            _optimize(L, etas[i:i + _SWEEP_CHUNK], spec.error_rate, spec.mu_bounds,
+                      spec.tolerance)
+            for i in range(0, etas.size, _SWEEP_CHUNK)
+        )))
         Q, rtag = _channel_q(L, mu, etas), _rtag(L, mu)
         for k, eta in enumerate(etas.tolist()):
             mu_opt = None if math.isnan(mu[k]) else float(mu[k])

@@ -11,7 +11,8 @@ The receiver keeps only the first clicked timing, and the two detector means
 always sum to mu*eta, so a timing stays dark with probability
 p_none = e^{-mu*eta} (1 - p_dark)^2 whatever the bits and bases.  The first
 click j is therefore a truncated geometric draw, and only the clicked blocks
-need their two bits and a detector outcome.  Tagging is drawn for the
+need their two bits (a two-pulse block for ``detection_means``) and a
+detector outcome, whose law gives the measured bit.  Tagging is drawn for the
 data-sifted blocks only, independently of their clicks, so its fraction
 estimates rtag (see ObservedStats).  The cost per block is three uniform
 draws, whatever L: the log behind j, the timing and the histograms touch
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -96,6 +97,7 @@ class ObservedStats:
     """Aggregated counters and the derived empirical estimates.
 
     Q_hat, E0_hat are normalized by n_rep * p0^2 and E1_hat by n_rep * p1^2.
+    Q_hat stays raw, even where noise lifts it above 1 (see estimate_key_rate).
     Delta_hat is tagged_data / sifted_data (0 when nothing was sifted).
     The tagging of those blocks is drawn independently of their clicks, so
     it estimates rtag, not the larger tagged share of the sifted key that a
@@ -128,16 +130,18 @@ def detection_means(
 ) -> np.ndarray:
     """Mean photon number per valid timing and detector.
 
-    a_bits has shape (n, L) (or (L,) for a single block), c and d are the
-    basis bits.  Pulse l carries phase a_l*pi + (pi/2)*l*c; the receiver
-    offsets the interfering pair by (pi/2)*d plus the misalignment phase.
-    Detector 0 is the constructive port at zero relative phase.  The two
-    detector means always sum to mu*eta.
+    a_bits has shape (n, P) (or (P,) for a single block), c and d are the
+    basis bits.  The pulse count P, and so the P - 1 timings, come from the
+    last axis, not from params, which supplies only mu.  Pulse l carries
+    phase a_l*pi + (pi/2)*l*c; the receiver offsets the interfering pair by
+    (pi/2)*d plus the misalignment phase.  Detector 0 is the constructive
+    port at zero relative phase.  The two detector means always sum to
+    mu*eta.
     """
     a = np.atleast_2d(np.asarray(a_bits))
     c_arr = np.atleast_1d(np.asarray(c)).astype(np.float64)
     d_arr = np.atleast_1d(np.asarray(d)).astype(np.float64)
-    pulse_idx = np.arange(params.L)
+    pulse_idx = np.arange(a.shape[-1])
     theta = a * np.pi + 0.5 * np.pi * pulse_idx * c_arr[:, None]
     relative = np.diff(theta, axis=1) - 0.5 * np.pi * d_arr[:, None] - channel.e_mis
     base = 0.5 * params.mu * channel.eta
@@ -171,19 +175,18 @@ def _first_click(L: int, log_p_none: float, u: np.ndarray) -> tuple[np.ndarray, 
     return candidate[hit], j
 
 
-def _click_pattern(log_q_dark: float, means: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(k, 2) clicks of the two detectors at a timing known to click.
+def _measured_bit(log_q: np.ndarray, u, tie, flip) -> np.ndarray:
+    """The bit read at a timing known to click, from (k, 2) log q_s.
 
-    Detector s stays dark with probability q_s = e^{-m_s} (1 - p_dark); the
-    outcome {both, only 0, only 1} is drawn from its law conditional on at
-    least one click, whose total is p_0 + q_0 p_1.
+    Detector s stays dark with probability q_s = e^{-m_s} (1 - p_dark).
+    Given a click, x = u (p_0 + q_0 p_1) falls below p_0 p_1 for a double
+    click, whose bit is the tie draw; otherwise the bit is 1 exactly when
+    detector 0 stays dark, x >= p_0 p_1 + p_0 q_1.  flip inverts the bit.
     """
-    q = np.exp(log_q_dark - means)
-    p = -np.expm1(log_q_dark - means)
+    q, p = np.exp(log_q), -np.expm1(log_q)
     both = p[:, 0] * p[:, 1]
-    with_0 = both + p[:, 0] * q[:, 1]
     x = u * (p[:, 0] + q[:, 0] * p[:, 1])
-    return np.stack([x < with_0, (x < both) | (x >= with_0)], axis=-1)
+    return np.where(x < both, tie, x >= both + p[:, 0] * q[:, 1]) ^ flip
 
 
 def _draw_tagged(L: int, mu: float, rng: np.random.Generator, m: int) -> np.ndarray:
@@ -205,22 +208,18 @@ def _draw_tagged(L: int, mu: float, rng: np.random.Generator, m: int) -> np.ndar
 
 
 def _simulate_batch(
-    params: ProtocolParams,
-    channel: ChannelModel,
-    rng: np.random.Generator,
-    n: int,
-) -> tuple:
-    """Simulate n blocks and return their seven counters.
+    params: ProtocolParams, channel: ChannelModel, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """Simulate n blocks and return their counts as one int64 vector.
 
-    The counters are the sifted and erroneous data-basis blocks, the same
-    for the check basis, the tagged data-sifted blocks, and the histograms
-    of j for d = 0 and d = 1.  Draw order is fixed: c and d for every
-    block, one uniform per block for the first click j, then for the k
-    clicked blocks the bit pair at j, the detector outcome, tie bits and
-    flip draws, and last the tagging of the data-sifted blocks.  Only O(n)
-    values are drawn, whatever L.  Beyond the three draws of n, every step
-    works on the candidate or clicked blocks alone; bin 0 of each histogram
-    is that basis's block count less its clicks.
+    The vector holds the sifted and erroneous data-basis blocks, the same
+    for the check basis and the tagged data-sifted blocks, then the
+    histograms of j for d = 0 and d = 1, L bins each.  Draw order is fixed:
+    c and d for every block, one uniform per block for the first click j,
+    then for the k clicked blocks the bit pair at j, the outcome uniform,
+    tie bits and flip draws, and last the tagging of the data-sifted
+    blocks.  Beyond the three draws of n, every step works on the candidate
+    or clicked blocks alone.
     """
     L = params.L
     c = rng.random(n) < params.p1
@@ -231,32 +230,25 @@ def _simulate_batch(
     c_hit, d_hit = c[hit], d[hit]
     bits = rng.integers(0, 2, size=(k, 2), dtype=np.int8)
     # the relative phase of a pulse pair does not depend on its timing
-    means = detection_means(replace(params, L=2), channel, bits, c_hit, d_hit)
-    pattern = _click_pattern(log_q_dark, means[:, 0], rng.random(k))
+    means = detection_means(params, channel, bits, c_hit, d_hit)[:, 0]
+    u = rng.random(k)
     tie = rng.integers(0, 2, size=k, dtype=np.int8)
     flip = rng.random(k) < channel.p_flip
-    b = np.where(pattern[:, 0] & pattern[:, 1], tie, pattern[:, 1].astype(np.int8))
-    b = b ^ flip.astype(np.int8)
-    error = (bits[:, 0] ^ bits[:, 1]) != b
+    error = (bits[:, 0] ^ bits[:, 1]) != _measured_bit(log_q_dark - means, u, tie, flip)
 
     data = ~c_hit & ~d_hit
     check = c_hit & d_hit
-    n_data = int(data.sum())
-    # bin 0 of each basis holds its blocks that never clicked
+    n_data = np.count_nonzero(data)
     n_d1 = np.count_nonzero(d)
-    hists = []
-    for in_basis, blocks in ((~d_hit, n - n_d1), (d_hit, n_d1)):
-        hist = np.bincount(j[in_basis], minlength=L)
-        hist[0] = blocks - hist.sum()
-        hists.append(hist)
-    return (
-        n_data,
-        int((data & error).sum()),
-        int(check.sum()),
-        int((check & error).sum()),
-        int(_draw_tagged(L, params.mu, rng, n_data).sum()),
-        *hists,
-    )
+    hists = np.bincount(j + L * d_hit, minlength=2 * L).reshape(2, L)
+    # bin 0 of each basis holds its blocks that never clicked
+    hists[:, 0] = (n - n_d1, n_d1) - hists.sum(axis=1)
+    tagged = _draw_tagged(L, params.mu, rng, n_data)
+    return np.concatenate((
+        [n_data, np.count_nonzero(data & error), np.count_nonzero(check),
+         np.count_nonzero(check & error), np.count_nonzero(tagged)],
+        hists.ravel(),
+    ))
 
 
 def run_batches(seed: int, n: int, n_jobs: int, kernel) -> list:
@@ -287,13 +279,12 @@ def run_simulation(
     """Simulate params.n_blocks rounds and aggregate the sifted statistics.
 
     Deterministic for a fixed seed: ``run_batches`` partitions the blocks,
-    and the counters fold in batch order whatever the thread count.
+    and the batches' count vectors add up in batch order whatever the
+    thread count.
     """
     kernel = partial(_simulate_batch, params, channel)
-    results = run_batches(params.seed, params.n_blocks, n_jobs, kernel)
-    sifted_data, errors_data, sifted_check, errors_check, tagged_data, h0, h1 = (
-        sum(column) for column in zip(*results)
-    )
+    counts = sum(run_batches(params.seed, params.n_blocks, n_jobs, kernel)).tolist()
+    sifted_data, errors_data, sifted_check, errors_check, tagged_data = counts[:5]
 
     if sifted_check < 100:
         warnings.warn(
@@ -315,8 +306,8 @@ def run_simulation(
         # a tiny p1 underflows norm_check to 0; no check errors read as 0
         E1_hat=errors_check / norm_check if errors_check else 0.0,
         Delta_hat=tagged_data / sifted_data if sifted_data else 0.0,
-        j_hist_d0=tuple(int(x) for x in h0),
-        j_hist_d1=tuple(int(x) for x in h1),
+        j_hist_d0=tuple(counts[5:5 + params.L]),
+        j_hist_d1=tuple(counts[5 + params.L:]),
     )
 
 
@@ -325,8 +316,10 @@ def estimate_key_rate(stats: ObservedStats, params: ProtocolParams) -> KeyRateRe
 
     Uses the closed-form tagging probability for (L, mu): the tagged
     fraction is not observable in the protocol, so Delta_hat never enters
-    the rate.  Statistical pathologies (for example E1_hat above Q_hat on
-    a tiny sample) surface as ParameterError from the input validation.
+    the rate.  Noise lifts the estimate Q_hat above 1 near saturation, so
+    the rate reads it clipped to 1.  Other statistical pathologies (for
+    example E1_hat above Q_hat on a tiny sample) surface as ParameterError
+    from the input validation.
     """
     if stats.Q_hat <= 0.0:
         raise ParameterError("Q_hat", "no detections; key rate undefined")
@@ -334,7 +327,7 @@ def estimate_key_rate(stats: ObservedStats, params: ProtocolParams) -> KeyRateRe
         L=params.L,
         mu=params.mu,
         p0=params.p0,
-        Q=stats.Q_hat,
+        Q=min(stats.Q_hat, 1.0),
         E0=stats.E0_hat,
         E1=stats.E1_hat,
     )

@@ -372,6 +372,24 @@ def test_simulate_emits_stats_then_rate(capsys):
     assert rate["feasible"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("--L", "4", "--mu", "50", "--eta", "1", "--blocks", "20000", "--seed", "17"),
+    ("--L", "2", "--mu", "700", "--eta", "1", "--blocks", "1000"),
+    ("--L", "2", "--mu", "0.1", "--eta", "1", "--blocks", "1000", "--p-dark", "0.999999"),
+    ("--L", "100000", "--mu", "0.1", "--eta", "0.1", "--blocks", "10"),
+])
+def test_simulate_rates_a_yield_estimate_above_1_at_1(capsys, argv):
+    # every block clicks, so Q_hat is a binomial estimate of 1 and noise lifts it
+    stats, rate = run_json(capsys, "simulate", *argv)
+    assert stats["Q_hat"] > 1.0 and rate["Q"] == stats["Q_hat"]
+    L, mu = int(argv[1]), float(argv[3])
+    direct = key_rate(RateInputs(L=L, mu=mu, p0=0.5, Q=1.0, E0=stats["E0_hat"],
+                                 E1=stats["E1_hat"]))
+    assert (rate["rtag"], rate["f_pa"], rate["f_ec"], rate["rate_per_pulse"],
+            rate["feasible"]) == (direct.rtag, direct.f_pa, direct.f_ec,
+                                  direct.rate_per_pulse, direct.feasible)
+
+
 def test_simulate_reproducible_across_jobs(capsys):
     base = ("simulate", "--L", "2", "--mu", "0.1", "--eta", "0.5",
             "--blocks", "40000", "--seed", "7", "--p-dark", "1e-4")

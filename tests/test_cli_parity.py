@@ -130,7 +130,7 @@ CASES = (
     SIM_BRIGHT + ("--jobs", "2"),
     ("simulate", "--L", "1000", "--mu", "0.001", "--eta", "0.001", "--p-dark", "1e-6",
      "--blocks", "50000", "--seed", "17"),
-    # every block clicks at j = 1; Q_hat is noise around 1, so some seeds exit 2
+    # every block clicks at j = 1; Q_hat is noise around 1, and the rate reads it at 1
     ("simulate", "--L", "4", "--mu", "50", "--eta", "1", "--blocks", "20000", "--seed", "17"),
     ("simulate", "--L", "4", "--mu", "50", "--eta", "1", "--blocks", "20000", "--seed", "1"),
     # no block clicks

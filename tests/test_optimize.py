@@ -18,7 +18,9 @@ from dqps import (
     rtag_coherent,
     sweep,
 )
-from dqps.optimize import DEFAULT_GRID_POINTS, DEFAULT_MU_BOUNDS, _rates
+from dqps.optimize import (
+    DEFAULT_GRID_POINTS, DEFAULT_MU_BOUNDS, DEFAULT_TOLERANCE, _SWEEP_CHUNK, _optimize, _rates,
+)
 from test_tagging import rtag_mpmath
 
 
@@ -230,6 +232,17 @@ def test_sweep_rows_equal_single_row_optimization():
                 continue
             assert row.Q == channel_q(row.L, row.mu_opt, row.eta)
             assert row.rtag == rtag_coherent(TagParams(row.L, row.mu_opt))
+
+
+def test_sweep_in_chunks_gives_the_rows_of_one_optimizer_call():
+    # three chunks, the last of three rows; the zero-rate rows open the first
+    etas = np.geomspace(1e-7, 1.0, 2 * _SWEEP_CHUNK + 3)
+    rows = sweep(SweepSpec(L_values=(2,), eta_values=tuple(etas), error_rate=0.03))
+    mu, rate = _optimize(2, etas, 0.03, DEFAULT_MU_BOUNDS, DEFAULT_TOLERANCE)
+    assert np.isnan(mu[0]) and not np.isnan(mu[-1])
+    assert [row.eta for row in rows] == etas.tolist()
+    got = [(math.nan if row.mu_opt is None else row.mu_opt, row.rate) for row in rows]
+    np.testing.assert_array_equal(got, np.column_stack([mu, rate]))
 
 
 def test_sweep_rows_carry_consistent_Q_and_rtag():

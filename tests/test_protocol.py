@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import warnings
@@ -21,7 +22,7 @@ from dqps import (
 )
 from dqps.errors import _POISSON_MEAN_MAX
 from dqps.keyrate import RateInputs
-from dqps.protocol import BATCH_BLOCKS, _first_click
+from dqps.protocol import BATCH_BLOCKS, _first_click, _measured_bit
 
 
 def protocol_law(params, channel):
@@ -369,3 +370,65 @@ def test_first_click_candidates_keep_every_hit(L, log_p_none):
     hit, j_hit = _first_click(L, log_p_none, u)
     assert np.array_equal(hit, np.flatnonzero(j))
     assert np.array_equal(j_hit, j[hit])
+
+
+def click_pattern_bit(log_q_dark, means, u, tie, flip):
+    """The measured bit through the (k, 2) clicks of the two detectors."""
+    q = np.exp(log_q_dark - means)
+    p = -np.expm1(log_q_dark - means)
+    both = p[:, 0] * p[:, 1]
+    with_0 = both + p[:, 0] * q[:, 1]
+    x = u * (p[:, 0] + q[:, 0] * p[:, 1])
+    pattern = np.stack([x < with_0, (x < both) | (x >= with_0)], axis=-1)
+    b = np.where(pattern[:, 0] & pattern[:, 1], tie, pattern[:, 1].astype(np.int8))
+    return b ^ flip.astype(np.int8)
+
+
+@pytest.mark.parametrize("e_mis", [0.0, 0.3])  # 0: a matched basis leaves one port dark
+@pytest.mark.parametrize("p_dark", [0.0, 0.3])
+@pytest.mark.parametrize("mu", [0.01, 2.0])
+def test_measured_bit_matches_the_click_pattern(mu, p_dark, e_mis):
+    rng = np.random.default_rng(11)
+    k = 100_000
+    params = ProtocolParams(L=20, mu=mu, p1=0.5, n_blocks=1, seed=0)
+    channel = ChannelModel(eta=0.8, p_dark=p_dark, e_mis=e_mis)
+    bits = rng.integers(0, 2, size=(k, 2), dtype=np.int8)
+    means = detection_means(params, channel, bits, rng.random(k) < 0.5, rng.random(k) < 0.5)
+    means = means[:, 0]
+    log_q_dark = math.log1p(-p_dark)
+    q, p = np.exp(log_q_dark - means), -np.expm1(log_q_dark - means)
+    both = p[:, 0] * p[:, 1]
+    with_0 = both + p[:, 0] * q[:, 1]
+    total = p[:, 0] + q[:, 0] * p[:, 1]
+
+    # seeded u, then u that puts x = u * total on each outcome edge and one
+    # and two ulp to either side of it
+    u = [rng.random(k)]
+    for edge in (both / total, with_0 / total):
+        below = above = edge
+        u.append(edge)
+        for _ in range(2):
+            below, above = np.nextafter(below, -1.0), np.nextafter(above, 2.0)
+            u += [below, above]
+    u = np.clip(np.concatenate(u), 0.0, np.nextafter(1.0, 0.0))
+    rows = np.arange(u.size) % k
+    x = u * total[rows]
+    assert (x == both[rows]).any() and (x == with_0[rows]).any()
+    assert (x < both[rows]).any()  # double clicks, where the tie decides
+
+    tie = rng.integers(0, 2, size=u.size, dtype=np.int8)
+    flip = rng.random(u.size) < 0.2
+    expected = click_pattern_bit(log_q_dark, means[rows], u, tie, flip)
+    assert np.array_equal(_measured_bit(log_q_dark - means[rows], u, tie, flip), expected)
+
+
+def test_detection_means_read_the_pulse_count_from_the_bits():
+    rng = np.random.default_rng(5)
+    params = ProtocolParams(L=20, mu=0.3, p1=0.5, n_blocks=1, seed=0)
+    channel = ChannelModel(eta=0.7, e_mis=0.2)
+    pair = rng.integers(0, 2, size=(1000, 2), dtype=np.int8)
+    c, d = rng.random(1000) < 0.5, rng.random(1000) < 0.5
+    means = detection_means(params, channel, pair, c, d)
+    two = detection_means(dataclasses.replace(params, L=2), channel, pair, c, d)
+    assert means.shape == (1000, 1, 2)
+    assert np.array_equal(means, two)
