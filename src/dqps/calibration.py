@@ -12,14 +12,25 @@ efficiencies, never by the simulator's ground truth, so overstating a
 detector only loosens the result.  The setups own their defaults: a truth
 left unset stays None and counts as the value that makes the declared bound
 exact.  Photons route independently, which is exact for the Poissonian
-and diagonal sources in scope.  Only trains where two or more photons reach
-a detector can coincide, so only those are simulated pulse by pulse.
+and diagonal sources in scope.
+
+Only trains where two or more photons reach a detector can coincide, and
+trains are independent, so a batch draws how many there are and then
+those trains alone: per kept train, not per train.  A Poissonian batch
+draws that number from a binomial and each kept train's photon count from
+the Poisson law given two or more; a source table draws every
+configuration's count at once and expands the configurations of two or
+more photons.  One multinomial per kept train routes its photons to
+(detector, slot) cells, so memory grows with the kept trains and the
+cells, not with the photons, at any flux.
 
 Both benches run through one driver, ``_calibrate``, on the protocol's seeded
 batch runner, ``protocol.run_batches``, so a seed gives the same counts for
-any thread count.  A bench's kernel only reports the trains that can coincide
-and their flags, [double] or [double, triple]; the driver counts the flags,
-applies the setup's bound and builds the report.
+any thread count.  A bench's kernel reports only the flags of the trains
+that can coincide, [double] or [double, triple]; ``_calibrate`` counts
+them, applies the setup's bound and builds the report.  Only an event log
+needs the kept trains' places among the batch's rows; ``_calibrate`` draws
+them last, so the counts do not depend on whether events are collected.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,9 +47,16 @@ from .errors import (
     _check_int, _mean_photon_number, _positive_count, _probability,
 )
 from .protocol import run_batches
-from .tagging import SourceDistribution, TagParams, rtag_coherent, rtag_general
+from .tagging import (
+    SourceDistribution, TagParams, _poisson_head, rtag_coherent, rtag_general,
+)
 
 _BOUND_TOL = 1e-12
+
+# Below this P(N >= 2) a kept Poissonian train's photon count N comes from
+# the inverse CDF of N given N >= 2; from it on, by rejection of plain
+# Poisson draws, which then keep at least this share.
+_REJECTION_FROM = 0.25
 
 
 def _detection_probs(setup) -> list[float]:
@@ -69,6 +87,17 @@ def _refuse_overflow(declared: dict) -> None:
     """Refuse the declared efficiencies, naming the smallest."""
     raise ParameterError(min(declared, key=declared.get),
                          "declared efficiencies so small that the bound is not finite")
+
+
+def _check_source(setup) -> None:
+    """Refuse a source table of another length than L or with trains beyond int64."""
+    source = setup.source
+    if source is None:
+        return
+    if source.L != setup.L:
+        raise ParameterError("source", "distribution length differs from L")
+    if max(sum(c) for c, _ in source.support) >= 2**63:
+        raise ParameterError("source", "photons per train must fit in int64")
 
 
 def _check_bound_finite(setup) -> None:
@@ -118,10 +147,7 @@ class CalibSetup2:
         _detection_probs(self)
         _positive_count("n_test", self.n_test)
         _check_bound_finite(self)
-        if self.source is not None and self.source.L != self.L:
-            raise ParameterError("source", "distribution length differs from L")
-        if self.source is not None and max(sum(c) for c, _ in self.source.support) >= 2**63:
-            raise ParameterError("source", "photons per train must fit in int64")
+        _check_source(self)
 
     def _arms(self):
         """(declared bound, transmission, truth, split named when dark) per arm."""
@@ -150,6 +176,7 @@ class CalibSetup3:
     true_eff2 = eta2 / (T1*R2), true_eff3 = eta3 / R1 and
     true_eta_abs = eta_abs.  dead_time = 0 models idealized always-ready
     detectors, used only as a cross-check against the two-detector mode.
+    A source distribution replaces the Poissonian input when given.
     """
 
     L: int
@@ -168,6 +195,7 @@ class CalibSetup3:
     true_eta_abs: float | None = None
     dead_time: int = 1
     n_test: int = 100000
+    source: SourceDistribution | None = None
 
     def __post_init__(self):
         _block_length("L", self.L)
@@ -183,6 +211,7 @@ class CalibSetup3:
         _check_int("dead_time", self.dead_time, 0)
         _positive_count("n_test", self.n_test)
         _check_bound_finite(self)
+        _check_source(self)
 
     def _arms(self):
         """The arm table as in CalibSetup2, absorber first, then routing order."""
@@ -289,60 +318,90 @@ def _source_table(source: SourceDistribution):
     return configs, configs.sum(axis=1), weights / weights.sum()
 
 
+@lru_cache(maxsize=16)
+def _kept_share(m: float) -> float:
+    """P(N >= 2) for N ~ Poisson(m), worked out once per run, not per batch."""
+    return float(_poisson_head(m)[3])
+
+
+def _two_or_more(rng, m: float, p2: float, k: int) -> np.ndarray:
+    """k draws of N given N >= 2, for N ~ Poisson(m) and p2 = P(N >= 2)."""
+    if p2 < _REJECTION_FROM:
+        # the pmf relative to N = 2, m^(j-2) 2 / j!, until a term is lost on the sum
+        terms = [1.0]
+        while terms[-1] > 1e-17:
+            terms.append(terms[-1] * m / (len(terms) + 2))
+        cdf = np.cumsum(terms)
+        return 2 + np.searchsorted(cdf, rng.random(k) * cdf[-1])
+    drawn = np.empty(0, dtype=np.int64)
+    while drawn.size < k:
+        more = rng.poisson(m, size=int((k - drawn.size) / p2) + 1)
+        drawn = np.concatenate([drawn, more[more >= 2]])
+    return drawn[:k]
+
+
 def _clicks(setup, table, probs, rng, n: int):
-    """Trains among n where two or more photons reach a detector, and their clicks.
+    """The clicks of the trains among n that hold two or more photons.
 
     probs[i] is the chance that a photon reaches detector i.  table is None
-    for a Poissonian source, else the _source_table of the run's source.  A
-    thinned Poissonian train is again Poissonian, so that source draws
-    detected photons only.
+    for a Poissonian source, else the _source_table of the run's source.
+    A thinned Poissonian train is again Poissonian, with mean
+    m = mu * L * sum(probs), so that source draws how many of the n trains
+    hold N >= 2 detected photons, then N for those trains only, and sends
+    each photon to a (detector, slot) cell with chance probs[i] / sum(probs)
+    / L.  A table draws how many trains take each configuration, keeps the
+    configurations of two or more photons, and sends each photon of a slot
+    to detector i with chance probs[i], or to none; its kept trains come
+    grouped by configuration.  clicks[i] holds detector i's clicks, one row
+    per kept train.
     """
     if table is None:
-        hits = rng.poisson(setup.mu * setup.L * sum(probs), size=n)
-        rows = np.flatnonzero(hits >= 2)
-        train = np.repeat(np.arange(rows.size), hits[rows])
-        slot = rng.integers(setup.L, size=train.size)
-    else:
-        configs, totals, p = table
-        config = rng.choice(len(p), size=n, p=p)
-        rows = np.flatnonzero(totals[config] >= 2)
-        photons = configs[config[rows]]
-        placed = np.repeat(np.nonzero(photons), photons[photons > 0], axis=1)
-        train, slot = placed[:, rng.random(placed.shape[1]) < sum(probs)]
-    detector = rng.choice(len(probs), size=train.size, p=np.divide(probs, sum(probs)))
-    clicks = np.zeros((len(probs), rows.size, setup.L), dtype=bool)
-    clicks[detector, train, slot] = True
-    return rows, clicks
+        m = setup.mu * setup.L * sum(probs)
+        p2 = _kept_share(m)
+        photons = _two_or_more(rng, m, p2, rng.binomial(n, p2))
+        cells = np.repeat(np.divide(probs, sum(probs)) / setup.L, setup.L)
+        routed = rng.multinomial(photons, cells).reshape(-1, len(probs), setup.L)
+        return routed.transpose(1, 0, 2) > 0
+    configs, totals, p = table
+    trains = rng.multinomial(n, p)
+    kept = np.flatnonzero(totals >= 2)
+    photons = np.repeat(configs[kept], trains[kept], axis=0)
+    routed = rng.multinomial(photons, [*probs, 0.0])  # the last cell takes the rest
+    return np.moveaxis(routed[..., :-1] > 0, -1, 0)
 
 
 def _two_detector_batch(table, setup: CalibSetup2, probs, rng, n: int):
-    rows, clicks = _clicks(setup, table, probs, rng, n)
-    return rows, _double_coincidence(*clicks)[:, None]
+    return _double_coincidence(*_clicks(setup, table, probs, rng, n))[:, None]
 
 
-def _three_detector_batch(setup: CalibSetup3, probs, rng, n: int):
+def _three_detector_batch(table, setup: CalibSetup3, probs, rng, n: int):
     p_abs, *arms = probs
-    rows, clicks = _clicks(setup, None, [p_abs * p for p in arms], rng, n)
+    clicks = _clicks(setup, table, [p_abs * p for p in arms], rng, n)
     masked = [_apply_dead_time(c, setup.dead_time) for c in clicks[:2]]
     # dead time never hides a detector's first click, so triples use raw clicks
     triple = clicks.any(axis=2).all(axis=0)
-    return rows, np.stack([_double_coincidence(*masked), triple], 1)
+    return np.stack([_double_coincidence(*masked), triple], 1)
 
 
-def _calibrate(mode, setup, kernel, seed, n_jobs, collect_events, source=None):
+def _calibrate(mode, setup, kernel, seed, n_jobs, collect_events):
     """Run kernel over setup.n_test trains and report the bound it gives.
 
-    kernel(setup, probs, rng, n) returns the trains among n that can coincide
-    and their flags, one row each; the counts come from those rows alone.
+    kernel(table, setup, probs, rng, n), with table the _source_table of
+    setup.source or None, returns the flags of the trains among n
+    that can coincide, one row each; the counts come from those rows alone.
+    Events place the rows at distinct random trains of the batch, drawn
+    after the kernel's draws.
     """
     probs = _detection_probs(setup)
+    source = setup.source
+    table = None if source is None else _source_table(source)  # once per run, not per batch
 
     def batch(rng, size):
-        rows, found = kernel(setup, probs, rng, size)
+        found = kernel(table, setup, probs, rng, size)
         events = None
         if collect_events:
             events = np.zeros((size, found.shape[1]), dtype=bool)
-            events[rows] = found
+            events[rng.choice(size, len(found), replace=False)] = found
         return np.count_nonzero(found, axis=0), events
 
     results = run_batches(seed, setup.n_test, n_jobs, batch)
@@ -381,10 +440,7 @@ def simulate_two_detector(
     The bound is (n_double / n_test) / (2 * eta1 * eta2) with the declared
     efficiency bounds, valid for any photon-number-diagonal source.
     """
-    source = setup.source
-    table = None if source is None else _source_table(source)  # once per run, not per batch
-    return _calibrate("2det", setup, partial(_two_detector_batch, table), seed, n_jobs,
-                      collect_events, source)
+    return _calibrate("2det", setup, _two_detector_batch, seed, n_jobs, collect_events)
 
 
 def simulate_three_detector(

@@ -205,7 +205,7 @@ def _build_parser():
     add("--jobs", type=int)
     for name, field in _BENCH_FIELDS.items():  # annotations are strings here
         add("--" + name.replace("_", "-"), type=int if field.type == "int" else float)
-    add("--source", help="distribution file (two-detector mode only)")
+    add("--source", help="distribution file instead of the Poissonian model")
     add("--event-log", help="write per-train coincidence flags to this CSV")
     add("--format", choices=("json", "csv"), default="json")
 

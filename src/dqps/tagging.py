@@ -196,6 +196,26 @@ _P2_SERIES = tuple(1.0 / math.factorial(j + 2) for j in reversed(range(15)))
 _P2_SERIES_MAX = 0.5
 
 
+def _poisson_head(mu):
+    """P(X = 0), P(X = 1), P(X >= 1) and P(X >= 2) for X ~ Poisson(mu).
+
+    A float or a numpy array of mu, unvalidated.  P(X >= 2) comes from its
+    positive series e^-mu mu^2 sum mu^j/(j+2)! up to _P2_SERIES_MAX and from
+    P(X >= 1) - P(X = 1) above it, where that difference is at least 0.09,
+    so it keeps its relative precision at every mu.
+    """
+    mu = np.asarray(mu, dtype=np.float64)[()]  # a 0-d array becomes a scalar
+    stay = np.exp(-mu)
+    one = mu * stay
+    small = mu <= _P2_SERIES_MAX
+    x = np.where(small, mu, _P2_SERIES_MAX)
+    series = 0.0
+    for coeff in _P2_SERIES:
+        series = series * x + coeff
+    any_ = -np.expm1(-mu)
+    return stay, one, any_, np.where(small, one * mu * series, any_ - one)
+
+
 def _rtag(L: int, mu):
     """Tagging probability for a float or a numpy array of mu (no validation).
 
@@ -210,22 +230,11 @@ def _rtag(L: int, mu):
     2x2 untagged block U and the absorption column c (M^2 has U^2 and
     U c + c).  Every entry is a sum of products of nonnegative numbers,
     so the relative error stays near L/2 ulps at worst (the rounding of
-    e^-mu, compounded over the pulses).  P(X >= 2) comes from its positive
-    series e^-mu mu^2 sum mu^j/(j+2)! up to _P2_SERIES_MAX and from
-    P(X >= 1) - P(X = 1) above it, where that difference is at least 0.09.
-    Floats give numpy scalars, arrays give arrays, element for element
-    the same bits.
+    e^-mu, compounded over the pulses).  The entries of M come from
+    _poisson_head.  Floats give numpy scalars, arrays give arrays, element
+    for element the same bits.
     """
-    mu = np.asarray(mu, dtype=np.float64)[()]  # a 0-d array becomes a scalar
-    stay = np.exp(-mu)  # P(X = 0)
-    one = mu * stay  # P(X = 1)
-    small = mu <= _P2_SERIES_MAX
-    x = np.where(small, mu, _P2_SERIES_MAX)
-    series = 0.0
-    for coeff in _P2_SERIES:
-        series = series * x + coeff
-    any_ = -np.expm1(-mu)  # P(X >= 1)
-    two = np.where(small, one * mu * series, any_ - one)  # P(X >= 2)
+    stay, one, any_, two = _poisson_head(mu)
 
     # chain state after the pulses consumed so far: untagged (a, b), tagged t
     a, b, t = 1.0, 0.0, 0.0

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,8 +21,12 @@ from dqps import (
     simulate_three_detector,
     simulate_two_detector,
 )
-from dqps.calibration import _apply_dead_time, _detection_probs, _double_coincidence
+from dqps.calibration import (
+    _REJECTION_FROM, _apply_dead_time, _detection_probs, _double_coincidence, _two_or_more,
+)
 from dqps.errors import _POISSON_MEAN_MAX
+from dqps.protocol import BATCH_BLOCKS
+from dqps.tagging import _poisson_head
 from test_protocol import assert_fits
 
 
@@ -102,15 +107,15 @@ def calibration_law(setup):
     with chance p (3det: through the absorber), independently per detector;
     a table slot holds its fixed count.
     """
-    probs = _detection_probs(setup)
+    probs, dead_time = _detection_probs(setup), 0
     if isinstance(setup, CalibSetup3):
         p_abs, *arms = probs
-        law = slot_law([p_abs * p for p in arms], lambda m: math.exp(-setup.mu * m))
-        return train_law([law] * setup.L, setup.dead_time)
+        probs, dead_time = [p_abs * p for p in arms], setup.dead_time
     if setup.source is None:
-        return train_law([slot_law(probs, lambda m: math.exp(-setup.mu * m))] * setup.L)
+        law = slot_law(probs, lambda m: math.exp(-setup.mu * m))
+        return train_law([law] * setup.L, dead_time)
     return sum(weight * train_law([slot_law(probs, lambda m, k=k: (1 - m) ** k)
-                                   for k in config])
+                                   for k in config], dead_time)
                for config, weight in setup.source.support)
 
 
@@ -242,6 +247,18 @@ def test_setup2_source_length_must_match():
     dist = SourceDistribution((((0, 0), 1.0),))
     with pytest.raises(ParameterError, match="'source'"):
         two_det(source=dist)
+
+
+def test_setup3_checks_its_source_as_setup2_does():
+    CalibSetup3(L=2, mu=0.1, source=SourceDistribution((((2**63 - 1, 0), 1.0),)))
+    for config in ((0, 0, 0), (2**63, 0), (2**62, 2**62)):
+        source = SourceDistribution(((config, 1.0),))
+        messages = []
+        for setup in (CalibSetup2, CalibSetup3):
+            with pytest.raises(ParameterError, match="'source'") as caught:
+                setup(L=2, mu=0.1, source=source)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
 
 # --- coincidence counting helpers -------------------------------------------
@@ -428,6 +445,14 @@ def test_report_without_events_equals_report_with_events(simulate, setup):
 
 
 @pytest.mark.parametrize("simulate, setup", BENCHES)
+def test_source_report_without_events_equals_report_with_events(simulate, setup):
+    bench = setup(L=4, source=MIXED_TABLE, n_test=40000)
+    with_events = simulate(bench, seed=5, n_jobs=2, collect_events=True)
+    assert simulate(bench, seed=5) == with_events
+    assert int(with_events.events[:, 0].sum()) == with_events.n_double > 0
+
+
+@pytest.mark.parametrize("simulate, setup", BENCHES)
 def test_thin_statistics_warning_names_the_caller(simulate, setup):
     with pytest.warns(ThinStatisticsWarning) as caught:
         simulate(setup(n_test=5000), seed=0)
@@ -471,6 +496,14 @@ def test_three_detector_doubles_under_dead_time_are_exact(dead_time):
     assert_bench_follows_exact_law(bright_three_det(6, 0.5, dead_time), seed=20 + dead_time)
 
 
+def test_three_detector_source_table_is_exact():
+    # three unequal arms (0.25, 0.15, 0.4), so a mix-up of two detectors shows
+    setup = three_det(L=4, mu=0.0, source=MIXED_TABLE, eta2=0.15, eta3=0.4,
+                      true_eff2=0.6, true_eff3=0.8, eta_abs=0.8, true_eta_abs=0.8)
+    assert _detection_probs(setup) == pytest.approx([0.8, 0.25, 0.15, 0.4], rel=1e-15)
+    assert_bench_follows_exact_law(setup, seed=25)
+
+
 @pytest.mark.parametrize("mu, bias", [
     (0.02, 0.029357905472602974),   # E[bound] 0.0055194 against 0.0053620
     (0.005, 0.007014345668024058),
@@ -482,6 +515,64 @@ def test_two_detector_bound_bias_is_exact(mu, bias):
     relative = expected_bound / rtag_coherent(TagParams(10, mu)) - 1
     assert 0 <= relative <= relative_slack_limit(10, mu)
     assert relative == pytest.approx(bias, rel=1e-9, abs=0)
+
+
+# --- the count-level kernel ----------------------------------------------------
+
+def switch_mean():
+    """The m at which P(N >= 2) reaches _REJECTION_FROM, by bisection."""
+    lo, hi = 0.0, 10.0
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _poisson_head(mid)[3] < _REJECTION_FROM else (lo, mid)
+    return hi
+
+
+def lumped(counts, law, n, least=10.0):
+    """Counts and law merged over neighbouring cells until each expects least."""
+    starts, mass = [0], 0.0
+    for i, p in enumerate(law[:-1]):
+        mass += p
+        if mass * n >= least:
+            starts.append(i + 1)
+            mass = 0.0
+    if law[starts[-1]:].sum() * n < least and len(starts) > 1:
+        starts.pop()
+    return np.add.reduceat(counts, starts), np.add.reduceat(law, starts)
+
+
+@pytest.mark.parametrize("m", [0.01, 0.1, "below", "above", 1.5, 20.0])
+def test_two_or_more_sampler_follows_the_truncated_poisson_law(m):
+    # m below the switch takes the inverse CDF, from it on rejection
+    m = {"below": np.nextafter(switch_mean(), 0), "above": switch_mean()}.get(m, m)
+    p2 = float(_poisson_head(m)[3])
+    assert (p2 < _REJECTION_FROM) == (m < switch_mean())
+    n = 400_000
+    draws = _two_or_more(np.random.default_rng(int(m * 1000)), m, p2, n)
+    assert draws.shape == (n,) and draws.min() >= 2
+    # P(N = j | N >= 2) for j = 2 .. top, past which the law holds no float mass
+    top = int(m + 40 * math.sqrt(m) + 40)
+    law = np.array([math.exp(-m + j * math.log(m) - math.lgamma(j + 1))
+                    for j in range(2, top + 1)])
+    law /= math.fsum(law)
+    assert draws.max() <= top
+    assert_fits(*lumped(np.bincount(draws - 2, minlength=law.size), law, n))
+
+
+@pytest.mark.parametrize("simulate, setup", BENCHES)
+def test_high_flux_memory_grows_with_the_cells_not_the_photons(simulate, setup):
+    # about 5e6 detected photons per train: the photons of one batch would
+    # need over a terabyte, its (detector, slot) counts take 8 bytes a cell
+    bench = setup(L=10, mu=1e6, n_test=2 * BATCH_BLOCKS)
+    cells = 3 * bench.L  # three detectors at most
+    tracemalloc.start()
+    try:
+        report = simulate(bench, seed=1, collect_events=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_double == bench.n_test
+    assert peak < 2 * BATCH_BLOCKS * cells * 8  # two copies of a batch's counts
 
 
 # --- q3 bound ----------------------------------------------------------------

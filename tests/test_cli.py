@@ -597,6 +597,23 @@ def test_calibrate_two_detector_source_file(capsys, tmp_path):
         assert record[name] == getattr(report, name), name
 
 
+def test_calibrate_three_detector_source_file(capsys, tmp_path):
+    path = tmp_path / "pairs.txt"
+    path.write_text("0 0 0.5\n1 0 0.2\n0 1 0.2\n1 1 0.05\n2 0 0.05\n")
+    (record,) = run_json(
+        capsys, "calibrate", "--mode", "3det", "--L", "2", "--mu", "0.5",
+        "--n-trains", "40000", "--seed", "9", "--eta-abs", "0.8", "--source", str(path),
+    )
+    dist = SourceDistribution.from_file(str(path))
+    report = simulate_three_detector(
+        CalibSetup3(2, 0.5, eta_abs=0.8, n_test=40000, source=dist), seed=9
+    )
+    assert record["true_rtag"] == rtag_general(dist) and report.n_double > 0
+    for name in ("mode", "n_test", "n_double", "n_triple", "bound", "true_rtag",
+                 "slack", "sigma"):
+        assert record[name] == getattr(report, name), name
+
+
 def test_calibrate_unwritable_event_log_exits_3_with_empty_stdout(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "calibrate", "--mode", "2det", "--mu", "0.02",
@@ -616,11 +633,6 @@ def test_calibrate_rejects_foreign_mode_flags(capsys):
         "--true-T", "0.4",
     )
     assert code == 2 and "true_T" in err
-    code, _, err = run_cli(
-        capsys, "calibrate", "--mode", "3det", "--mu", "0.01",
-        "--source", "photon_table.txt",
-    )
-    assert code == 2 and "'source': not valid for mode 3det" in err
     code, _, err = run_cli(
         capsys, "calibrate", "--mode", "2det", "--mu", "0.01", "--eta3", "0.2",
     )
@@ -791,21 +803,21 @@ def test_left_out_flags_take_the_library_defaults(capsys, argv, defaults):
 # Exact stdout of small fixed-seed runs.  A change to these bytes changes
 # what a seed means, so it has to be deliberate and logged.
 GOLDEN_2DET = (
-    '{"L": 10, "bound": 0.00336, "eta1": 0.25, "eta2": 0.25, "eta3": null, '
-    '"eta_abs": null, "mode": "2det", "mu": 0.02, "n_double": 21, '
+    '{"L": 10, "bound": 0.0048, "eta1": 0.25, "eta2": 0.25, "eta3": null, '
+    '"eta_abs": null, "mode": "2det", "mu": 0.02, "n_double": 30, '
     '"n_test": 50000, "n_triple": null, "record": "calibration", "seed": 11, '
-    '"sigma": 0.0007332121111929343, "slack": -0.002001981472872197, '
+    '"sigma": 0.0008763560920082658, "slack": -0.0005619814728721976, '
     '"true_rtag": 0.005361981472872197}\n'
 )
 GOLDEN_3DET = (
-    '{"L": 10, "bound": 0.12650666666666666, "eta1": 0.25, "eta2": 0.25, '
-    '"eta3": 0.25, "eta_abs": 0.5, "mode": "3det", "mu": 0.05, "n_double": 59, '
-    '"n_test": 50000, "n_triple": 13, "record": "calibration", "seed": 13, '
-    '"sigma": 0.025100006197431725, "slack": 0.09526994605454132, '
+    '{"L": 10, "bound": 0.11093333333333333, "eta1": 0.25, "eta2": 0.25, '
+    '"eta3": 0.25, "eta_abs": 0.5, "mode": "3det", "mu": 0.05, "n_double": 56, '
+    '"n_test": 50000, "n_triple": 11, "record": "calibration", "seed": 13, '
+    '"sigma": 0.023142488102093853, "slack": 0.079696612721208, '
     '"true_rtag": 0.031236720612125332}\n'
 )
 GOLDEN_3DET_LOG_SHA256 = (
-    "54e7b5115c3750cbd5204ea7109a9d0949d4db24e739935a09b72ce803723140"
+    "ff7295d32c1234b59b7a8065905a299fa01cfe3a09925e3cd6aaafa10b7da32a"
 )
 GOLDEN_SIMULATE = (
     '{"Delta_hat": 0.05540661304736372, "E0_hat": 0.00376, "E1_hat": 0.00432, '
@@ -894,15 +906,15 @@ GOLDEN_RTAG_ORACLE_CSV = (
 GOLDEN_2DET_CSV = (
     "record,mode,L,mu,seed,n_test,n_double,n_triple,bound,true_rtag,slack,sigma,"
     "eta1,eta2,eta3,eta_abs\n"
-    "calibration,2det,10,0.02,11,50000,21,,0.0033600000000000001,"
-    "0.0053619814728721972,-0.002001981472872197,0.00073321211119293432,"
+    "calibration,2det,10,0.02,11,50000,30,,0.0047999999999999996,"
+    "0.0053619814728721972,-0.00056198147287219759,0.00087635609200826582,"
     "0.25,0.25,,\n"
 )
 GOLDEN_3DET_CSV = (
     "record,mode,L,mu,seed,n_test,n_double,n_triple,bound,true_rtag,slack,sigma,"
     "eta1,eta2,eta3,eta_abs\n"
-    "calibration,3det,10,0.050000000000000003,13,50000,59,13,0.12650666666666666,"
-    "0.031236720612125332,0.095269946054541324,0.025100006197431725,"
+    "calibration,3det,10,0.050000000000000003,13,50000,56,11,0.11093333333333333,"
+    "0.031236720612125332,0.079696612721207996,0.023142488102093853,"
     "0.25,0.25,0.25,0.5\n"
 )
 

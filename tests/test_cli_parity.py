@@ -70,6 +70,13 @@ CAL_2DET = ("calibrate", "--mode", "2det", "--mu", "0.02", "--n-trains", "20000"
             "--seed", "11")
 CAL_3DET = ("calibrate", "--mode", "3det", "--mu", "0.05", "--n-trains", "20000",
             "--seed", "13", "--eta-abs", "0.5", "--dead-time", "2")
+# three batches each, bright enough for triples
+CAL_2DET_BATCHES = ("calibrate", "--mode", "2det", "--mu", "0.1", "--n-trains", "70000",
+                    "--seed", "11")
+CAL_3DET_BATCHES = ("calibrate", "--mode", "3det", "--mu", "0.3", "--n-trains", "70000",
+                    "--seed", "13", "--eta-abs", "0.5")
+CAL_3DET_SOURCE = ("calibrate", "--mode", "3det", "--L", "2", "--mu", "0.5", "--n-trains",
+                   "70000", "--seed", "9", "--eta-abs", "0.8", "--source", "pairs.txt")
 
 CASES = (
     (),
@@ -161,6 +168,15 @@ CASES = (
     ("calibrate", "--mode", "2det", "--L", "2", "--mu", "0.5", "--n-trains", "20000",
      "--seed", "9", "--source", "pairs.txt"),
     ("calibrate", "--mode", "3det", "--mu", "0.02", "--source", "pairs.txt"),
+    CAL_2DET_BATCHES + ("--jobs", "1"),
+    CAL_2DET_BATCHES + ("--jobs", "2"),
+    CAL_3DET_BATCHES + ("--jobs", "1"),
+    CAL_3DET_BATCHES + ("--jobs", "2"),
+    CAL_3DET_SOURCE + ("--jobs", "1"),
+    CAL_3DET_SOURCE + ("--jobs", "2"),
+    # about 1e10 photons per train
+    ("calibrate", "--mode", "2det", "--L", "2", "--mu", "1e10", "--n-trains", "10"),
+    ("calibrate", "--mode", "3det", "--L", "2", "--mu", "1e10", "--n-trains", "10"),
     ("calibrate", "--mode", "2det", "--mu", "0.02", "--eta-abs", "0.5"),
     ("calibrate", "--mode", "4det"),
     ("calibrate", "--config", "calibrate.cfg"),
@@ -251,6 +267,16 @@ def test_the_matrix_covers_every_exit_code_and_subcommand():
         assert golden[_key((command, "--help"))]["exit"] == 0
         assert any(argv[:2] == (command, "--config") and golden[_key(argv)]["exit"] == 0
                    for argv in CASES), command
+
+
+def test_a_second_job_changes_no_byte():
+    golden = _golden()
+    pairs = [(argv, argv[:-1] + ("2",)) for argv in CASES
+             if argv[-2:] == ("--jobs", "1") and argv[:-1] + ("2",) in CASES]
+    assert len(pairs) == 5
+    for one, two in pairs:
+        assert golden[_key(one)]["exit"] == 0
+        assert golden[_key(one)] == golden[_key(two)], one
 
 
 def test_in_process_calls_match_the_golden_file(monkeypatch, tmp_path):

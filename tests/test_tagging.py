@@ -20,7 +20,7 @@ from dqps import (
     rtag_coherent,
     rtag_general,
 )
-from dqps.tagging import _rtag, _tagged_weight_histogram
+from dqps.tagging import _P2_SERIES, _poisson_head, _rtag, _tagged_weight_histogram
 
 
 def enumerate_untagged(L, m):
@@ -176,6 +176,42 @@ def test_rtag_relative_error_against_mpmath():
             r = rtag_coherent(TagParams(L, float(mu)))
             worst = max(worst, float(abs(r - exact) / exact))
     assert worst <= 1e-12
+
+
+def inline_head(mu):
+    """The chain's entries as _rtag computed them inline before _poisson_head."""
+    mu = np.asarray(mu, dtype=np.float64)[()]
+    stay = np.exp(-mu)
+    one = mu * stay
+    small = mu <= 0.5
+    x = np.where(small, mu, 0.5)
+    series = 0.0
+    for coeff in _P2_SERIES:
+        series = series * x + coeff
+    any_ = -np.expm1(-mu)
+    two = np.where(small, one * mu * series, any_ - one)
+    return stay, one, any_, two
+
+
+def test_poisson_head_keeps_the_bits_rtag_used():
+    # _rtag reads nothing else of mu, so its values keep their bits too
+    mu = np.array(PRECISION_MU + (0.0, 1e300))
+    for got, inline in zip(_poisson_head(mu), inline_head(mu)):
+        assert got.tobytes() == inline.tobytes()
+    for m in mu:
+        assert [v.tobytes() for v in _poisson_head(float(m))] == [
+            v.tobytes() for v in inline_head(float(m))]
+
+
+def test_poisson_head_two_or_more_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(60):
+        for mu in PRECISION_MU:
+            m = mpmath.mpf(float(mu))
+            exact = 1 - mpmath.exp(-m) * (1 + m)
+            worst = max(worst, float(abs(_poisson_head(float(mu))[3] - exact) / exact))
+    assert worst <= 1e-14
 
 
 def test_rtag_array_call_matches_scalar_calls_bitwise():
