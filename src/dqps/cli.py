@@ -375,7 +375,7 @@ def cmd_simulate(args) -> list[dict]:
         "L": params.L,
         "mu": params.mu,
         "p0": params.p0,
-        "Q": stats.Q_hat,
+        "Q": min(stats.Q_hat, 1.0),  # the yield the rate used
         **_rate_fields(report),
     }
     return [stats_record, rate_record]

@@ -24,9 +24,10 @@ untagged mass, stays as an independent combinatorial check.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import accumulate, repeat
+from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -41,10 +42,6 @@ PhotonConfig = Sequence[int]
 
 DEFAULT_PHOTON_CAP = 8
 DEFAULT_WORK_LIMIT = 10**8
-
-# The oracle refuses a photon total whose weight underflows only where the
-# total carries Poisson mass above this.
-_LOG_MASS_FLOOR = math.log(1e-16)
 
 
 def _validate_counts(counts: PhotonConfig) -> tuple[int, ...]:
@@ -268,12 +265,12 @@ def rtag_bruteforce(
 
     Every configuration with per-pulse counts up to photon_cap is tested
     by the tagging rule and weighted by its product-Poisson(mu)
-    probability.  truncation_bound = 1 - P(all pulses <= cap) bounds the
-    mass the enumeration cannot see.  Work is metered as L*(cap+1)^L, the
-    grid the enumeration covers (from tables of (cap+1)^ceil(L/2) rows),
-    and refused above work_limit.  A photon total that carries mass but
-    whose weight underflows a float is refused too (ParameterError naming
-    photon_cap); with L*cap <= 170 none does.
+    probability, the chance P[n] that its n photons fall so when placed
+    uniformly over the L pulses, times Poisson(n; mu L).  truncation_bound
+    = 1 - P(all pulses <= cap) bounds the mass the enumeration cannot see.
+    Work is metered as L*(cap+1)^L, the grid the enumeration covers (from
+    tables of (cap+1)^ceil(L/2) rows), and refused above work_limit; every
+    call the meter admits is answered.
     """
     _check_int("photon_cap", photon_cap, 2)
     _check_real("work_limit", work_limit, "[-inf, inf]")  # NaN would pass the meter
@@ -286,9 +283,10 @@ def rtag_bruteforce(
 
     hist = _tagged_weight_histogram(L, photon_cap)
     log_mu = math.log(mu)
-    _check_enumerable(hist, L, mu)
+    log_mean = log_mu + math.log(L)  # not log(mu L): mu L overflows near float max
     value = math.fsum(
-        w * math.exp(-mu * L + n * log_mu) for n, w in enumerate(hist) if w > 0.0
+        w * math.exp(-mu * L + n * log_mean - math.lgamma(n + 1))
+        for n, w in enumerate(hist) if w > 0.0
     )
 
     # P(X <= cap) for one Poisson(mu) pulse, then the L-pulse complement.
@@ -299,22 +297,6 @@ def rtag_bruteforce(
     log_cdf = math.log(cdf) if cdf > 0.0 else -math.inf
     trunc = -math.expm1(L * log_cdf) if cdf < 1.0 else 0.0
     return BruteForceResult(value, max(trunc, 0.0))
-
-
-def _check_enumerable(hist: tuple[float, ...], L: int, mu: float) -> None:
-    """Refuse an enumeration whose weights underflow where mass lies, for mu > 0.
-
-    Every photon total n >= 2 that holds Poisson(n; mu L) mass above 1e-16
-    needs a normal weight W[n], or the sum would drop mass it must see.
-    W[n] <= L^n / n!, so W[n] e^{-mu L} mu^n <= Poisson(n; mu L): a normal
-    W[n] keeps e^{-mu L} mu^n below 1 / float_min, and where the mass is
-    below 1e-16 any nonzero W[n] keeps it below e^709, so it never overflows.
-    """
-    log_mean = math.log(L) + math.log(mu)
-    for n in range(2, len(hist)):
-        if (hist[n] < sys.float_info.min
-                and n * log_mean - mu * L - math.lgamma(n + 1) > _LOG_MASS_FLOOR):
-            raise ParameterError("photon_cap", f"the weight of {n} photons underflows")
 
 
 def rtag_general(src: SourceDistribution) -> float:
@@ -329,38 +311,55 @@ def _count_table(pulses: int, base: int) -> np.ndarray:
     return np.indices((base,) * pulses, dtype=np.int16).reshape(pulses, -1).T
 
 
-def _inverse_factorial(k: int) -> float:
-    """1/k!; above 170 k! overflows a float, and 1/k! is subnormal or 0."""
-    return 1.0 / math.factorial(k) if k <= 170 else math.exp(-math.lgamma(k + 1))
+def _binary(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Each num/den of positive integers as m 2^e: m in [1/2, 2] correctly rounded."""
+    shifts = [num.bit_length() - den.bit_length() for num, den in pairs]
+    mantissas = [num / (den << e) if e >= 0 else (num << -e) / den
+                 for (num, den), e in zip(pairs, shifts)]
+    return np.array(mantissas), np.array(shifts, dtype=np.int32)  # np.ldexp casts int64 slowly
 
 
 @lru_cache(maxsize=16)
 def _tagged_weight_histogram(L: int, cap: int) -> tuple[float, ...]:
-    """W[n] = sum over tagged configs with n photons of prod_l 1/k_l!.
+    """P[n]: the chance that n photons, each placed in one of the L pulses
+    uniformly at random, form a tagged configuration with no pulse above cap.
 
-    Joins the head (first ceil(L/2) pulses) and tail (last floor(L/2)) of
-    the (cap+1)^L grid meet-in-the-middle.  A tagged head joins every tail;
-    an untagged head ending in a = min(k, 2) photons joins the tails that
-    are tagged or start with 2 - a or more.  Each side is one bincount by
-    tag, photon count and seam-pulse count; math.fsum adds the columns each
-    seam class needs, so no in-order float sum runs long: every W[n] lands
-    within a few ulps of exact (no term is negative).
+    P[n] = W[n] n!/L^n, W[n] the sum over those configurations of prod_l
+    1/k_l!.  Joins the head (first h = ceil(L/2) pulses) and tail (last t =
+    floor(L/2)) of the (cap+1)^L grid meet-in-the-middle.  Each 1/k! and
+    n!/L^n is a correctly rounded mantissa times an exact power of two, and
+    each half-table row of a photons is scaled by a power of two near
+    a!/h^a (or a!/t^a), so every partial sum stays near 1 and nothing leaves
+    the float range.  Each side is one bincount by tag, photon count and
+    seam-pulse count; math.fsum adds each anti-diagonal a + b = n of the
+    join, so every P[n] lands within a few ulps of exact (no term is negative).
     """
     base = cap + 1
-    inv_fact = np.array([_inverse_factorial(k) for k in range(base)])
+    fact = list(accumulate(range(1, L * cap + 1), mul, initial=1))
+    fact_bits = np.array([f.bit_length() for f in fact], dtype=np.int32)
+    inv_m, inv_e = _binary([(1, fact[k]) for k in range(base)])
 
-    def by_seam(pulses: int, seam: int) -> np.ndarray:
-        """Weights by tag (untagged first), photon count and seam-pulse count."""
+    def by_class(pulses: int, seam: int) -> tuple[np.ndarray, np.ndarray]:
+        """Weights by class (untagged, 0, 1, 2+ in the seam pulse; tagged) and total."""
         rows, bins = _count_table(pulses, base), pulses * cap + 1
-        key = (_tagged(rows) * bins + rows.sum(axis=1)) * base + rows[:, seam]
-        weight = reduce(np.multiply.outer, (inv_fact,) * pulses).ravel()  # C order, as rows
-        return np.bincount(key, weight, 2 * bins * base).reshape(2, bins, base)
+        scale = fact_bits[:bins] - (np.arange(bins) * math.log2(pulses)).astype(np.int32)
+        total = rows.sum(axis=1)
+        # prod_l 1/k_l! times 2^scale[a], in C order as rows
+        weight = np.ldexp(reduce(np.multiply.outer, (inv_m,) * pulses).ravel(),
+                          reduce(np.add.outer, (inv_e,) * pulses).ravel() + scale[total])
+        key = (_tagged(rows) * bins + total) * base + rows[:, seam]
+        untagged, tagged = np.bincount(key, weight, 2 * bins * base).reshape(2, bins, base)
+        classes = [untagged[:, 0], untagged[:, 1], untagged[:, 2:].sum(1), tagged.sum(1)]
+        return np.array(classes), scale
 
-    def total(*blocks: np.ndarray) -> np.ndarray:
-        return np.array([math.fsum(row) for row in np.hstack(blocks).tolist()])
-
-    (head_u, head_t), (tail_u, tail_t) = by_seam((L + 1) // 2, -1), by_seam(L // 2, 0)
-    parts = [np.convolve(total(head_t), total(tail_t, tail_u))]
-    parts += [np.convolve(total(end), total(tail_t, tail_u[:, 2 - a:]))
-              for a, end in enumerate((head_u[:, :1], head_u[:, 1:2], head_u[:, 2:]))]
-    return tuple(math.fsum(bin_parts) for bin_parts in zip(*parts))
+    (head, head_scale), (tail, tail_scale) = by_class((L + 1) // 2, -1), by_class(L // 2, 0)
+    # an untagged head ending in 0, 1, 2+ photons joins the tails that are
+    # tagged or start with 2+, 1+, any; a tagged head joins every tail
+    joint = head.T @ np.cumsum(tail[::-1], axis=0)[[1, 2, 3, 3]]
+    rows, cols = joint.shape
+    norm_m, norm_e = _binary(list(zip(fact, accumulate(repeat(L, L * cap), mul, initial=1))))
+    n = np.add.outer(np.arange(rows), np.arange(cols))
+    joint = np.ldexp(joint * norm_m[n], norm_e[n] - np.add.outer(head_scale, tail_scale))
+    # shift row a right by a, so that column n holds the terms with a + b = n
+    skew = np.hstack([joint, np.zeros((rows, rows))]).ravel()[:-rows].reshape(rows, -1)
+    return tuple(math.fsum(column) for column in skew.T.tolist())

@@ -504,6 +504,14 @@ def test_three_detector_source_table_is_exact():
     assert_bench_follows_exact_law(setup, seed=25)
 
 
+def test_three_detector_unequal_arms_are_exact():
+    # the Poissonian source through the same three unequal arms
+    setup = three_det(L=6, mu=0.5, eta2=0.15, eta3=0.4, true_eff2=0.6, true_eff3=0.8,
+                      eta_abs=0.8, true_eta_abs=0.8)
+    assert _detection_probs(setup) == pytest.approx([0.8, 0.25, 0.15, 0.4], rel=1e-15)
+    assert_bench_follows_exact_law(setup, seed=26)
+
+
 @pytest.mark.parametrize("mu, bias", [
     (0.02, 0.029357905472602974),   # E[bound] 0.0055194 against 0.0053620
     (0.005, 0.007014345668024058),

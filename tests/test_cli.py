@@ -381,7 +381,7 @@ def test_simulate_emits_stats_then_rate(capsys):
 def test_simulate_rates_a_yield_estimate_above_1_at_1(capsys, argv):
     # every block clicks, so Q_hat is a binomial estimate of 1 and noise lifts it
     stats, rate = run_json(capsys, "simulate", *argv)
-    assert stats["Q_hat"] > 1.0 and rate["Q"] == stats["Q_hat"]
+    assert stats["Q_hat"] > 1.0 and rate["Q"] == 1.0
     L, mu = int(argv[1]), float(argv[3])
     direct = key_rate(RateInputs(L=L, mu=mu, p0=0.5, Q=1.0, E0=stats["E0_hat"],
                                  E1=stats["E1_hat"]))
@@ -449,17 +449,15 @@ def test_rtag_largest_default_oracles(capsys, L, cap):
     assert code == 4 and out == ""
 
 
-@pytest.mark.parametrize("cap_and_mu, param", [
-    (("--L", "2", "--mu", "0.1", "--cap", "200"), None),  # 1/200! once overflowed
-    (("--L", "2", "--mu", "100", "--cap", "150"), "photon_cap"),
-    (("--L", "3", "--mu", "150", "--cap", "170"), "photon_cap"),
+@pytest.mark.parametrize("cap_and_mu", [
+    ("--L", "2", "--mu", "0.1", "--cap", "200"),  # 1/200! once overflowed
+    # weights that underflowed where mass lies were once refused (exit 2)
+    ("--L", "2", "--mu", "100", "--cap", "150"),
+    ("--L", "3", "--mu", "150", "--cap", "170"),
+    ("--L", "3", "--mu", "40", "--cap", "120"),
 ])
-def test_rtag_oracle_answers_within_its_bound_or_exits_2(capsys, cap_and_mu, param):
+def test_rtag_oracle_answers_within_its_bound(capsys, cap_and_mu):
     code, out, err = run_cli(capsys, "rtag", "--oracle", *cap_and_mu)
-    if param is not None:
-        assert code == 2 and out == ""
-        assert f"parameter '{param}'" in err
-        return
     assert code == 0, err
     (record,) = map(json.loads, out.splitlines())
     assert abs(record["oracle_value"] - record["value"]) <= (

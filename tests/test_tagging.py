@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -243,7 +244,8 @@ def test_bruteforce_agrees_with_closed_form():
 
 def test_bruteforce_sees_nothing_far_above_the_cap():
     # P(X <= 8) underflows to 0 above mu ~ 787.9; the bound then covers everything
-    for mu in (787.0, 800.0, 1e6):
+    # (at 1e308, mu L overflows to inf, so log(mu L) would give inf - inf)
+    for mu in (787.0, 800.0, 1e6, 1e308):
         assert rtag_bruteforce(TagParams(2, mu)) == (0.0, 1.0)
 
 
@@ -272,6 +274,7 @@ def test_bruteforce_rejects_tiny_cap():
         rtag_bruteforce(TagParams(3, 0.1), photon_cap=1)
 
 
+@functools.lru_cache(maxsize=None)
 def exact_tagged_weights(L, cap):
     """W[n] as Fractions, by a pulse-by-pulse walk over the states untagged
     with the last pulse empty, untagged with one photon in it, and tagged."""
@@ -291,7 +294,8 @@ def exact_tagged_weights(L, cap):
     return tagged
 
 
-@pytest.mark.parametrize("L, cap", [(2, 8), (3, 8), (5, 6), (6, 8), (7, 8), (8, 6)])
+@pytest.mark.parametrize("L, cap", [(2, 8), (3, 8), (5, 6), (6, 8), (7, 8), (8, 6),
+                                    (4, 60), (3, 80)])
 def test_oracle_histogram_matches_exact_rationals(L, cap):
     exact = exact_tagged_weights(L, cap)
     # with every count up to cap on the grid, tagged + untagged = L^n / n!
@@ -301,7 +305,9 @@ def test_oracle_histogram_matches_exact_rationals(L, cap):
     _tagged_weight_histogram.cache_clear()
     hist = _tagged_weight_histogram(L, cap)
     assert len(hist) == len(exact)
-    for n, (w, ref) in enumerate(zip(hist, exact)):
+    # the histogram holds placement chances, W[n] n! / L^n
+    for n, (w, weight) in enumerate(zip(hist, exact)):
+        ref = weight * Fraction(math.factorial(n), L**n)
         if ref == 0:
             assert w == 0.0, n
         else:
@@ -330,6 +336,20 @@ def test_oracle_histogram_memory_stays_small():
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("L, mu, cap", [(4, 100.0, 60), (3, 150.0, 80)])
+def test_bruteforce_far_above_the_cap_against_mpmath(L, mu, cap):
+    # W[n] = sum prod 1/k! is subnormal or 0 here, so only scaled weights see
+    # the mass; a wrong value would hide inside the truncation bound of 1
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        exact = mpmath.exp(-mpmath.mpf(mu) * L) * mpmath.fsum(
+            mpmath.mpf(w.numerator) / w.denominator * mpmath.mpf(mu) ** n
+            for n, w in enumerate(exact_tagged_weights(L, cap)) if w
+        )
+    result = rtag_bruteforce(TagParams(L, mu), photon_cap=cap, work_limit=math.inf)
+    assert abs(result.value - exact) <= 1e-12 * exact
+
+
 # caps above 170 once overflowed 1/cap!, and high mu at high caps once
 # overflowed e^{-mu L} mu^n or let the weights underflow to a wrong value
 ORACLE_SCAN_CAPS = {2: (8, 85, 86, 120, 150, 171, 200, 300), 3: (8, 56, 57, 80, 120, 170),
@@ -337,31 +357,17 @@ ORACLE_SCAN_CAPS = {2: (8, 85, 86, 120, 150, 171, 200, 300), 3: (8, 56, 57, 80, 
 ORACLE_SCAN_MU = (0.1, 1, 5, 10, 20, 30, 40, 50, 60, 80, 100, 120, 150, 200, 300, 500)
 
 
-def oracle_or_refusal(L, cap, mu):
-    """The oracle's excess over its bound, or the parameter it refuses."""
+def oracle_excess(L, cap, mu):
+    """The oracle's distance from the closed form beyond its bound."""
     p = TagParams(L, mu)
-    try:
-        result = rtag_bruteforce(p, photon_cap=cap, work_limit=math.inf)
-    except ParameterError as exc:
-        return exc.param
+    result = rtag_bruteforce(p, photon_cap=cap, work_limit=math.inf)
     return abs(result.value - rtag_coherent(p)) - result.truncation_bound
 
 
-def test_bruteforce_answers_within_its_bound_or_refuses():
+def test_bruteforce_answers_within_its_bound():
     for L, caps in ORACLE_SCAN_CAPS.items():
         for cap, mu in itertools.product(caps, ORACLE_SCAN_MU):
-            outcome = oracle_or_refusal(L, cap, mu)
-            if isinstance(outcome, str):
-                assert outcome == "photon_cap", (L, cap, mu)
-            else:
-                assert outcome <= 1e-12, (L, cap, mu)
-
-
-def test_bruteforce_refuses_nothing_up_to_170_photons():
-    # every weight is then at least 1/170!, a normal float, and mu^n stays finite
-    for L, cap in ((2, 85), (3, 56), (4, 42)):
-        for mu in ORACLE_SCAN_MU:
-            assert oracle_or_refusal(L, cap, mu) <= 1e-12, (L, cap, mu)
+            assert oracle_excess(L, cap, mu) <= 1e-12, (L, cap, mu)
 
 
 # --- general source distributions -----------------------------------------
