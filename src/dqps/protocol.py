@@ -9,14 +9,15 @@ propagating amplitudes; this is exact for the modeled source and detectors.
 
 The receiver keeps only the first clicked timing, and the two detector means
 always sum to mu*eta, so a timing stays dark with probability
-p_none = e^{-mu*eta} (1 - p_dark)^2 whatever the bits and bases.  The first
-click j is therefore a truncated geometric draw, and only the clicked blocks
-need their two bits (a two-pulse block for ``detection_means``) and a
-detector outcome, whose law gives the measured bit.  Tagging is drawn for the
-data-sifted blocks only, independently of their clicks, so its fraction
-estimates rtag (see ObservedStats).  The cost per block is three uniform
-draws, whatever L: the log behind j, the timing and the histograms touch
-only the blocks that can click, a share 1 - p_none^(L-1) of them.
+p_none = e^{-mu*eta} (1 - p_dark)^2 whatever the bits and bases.  Whether and
+where a block clicks is thus independent of its bits and bases, and blocks
+are i.i.d., so a batch draws how many of its blocks click and then the first
+click j, bases, two bits (a two-pulse block for ``detection_means``) and
+detector outcome, whose law gives the measured bit, of those blocks only; of
+the dark blocks it draws only how many measured in d = 1.  Tagging is drawn
+for the data-sifted blocks only, independently of their clicks, so its
+fraction estimates rtag (see ObservedStats).  A batch costs O(clicked
+blocks), whatever its size and L.
 
 ``run_batches`` is the one seeded batch runner, shared with the calibration
 benches: work is cut into fixed-size batches of ``BATCH_BLOCKS``, every
@@ -149,32 +150,6 @@ def detection_means(
     return np.stack([base * (1.0 + cos_rel), base * (1.0 - cos_rel)], axis=-1)
 
 
-def _first_click(L: int, log_p_none: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks that click and their first clicked timing j in 1..L-1.
-
-    T = floor(log U / log p_none) is geometric with P(T >= k) = p_none^k,
-    the chance that timings 1..k all stay dark; j = T + 1 when T < L - 1.
-    U = 1 - u lies in (0, 1], so log U is finite.
-
-    Only candidates, u < -expm1(bound) + margin with bound = (L-1) log p_none,
-    take the log.  Every hit is a candidate: a hit needs the computed log U
-    above bound, so for a log with relative error eps the true U exceeds
-    exp(bound / (1 - eps)), and 1 - u is U to within its rounding, 2**-54.
-    The margin 1e-12 * |bound| + 2**-52 covers eps and the error of expm1
-    up to 1e-12 relative (thousands of ulp), that rounding and the rounding
-    of the sum.  The candidates then take the exact test and formula, so j
-    is bit for bit what evaluating every block gives.
-    """
-    if log_p_none == 0.0:  # p_none = 1 (eta = p_dark = 0) never clicks
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64)
-    bound = (L - 1) * log_p_none
-    candidate = np.flatnonzero(u < -math.expm1(bound) + (2.0**-52 - 1e-12 * bound))
-    log_u = np.log(1.0 - u[candidate])
-    hit = log_u > bound  # T < L - 1, without overflow
-    j = np.minimum(log_u[hit] / log_p_none, L - 2).astype(np.int64) + 1
-    return candidate[hit], j
-
-
 def _measured_bit(log_q: np.ndarray, u, tie, flip) -> np.ndarray:
     """The bit read at a timing known to click, from (k, 2) log q_s.
 
@@ -215,34 +190,40 @@ def _simulate_batch(
     The vector holds the sifted and erroneous data-basis blocks, the same
     for the check basis and the tagged data-sifted blocks, then the
     histograms of j for d = 0 and d = 1, L bins each.  Draw order is fixed:
-    c and d for every block, one uniform per block for the first click j,
-    then for the k clicked blocks the bit pair at j, the outcome uniform,
-    tie bits and flip draws, and last the tagging of the data-sifted
-    blocks.  Beyond the three draws of n, every step works on the candidate
-    or clicked blocks alone.
+    the number k of clicked blocks; for those k blocks, one uniform each for
+    the first click j, then c, d, the bit pair at j, the outcome uniform,
+    tie bits and flip draws; the number of dark blocks with d = 1; last the
+    tagging of the data-sifted blocks.  Nothing is drawn per dark block.
+
+    T = j - 1 is geometric, P(T >= t) = p_none^t, conditioned on a click,
+    T < L - 1; inverting that law gives T = floor(log(1 - u p_click) /
+    log p_none), which rounding can lift to L - 1, hence the clip.
     """
     L = params.L
-    c = rng.random(n) < params.p1
-    d = rng.random(n) < params.p1
     log_q_dark = math.log1p(-channel.p_dark)
-    hit, j = _first_click(L, -params.mu * channel.eta + 2.0 * log_q_dark, rng.random(n))
-    k = hit.size
-    c_hit, d_hit = c[hit], d[hit]
+    log_p_none = -params.mu * channel.eta + 2.0 * log_q_dark
+    p_click = -math.expm1((L - 1) * log_p_none)
+    k = rng.binomial(n, p_click)
+    # k = 0 whenever p_none = 1, so log_p_none = 0 divides nothing
+    t = np.log1p(-p_click * rng.random(k)) / log_p_none
+    j = np.minimum(t, L - 2).astype(np.int64) + 1
+    c = rng.random(k) < params.p1
+    d = rng.random(k) < params.p1
     bits = rng.integers(0, 2, size=(k, 2), dtype=np.int8)
     # the relative phase of a pulse pair does not depend on its timing
-    means = detection_means(params, channel, bits, c_hit, d_hit)[:, 0]
+    means = detection_means(params, channel, bits, c, d)[:, 0]
     u = rng.random(k)
     tie = rng.integers(0, 2, size=k, dtype=np.int8)
     flip = rng.random(k) < channel.p_flip
     error = (bits[:, 0] ^ bits[:, 1]) != _measured_bit(log_q_dark - means, u, tie, flip)
+    dark_d1 = rng.binomial(n - k, params.p1)
 
-    data = ~c_hit & ~d_hit
-    check = c_hit & d_hit
+    data = ~c & ~d
+    check = c & d
     n_data = np.count_nonzero(data)
-    n_d1 = np.count_nonzero(d)
-    hists = np.bincount(j + L * d_hit, minlength=2 * L).reshape(2, L)
+    hists = np.bincount(j + L * d, minlength=2 * L).reshape(2, L)
     # bin 0 of each basis holds its blocks that never clicked
-    hists[:, 0] = (n - n_d1, n_d1) - hists.sum(axis=1)
+    hists[:, 0] = (n - k - dark_d1, dark_d1)
     tagged = _draw_tagged(L, params.mu, rng, n_data)
     return np.concatenate((
         [n_data, np.count_nonzero(data & error), np.count_nonzero(check),

@@ -22,7 +22,7 @@ from dqps import (
 )
 from dqps.errors import _POISSON_MEAN_MAX
 from dqps.keyrate import RateInputs
-from dqps.protocol import BATCH_BLOCKS, _first_click, _measured_bit
+from dqps.protocol import BATCH_BLOCKS, _measured_bit
 
 
 def protocol_law(params, channel):
@@ -324,52 +324,21 @@ def test_run_simulation_follows_exact_law(L, mu, p1, channel_kw):
 
 
 def test_degenerate_channels():
-    # eta = 0 without dark counts: p_none = 1, the kernel must not divide by 0
+    # eta = 0 without dark counts: p_none = 1, the kernel must not divide by 0;
+    # eta = 1e-300: p_none^(L-1) rounds to 1 and p_click is 5e-301, so no block clicks
     params = ProtocolParams(L=6, mu=0.1, p1=0.5, n_blocks=BATCH_BLOCKS + 5, seed=12)
-    dark_free = ChannelModel(eta=0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        stats = quiet_run(params, dark_free)
-    assert stats.Q_hat == 0.0 and stats.sifted_check == 0
-    assert stats.j_hist_d0[0] + stats.j_hist_d1[0] == params.n_blocks
+    for dark_free in (ChannelModel(eta=0.0), ChannelModel(eta=1e-300)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stats = quiet_run(params, dark_free)
+        assert stats.Q_hat == 0.0 and stats.sifted_check == 0
+        assert stats.j_hist_d0[0] + stats.j_hist_d1[0] == params.n_blocks
 
     # mu * eta >= 50: the first timing always clicks
     bright = ProtocolParams(L=6, mu=50.0, p1=0.5, n_blocks=BATCH_BLOCKS + 5, seed=13)
     stats = quiet_run(bright, ChannelModel(eta=1.0))
     assert stats.j_hist_d0[1] + stats.j_hist_d1[1] == bright.n_blocks
     assert stats.tagged_data == stats.sifted_data
-
-
-def dense_first_click(L, log_p_none, u):
-    """The first click evaluated on every block: j in 1..L-1, 0 for none."""
-    j = np.zeros(u.size, dtype=np.int64)
-    if log_p_none < 0.0:
-        log_u = np.log(1.0 - u)
-        hit = log_u > (L - 1) * log_p_none
-        j[hit] = np.minimum(log_u[hit] / log_p_none, L - 2).astype(np.int64) + 1
-    return j
-
-
-@pytest.mark.parametrize("L, log_p_none", [
-    (2, -5e-5), (20, -5e-5), (1000, -5e-5),  # the filter's margin
-    (6, -50.0), (1000, -1.0),  # every block is a candidate
-    (20, -1e-300),  # the bound underflows; only u that rounds 1 - u to 1 clicks
-    (3, 0.0), (3, -0.0),  # p_none = 1 never clicks
-])
-def test_first_click_candidates_keep_every_hit(L, log_p_none):
-    edge = -math.expm1((L - 1) * log_p_none)
-    near = [edge]
-    for toward in (-1.0, 2.0):
-        x = edge
-        for _ in range(3):
-            x = np.nextafter(x, toward)
-            near.append(x)
-    near = [x for x in near if 0.0 <= x < 1.0]
-    u = np.concatenate([[0.0, 1.0 - 2.0**-53], near, np.random.default_rng(7).random(100_000)])
-    j = dense_first_click(L, log_p_none, u)
-    hit, j_hit = _first_click(L, log_p_none, u)
-    assert np.array_equal(hit, np.flatnonzero(j))
-    assert np.array_equal(j_hit, j[hit])
 
 
 def click_pattern_bit(log_q_dark, means, u, tie, flip):
