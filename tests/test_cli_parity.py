@@ -165,6 +165,9 @@ CASES = (
     CAL_2DET + ("--format", "csv"),
     CAL_3DET + ("--event-log", "events.csv", "--jobs", "2"),
     CAL_3DET + ("--event-log", "missing/events.csv"),
+    # 100,001 log rows cross the 65,536-row write chunk and the 5-to-6-digit train numbers
+    ("calibrate", "--mode", "2det", "--mu", "0.05", "--n-trains", "100001", "--seed", "13",
+     "--event-log", "events.csv"),
     ("calibrate", "--mode", "2det", "--L", "2", "--mu", "0.5", "--n-trains", "20000",
      "--seed", "9", "--source", "pairs.txt"),
     ("calibrate", "--mode", "3det", "--mu", "0.02", "--source", "pairs.txt"),
