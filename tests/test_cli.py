@@ -578,6 +578,51 @@ def test_calibrate_event_log_text(capsys, tmp_path, monkeypatch, mode, simulate,
     assert log.read_bytes() == text.encode()
 
 
+def _percent_template_rows(start, events):
+    """The event-log rows as the earlier writer built them, one % template per cell."""
+    row = ",".join(["%d"] * (1 + events.shape[1])) + "\n"
+    trains = np.arange(start, start + len(events))
+    cells = np.column_stack([trains, events]).ravel().tolist()
+    return ((row * len(events)) % tuple(cells)).encode()
+
+
+def _flags(fill, rows, columns):
+    if fill == "mixed":
+        return np.random.default_rng(columns).random((rows, columns)) < 0.5
+    return np.full((rows, columns), fill == "true")
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+@pytest.mark.parametrize("fill", ["false", "true", "mixed"])
+def test_event_rows_match_the_percent_template(capsys, tmp_path, monkeypatch,
+                                               columns, fill):
+    # windows across 9|10, 99|100, ..., 999999|1000000 and the 65,536-row chunk
+    windows = [(0, 1), (0, 10), (0, 1000)]
+    windows += [(10**d - back, 2 * back) for d in range(1, 7) for back in (1, 3)]
+    windows += [((1 << 16) - 3, 7), (3, (1 << 16) + 99_999)]
+    for start, length in windows:
+        events = _flags(fill, length, columns)
+        expected = _percent_template_rows(start, events)
+        assert dqps.cli._event_rows(start, events) == expected, (start, length)
+
+    # the whole log through calibrate: two chunks, the second crossing 99999|100000
+    events = _flags(fill, 100_001, columns)
+    mode, simulate = [("2det", "simulate_two_detector"),
+                      ("3det", "simulate_three_detector")][columns - 1]
+
+    def fake(setup, seed, collect_events, n_jobs=1):
+        return CalibrationReport(
+            mode=mode, n_test=len(events), n_double=0, n_triple=0, bound=0.0,
+            true_rtag=0.0, slack=0.0, sigma=0.0, events=events,
+        )
+
+    monkeypatch.setattr(f"dqps.cli.{simulate}", fake)
+    log = tmp_path / "events.csv"
+    run_json(capsys, "calibrate", "--mode", mode, "--mu", "0.02", "--event-log", str(log))
+    header = ",".join(["train", "double", "triple"][:1 + columns]) + "\n"
+    assert log.read_bytes() == header.encode() + _percent_template_rows(0, events)
+
+
 def test_calibrate_two_detector_source_file(capsys, tmp_path):
     path = tmp_path / "pairs.txt"
     path.write_text("0 0 0.5\n1 0 0.2\n0 1 0.2\n1 1 0.05\n2 0 0.05\n")

@@ -288,6 +288,7 @@ EXACT_LAW_SETTINGS = [
     (4, 0.1, 0.5, dict(eta=0.0, p_dark=0.01)),
     (5, 0.3, 0.5, dict(eta=0.5, p_dark=0.01, e_mis=0.3)),
     (6, 0.1, 0.3, dict(eta=0.3, p_dark=1e-3, e_mis=0.2, p_flip=0.02)),
+    (3, 2.0, 0.8, dict(eta=1.0, p_dark=0.01)),
 ]
 
 cached_run = functools.cache(run_simulation)
