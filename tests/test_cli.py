@@ -33,6 +33,9 @@ from dqps import (
     simulate_two_detector,
 )
 from dqps.cli import main
+from test_cli_parity import GOLDEN_3DET, GOLDEN_3DET_LOG
+from test_cli_parity import _golden as _parity_golden
+from test_cli_parity import _key as _parity_key
 
 
 def run_cli(capsys, *argv):
@@ -843,38 +846,9 @@ def test_left_out_flags_take_the_library_defaults(capsys, argv, defaults):
 
 # --- golden outputs ---------------------------------------------------------------
 
-# Exact stdout of small fixed-seed runs.  A change to these bytes changes
-# what a seed means, so it has to be deliberate and logged.
-GOLDEN_2DET = (
-    '{"L": 10, "bound": 0.0048, "eta1": 0.25, "eta2": 0.25, "eta3": null, '
-    '"eta_abs": null, "mode": "2det", "mu": 0.02, "n_double": 30, '
-    '"n_test": 50000, "n_triple": null, "record": "calibration", "seed": 11, '
-    '"sigma": 0.0008763560920082658, "slack": -0.0005619814728721976, '
-    '"true_rtag": 0.005361981472872197}\n'
-)
-GOLDEN_3DET = (
-    '{"L": 10, "bound": 0.11093333333333333, "eta1": 0.25, "eta2": 0.25, '
-    '"eta3": 0.25, "eta_abs": 0.5, "mode": "3det", "mu": 0.05, "n_double": 56, '
-    '"n_test": 50000, "n_triple": 11, "record": "calibration", "seed": 13, '
-    '"sigma": 0.023142488102093853, "slack": 0.079696612721208, '
-    '"true_rtag": 0.031236720612125332}\n'
-)
-GOLDEN_3DET_LOG_SHA256 = (
-    "ff7295d32c1234b59b7a8065905a299fa01cfe3a09925e3cd6aaafa10b7da32a"
-)
-GOLDEN_SIMULATE = (
-    '{"Delta_hat": 0.03477523324851569, "E0_hat": 0.004, "E1_hat": 0.00464, '
-    '"Q_hat": 0.09432, "errors_check": 58, "errors_data": 50, '
-    '"j_hist_d0": [22617, 844, 748, 755], "j_hist_d1": [22750, 781, 781, 724], '
-    '"n_rep": 50000, "record": "observed_stats", "sifted_check": 1177, '
-    '"sifted_data": 1179, "tagged_data": 41}\n'
-    '{"L": 4, "Q": 0.09432, "f_ec": 0.25322958000143003, '
-    '"f_pa": 0.6798376818533542, "feasible": true, "mu": 0.1, "p0": 0.5, '
-    '"rate_per_pulse": 0.0003945684913660471, "record": "keyrate", '
-    '"rtag": 0.041442334169035804}\n'
-)
-
-
+# Exact stdout of small deterministic runs.  A change to these bytes has to
+# be deliberate and logged.  The seeded simulate and calibrate pins are
+# TEXT_CASES of the CLI parity matrix, in tests/cli_parity.json.
 GOLDEN_KEYRATE_ARGS = (
     "keyrate", "--L", "3", "--eta", "0.05", "--error-rate", "0.02", "--mu", "0.01",
 )
@@ -946,32 +920,11 @@ GOLDEN_RTAG_ORACLE_CSV = (
     "rtag,,0.17300700558420867,1.0662389259330613e-08,5,0.20000000000000001,"
     "0.17300701624659764\n"
 )
-GOLDEN_2DET_CSV = (
-    "record,mode,L,mu,seed,n_test,n_double,n_triple,bound,true_rtag,slack,sigma,"
-    "eta1,eta2,eta3,eta_abs\n"
-    "calibration,2det,10,0.02,11,50000,30,,0.0047999999999999996,"
-    "0.0053619814728721972,-0.00056198147287219759,0.00087635609200826582,"
-    "0.25,0.25,,\n"
-)
-GOLDEN_3DET_CSV = (
-    "record,mode,L,mu,seed,n_test,n_double,n_triple,bound,true_rtag,slack,sigma,"
-    "eta1,eta2,eta3,eta_abs\n"
-    "calibration,3det,10,0.050000000000000003,13,50000,56,11,0.11093333333333333,"
-    "0.031236720612125332,0.079696612721207996,0.023142488102093853,"
-    "0.25,0.25,0.25,0.5\n"
-)
-
-
 @pytest.mark.parametrize("argv, golden", [
     (("sweep", "--L-list", "2", "--eta-db-range", "0:40:40", "--error-rate", "0.11"),
      GOLDEN_SWEEP_DEAD_ROW),
     (GOLDEN_RTAG_ORACLE_ARGS, GOLDEN_RTAG_ORACLE),
     (GOLDEN_RTAG_ORACLE_ARGS + ("--format", "csv"), GOLDEN_RTAG_ORACLE_CSV),
-    (("calibrate", "--mode", "2det", "--mu", "0.02", "--n-trains", "50000",
-      "--seed", "11", "--format", "csv"), GOLDEN_2DET_CSV),
-    (("calibrate", "--mode", "3det", "--mu", "0.05", "--n-trains", "50000",
-      "--seed", "13", "--eta-abs", "0.5", "--dead-time", "2", "--format", "csv"),
-     GOLDEN_3DET_CSV),
 ])
 def test_golden_record_outputs(capsys, argv, golden):
     code, out, err = run_cli(capsys, *argv)
@@ -990,41 +943,16 @@ def test_golden_rtag_source_output(capsys, tmp_path, monkeypatch):
     ), err
 
 
-def test_golden_outputs(capsys, tmp_path):
-    code, out, err = run_cli(
-        capsys, "calibrate", "--mode", "2det", "--mu", "0.02",
-        "--n-trains", "50000", "--seed", "11",
-    )
-    assert code == 0 and out == GOLDEN_2DET, err
-
-    log = tmp_path / "events.csv"
-    code, out, err = run_cli(
-        capsys, "calibrate", "--mode", "3det", "--mu", "0.05",
-        "--n-trains", "50000", "--seed", "13", "--eta-abs", "0.5",
-        "--dead-time", "2", "--event-log", str(log), "--jobs", "2",
-    )
-    assert code == 0 and out == GOLDEN_3DET, err
-    assert hashlib.sha256(log.read_bytes()).hexdigest() == GOLDEN_3DET_LOG_SHA256
-
-    code, out, err = run_cli(
-        capsys, "simulate", "--L", "4", "--mu", "0.1", "--eta", "0.3",
-        "--blocks", "50000", "--seed", "17", "--p-dark", "1e-3",
-        "--delta", "0.2", "--bitflip", "0.01", "--jobs", "2",
-    )
-    assert code == 0 and out == GOLDEN_SIMULATE, err
-
-
 def test_event_log_chunks_join_to_the_golden_bytes(capsys, tmp_path, monkeypatch):
     # 50000 rows in chunks of 4096: twelve full chunks and a partial one
     monkeypatch.setattr("dqps.cli._EVENT_LOG_CHUNK", 4096)
-    log = tmp_path / "events.csv"
-    code, out, err = run_cli(
-        capsys, "calibrate", "--mode", "3det", "--mu", "0.05",
-        "--n-trains", "50000", "--seed", "13", "--eta-abs", "0.5",
-        "--dead-time", "2", "--event-log", str(log),
-    )
-    assert code == 0 and out == GOLDEN_3DET, err
-    assert hashlib.sha256(log.read_bytes()).hexdigest() == GOLDEN_3DET_LOG_SHA256
+    monkeypatch.chdir(tmp_path)
+    # at one job, against the bytes pinned at two
+    golden = _parity_golden()[_parity_key(GOLDEN_3DET_LOG)]
+    code, out, err = run_cli(capsys, *GOLDEN_3DET, "--event-log", "events.csv")
+    assert code == 0 and out == golden["text"], err
+    log = (tmp_path / "events.csv").read_bytes()
+    assert hashlib.sha256(log).hexdigest() == golden["files"]["events.csv"]
 
 
 # --- output plumbing ----------------------------------------------------------

@@ -6,7 +6,9 @@ and each way a config file can be refused) and the exit codes 0, 2, 3 and 4.
 Every case runs in one working directory that holds INPUTS.  The golden
 file keeps, per case, the exit code, the sha256 of stdout, the sha256 of
 each file the case writes, and the last stderr line when dqps itself
-reports the error (argparse's own messages are left out).  Help text is
+reports the error (argparse's own messages are left out).  For the
+TEXT_CASES it also keeps stdout itself, so a re-record of those shows a
+readable diff.  Help text is
 kept by exit code only, since argparse lays it out differently across
 Python versions.
 
@@ -70,6 +72,14 @@ CAL_2DET = ("calibrate", "--mode", "2det", "--mu", "0.02", "--n-trains", "20000"
             "--seed", "11")
 CAL_3DET = ("calibrate", "--mode", "3det", "--mu", "0.05", "--n-trains", "20000",
             "--seed", "13", "--eta-abs", "0.5", "--dead-time", "2")
+GOLDEN_2DET = ("calibrate", "--mode", "2det", "--mu", "0.02", "--n-trains", "50000",
+               "--seed", "11")
+GOLDEN_3DET = ("calibrate", "--mode", "3det", "--mu", "0.05", "--n-trains", "50000",
+               "--seed", "13", "--eta-abs", "0.5", "--dead-time", "2")
+GOLDEN_3DET_LOG = GOLDEN_3DET + ("--event-log", "events.csv", "--jobs", "2")
+GOLDEN_SIMULATE = ("simulate", "--L", "4", "--mu", "0.1", "--eta", "0.3", "--blocks",
+                   "50000", "--seed", "17", "--p-dark", "1e-3", "--delta", "0.2",
+                   "--bitflip", "0.01", "--jobs", "2")
 # three batches each, bright enough for triples
 CAL_2DET_BATCHES = ("calibrate", "--mode", "2det", "--mu", "0.1", "--n-trains", "70000",
                     "--seed", "11")
@@ -131,6 +141,7 @@ CASES = (
     SIMULATE,
     SIMULATE + ("--jobs", "2", "--bitflip", "0.01", "--output", "sim.json"),
     SIMULATE + ("--format", "csv"),
+    GOLDEN_SIMULATE,
     SIM_SPARSE + ("--jobs", "1"),
     SIM_SPARSE + ("--jobs", "2"),
     SIM_BRIGHT + ("--jobs", "1"),
@@ -163,6 +174,10 @@ CASES = (
     # calibrate
     CAL_2DET,
     CAL_2DET + ("--format", "csv"),
+    GOLDEN_2DET,
+    GOLDEN_2DET + ("--format", "csv"),
+    GOLDEN_3DET_LOG,
+    GOLDEN_3DET + ("--format", "csv"),
     CAL_3DET + ("--event-log", "events.csv", "--jobs", "2"),
     CAL_3DET + ("--event-log", "missing/events.csv"),
     # 100,001 log rows cross the 65,536-row write chunk and the 5-to-6-digit train numbers
@@ -189,6 +204,15 @@ CASES = (
     ("calibrate", "--help"),
 )
 
+# cases whose stdout text is kept beside its hash
+TEXT_CASES = (
+    GOLDEN_SIMULATE,
+    GOLDEN_2DET,
+    GOLDEN_2DET + ("--format", "csv"),
+    GOLDEN_3DET_LOG,
+    GOLDEN_3DET + ("--format", "csv"),
+)
+
 # cases also run as fresh `python -m dqps` processes
 FRESH_CASES = (
     (),
@@ -212,12 +236,15 @@ def _outcome(argv, code, out: str, err: str, workdir: Path) -> dict:
             files[path.name] = _sha256(path.read_bytes())
             path.unlink()
     lines = err.splitlines()
-    return {
+    outcome = {
         "exit": code,
         "stdout": None if "--help" in argv else _sha256(out.encode()),
         "files": files,
         "error": lines[-1] if lines and lines[-1].startswith("error: ") else None,
     }
+    if argv in TEXT_CASES:
+        outcome["text"] = out
+    return outcome
 
 
 def _run_in_process(argv, workdir: Path) -> dict:
@@ -261,6 +288,7 @@ def test_every_case_has_one_golden_entry():
     assert len(set(map(_key, CASES))) == len(CASES)
     assert set(_golden()) == set(map(_key, CASES))
     assert set(FRESH_CASES) <= set(CASES)
+    assert set(TEXT_CASES) <= set(CASES)
 
 
 def test_the_matrix_covers_every_exit_code_and_subcommand():
