@@ -26,7 +26,10 @@ cells, not with the photons, at any flux.
 
 Both benches run through one driver, ``_calibrate``, on the protocol's seeded
 batch runner, ``protocol.run_batches``, so a seed gives the same counts for
-any thread count.  A bench's kernel reports only the flags of the trains
+any thread count.  The runner cuts the trains by the expected number of
+kept trains, not by trains: ``_calibrate`` passes the kept share, P(N >= 2)
+of the detected photon count N for a Poissonian source and the table's
+mass on two or more photons for a source table.  A bench's kernel reports only the flags of the trains
 that can coincide, [double] or [double, triple]; ``_calibrate`` counts
 them, applies the setup's bound and builds the report.  Only an event log
 needs the kept trains' places among the batch's rows; ``_calibrate`` draws
@@ -44,7 +47,7 @@ import numpy as np
 
 from .errors import (
     ParameterError, ThinStatisticsWarning, _block_length, _block_photon_mean,
-    _check_int, _mean_photon_number, _positive_count, _probability,
+    _check_int, _item_count, _mean_photon_number, _positive_count, _probability,
 )
 from .protocol import run_batches
 from .tagging import (
@@ -145,7 +148,7 @@ class CalibSetup2:
         if self.true_T + self.true_R > 1 + _BOUND_TOL:
             raise ParameterError("true_T", "splitter outputs true_T + true_R exceed 1")
         _detection_probs(self)
-        _positive_count("n_test", self.n_test)
+        _item_count("n_test", self.n_test)
         _check_bound_finite(self)
         _check_source(self)
 
@@ -209,7 +212,7 @@ class CalibSetup3:
             raise ParameterError("true_T2", "splitter 2 outputs exceed 1")
         _detection_probs(self)
         _check_int("dead_time", self.dead_time, 0)
-        _positive_count("n_test", self.n_test)
+        _item_count("n_test", self.n_test)
         _check_bound_finite(self)
         _check_source(self)
 
@@ -375,26 +378,32 @@ def _two_detector_batch(table, setup: CalibSetup2, probs, rng, n: int):
 
 
 def _three_detector_batch(table, setup: CalibSetup3, probs, rng, n: int):
-    p_abs, *arms = probs
-    clicks = _clicks(setup, table, [p_abs * p for p in arms], rng, n)
+    clicks = _clicks(setup, table, probs, rng, n)
     masked = [_apply_dead_time(c, setup.dead_time) for c in clicks[:2]]
     # dead time never hides a detector's first click, so triples use raw clicks
     triple = clicks.any(axis=2).all(axis=0)
     return np.stack([_double_coincidence(*masked), triple], 1)
 
 
-def _calibrate(mode, setup, kernel, seed, n_jobs, collect_events):
+def _calibrate(mode, setup, kernel, probs, seed, n_jobs, collect_events):
     """Run kernel over setup.n_test trains and report the bound it gives.
 
+    probs[i] is the chance that a photon reaches detector i.
     kernel(table, setup, probs, rng, n), with table the _source_table of
     setup.source or None, returns the flags of the trains among n
     that can coincide, one row each; the counts come from those rows alone.
-    Events place the rows at distinct random trains of the batch, drawn
-    after the kernel's draws.
+    Batches are cut by the expected number of those trains.  Events place
+    the rows at distinct random trains of the batch, drawn after the
+    kernel's draws.
     """
-    probs = _detection_probs(setup)
     source = setup.source
-    table = None if source is None else _source_table(source)  # once per run, not per batch
+    if source is None:
+        table = None
+        kept = _kept_share(setup.mu * setup.L * sum(probs))
+    else:
+        table = _source_table(source)  # once per run, not per batch
+        _, totals, weights = table
+        kept = float(weights[totals >= 2].sum())
 
     def batch(rng, size):
         found = kernel(table, setup, probs, rng, size)
@@ -404,7 +413,7 @@ def _calibrate(mode, setup, kernel, seed, n_jobs, collect_events):
             events[rng.choice(size, len(found), replace=False)] = found
         return np.count_nonzero(found, axis=0), events
 
-    results = run_batches(seed, setup.n_test, n_jobs, batch)
+    results = run_batches(seed, setup.n_test, n_jobs, batch, share=kept)
     if setup.n_test < 10**4:
         warnings.warn(
             f"{setup.n_test} test trains give a statistically meaningless bound",
@@ -440,7 +449,9 @@ def simulate_two_detector(
     The bound is (n_double / n_test) / (2 * eta1 * eta2) with the declared
     efficiency bounds, valid for any photon-number-diagonal source.
     """
-    return _calibrate("2det", setup, _two_detector_batch, seed, n_jobs, collect_events)
+    probs = _detection_probs(setup)
+    return _calibrate("2det", setup, _two_detector_batch, probs, seed, n_jobs,
+                      collect_events)
 
 
 def simulate_three_detector(
@@ -452,4 +463,7 @@ def simulate_three_detector(
     term: bound = (n_double/n_test + q3_bound) / (2 * eta1 * eta2 * eta_abs^2),
     with every efficiency a declared lower bound.
     """
-    return _calibrate("3det", setup, _three_detector_batch, seed, n_jobs, collect_events)
+    p_abs, *arms = _detection_probs(setup)
+    probs = [p_abs * p for p in arms]  # the absorber, then the arm
+    return _calibrate("3det", setup, _three_detector_batch, probs, seed, n_jobs,
+                      collect_events)

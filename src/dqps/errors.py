@@ -60,6 +60,8 @@ def _check_real(param: str, value, interval: str) -> None:
 # rule(param, value); interval= narrows a real one, e.g. to "(0, 1]".
 _block_length = partial(_check_int, lo=2)
 _positive_count = partial(_check_int, lo=1)
+# a run's blocks or trains; a batch may hold them all, and its counts stay in int64
+_item_count = partial(_check_int, lo=1, hi=2**62)
 _seed = partial(_check_int, lo=0, hi=2**64 - 1)
 _mean_photon_number = partial(_check_real, interval="[0, inf)")
 _probability = partial(_check_real, interval="[0, 1]")  # also a transmission

@@ -20,11 +20,14 @@ fraction estimates rtag (see ObservedStats).  A batch costs O(clicked
 blocks), whatever its size and L.
 
 ``run_batches`` is the one seeded batch runner, shared with the calibration
-benches: work is cut into fixed-size batches of ``BATCH_BLOCKS``, every
-batch owns an RNG stream spawned from (seed, batch index) and consumes it
-in a fixed order, so results are bit-identical for a given seed regardless
-of thread count.  Changing ``BATCH_BLOCKS`` would select a different
-(equally valid) random stream.
+benches.  It cuts work by what a batch is expected to draw, not by items:
+the caller passes the share of items its kernel draws for (here p_click),
+and a batch holds ``BATCH_BLOCKS`` items, or as many more as keep about
+``_BATCH_WORK`` of them expected to draw.  Every batch owns an RNG stream
+spawned from (seed, batch index) and consumes it in a fixed order, and the
+cut depends on the parameters alone, so results are bit-identical for a
+given seed regardless of thread count.  Changing ``BATCH_BLOCKS`` or
+``_BATCH_WORK`` would select a different (equally valid) random stream.
 """
 
 from __future__ import annotations
@@ -39,12 +42,15 @@ import numpy as np
 
 from .errors import (
     ParameterError, ThinStatisticsWarning, _block_length, _block_photon_mean,
-    _check_real, _mean_photon_number, _positive_count, _probability, _seed,
+    _check_real, _item_count, _mean_photon_number, _positive_count, _probability,
+    _seed,
 )
 from .keyrate import KeyRateReport, RateInputs, key_rate
 from .tagging import rtag_coherent  # noqa: F401  perfbench/spans.py wraps this name
 
 BATCH_BLOCKS = 32768
+# a batch larger than BATCH_BLOCKS expects at most this many items to draw
+_BATCH_WORK = 4096
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,7 @@ class ProtocolParams:
         _mean_photon_number("mu", self.mu, interval="(0, inf)")
         _block_photon_mean(self.L, self.mu)
         _probability("p1", self.p1, interval="(0, 1)")
-        _positive_count("n_blocks", self.n_blocks)
+        _item_count("n_blocks", self.n_blocks)
         _seed("seed", self.seed)
 
     @property
@@ -182,27 +188,33 @@ def _draw_tagged(L: int, mu: float, rng: np.random.Generator, m: int) -> np.ndar
     return tagged
 
 
+def _click_law(params: ProtocolParams, channel: ChannelModel) -> tuple[float, float, float]:
+    """log q_dark, log p_none and p_click = 1 - p_none^(L-1), once per run."""
+    log_q_dark = math.log1p(-channel.p_dark)
+    log_p_none = -params.mu * channel.eta + 2.0 * log_q_dark
+    return log_q_dark, log_p_none, -math.expm1((params.L - 1) * log_p_none)
+
+
 def _simulate_batch(
-    params: ProtocolParams, channel: ChannelModel, rng: np.random.Generator, n: int
+    params: ProtocolParams, channel: ChannelModel, law, rng: np.random.Generator, n: int
 ) -> np.ndarray:
     """Simulate n blocks and return their counts as one int64 vector.
 
-    The vector holds the sifted and erroneous data-basis blocks, the same
-    for the check basis and the tagged data-sifted blocks, then the
-    histograms of j for d = 0 and d = 1, L bins each.  Draw order is fixed:
-    the number k of clicked blocks; for those k blocks, one uniform each for
-    the first click j, then c, d, the bit pair at j, the outcome uniform,
-    tie bits and flip draws; the number of dark blocks with d = 1; last the
-    tagging of the data-sifted blocks.  Nothing is drawn per dark block.
+    law is the run's _click_law.  The vector holds the sifted and erroneous
+    data-basis blocks, the same for the check basis and the tagged
+    data-sifted blocks, then the histograms of j for d = 0 and d = 1, L bins
+    each.  Draw order is fixed: the number k of clicked blocks; for those k
+    blocks, one uniform each for the first click j, then c, d, the bit pair
+    at j, the outcome uniform, tie bits and flip draws; the number of dark
+    blocks with d = 1; last the tagging of the data-sifted blocks.  Nothing
+    is drawn per dark block.
 
     T = j - 1 is geometric, P(T >= t) = p_none^t, conditioned on a click,
     T < L - 1; inverting that law gives T = floor(log(1 - u p_click) /
     log p_none), which rounding can lift to L - 1, hence the clip.
     """
     L = params.L
-    log_q_dark = math.log1p(-channel.p_dark)
-    log_p_none = -params.mu * channel.eta + 2.0 * log_q_dark
-    p_click = -math.expm1((L - 1) * log_p_none)
+    log_q_dark, log_p_none, p_click = law
     k = rng.binomial(n, p_click)
     # k = 0 whenever p_none = 1, so log_p_none = 0 divides nothing
     t = np.log1p(-p_click * rng.random(k)) / log_p_none
@@ -232,23 +244,37 @@ def _simulate_batch(
     ))
 
 
-def run_batches(seed: int, n: int, n_jobs: int, kernel) -> list:
-    """Run kernel(rng, size) over n items cut into BATCH_BLOCKS-sized batches.
+def _batch_size(n: int, share: float) -> int:
+    """Items per batch: BATCH_BLOCKS, more where few of them draw, at most n.
 
-    Batch i gets child i of SeedSequence(seed); batches run serially or on
-    n_jobs threads, and the results come back in batch order, so they do
-    not depend on the thread count.
+    share is the expected fraction of items that the kernel draws for.  A
+    batch past BATCH_BLOCKS items expects at most _BATCH_WORK of them.
+    """
+    if share * n <= _BATCH_WORK:
+        return n
+    return min(n, max(BATCH_BLOCKS, int(_BATCH_WORK / share)))
+
+
+def run_batches(seed: int, n: int, n_jobs: int, kernel, share: float) -> list:
+    """Run kernel(rng, size) over n items cut into batches by expected work.
+
+    share is the expected fraction of the items that the kernel draws for
+    (clicked blocks, kept trains); see _batch_size.  The cut depends on n
+    and share alone.  Batch i gets child i of SeedSequence(seed); batches
+    run serially or on n_jobs threads, and the results come back in
+    batch order, so they do not depend on the thread count.
     """
     _seed("seed", seed)
     _positive_count("n_jobs", n_jobs)
-    n_batches = (n + BATCH_BLOCKS - 1) // BATCH_BLOCKS
+    cut = _batch_size(n, share)
+    n_batches = -(-n // cut)
     children = np.random.SeedSequence(seed).spawn(n_batches)
-    sizes = [min(BATCH_BLOCKS, n - i * BATCH_BLOCKS) for i in range(n_batches)]
+    sizes = [min(cut, n - i * cut) for i in range(n_batches)]
 
     def run(child, size):
         return kernel(np.random.default_rng(child), size)
 
-    if n_jobs == 1:
+    if n_jobs == 1 or n_batches == 1:
         return list(map(run, children, sizes))
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
         return list(pool.map(run, children, sizes))
@@ -259,12 +285,14 @@ def run_simulation(
 ) -> ObservedStats:
     """Simulate params.n_blocks rounds and aggregate the sifted statistics.
 
-    Deterministic for a fixed seed: ``run_batches`` partitions the blocks,
-    and the batches' count vectors add up in batch order whatever the
-    thread count.
+    Deterministic for a fixed seed: ``run_batches`` partitions the blocks by
+    their expected clicks, and the batches' count vectors add up in batch
+    order whatever the thread count.
     """
-    kernel = partial(_simulate_batch, params, channel)
-    counts = sum(run_batches(params.seed, params.n_blocks, n_jobs, kernel)).tolist()
+    law = _click_law(params, channel)
+    kernel = partial(_simulate_batch, params, channel, law)
+    batches = run_batches(params.seed, params.n_blocks, n_jobs, kernel, share=law[2])
+    counts = sum(batches).tolist()
     sifted_data, errors_data, sifted_check, errors_check, tagged_data = counts[:5]
 
     if sifted_check < 100:

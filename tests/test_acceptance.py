@@ -210,9 +210,10 @@ def test_criterion_7_byte_identical_cli_runs():
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 
+    # three batches each, cut by expected clicks and kept trains
     sim = ("simulate", "--L", "2", "--mu", "0.1", "--eta", "0.5",
-           "--blocks", "70000", "--seed", "123", "--p-dark", "1e-4")
-    cal = ("calibrate", "--mode", "3det", "--mu", "0.02", "--n-trains", "70000",
+           "--blocks", "200000", "--seed", "123", "--p-dark", "1e-4")
+    cal = ("calibrate", "--mode", "3det", "--mu", "0.02", "--n-trains", "3500000",
            "--seed", "123", "--eta-abs", "0.5", "--dead-time", "1")
     for name, base in (("simulate", sim), ("calibrate", cal)):
         serial_a = run((*base, "--jobs", "1"))

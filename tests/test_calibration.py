@@ -25,7 +25,7 @@ from dqps.calibration import (
     _REJECTION_FROM, _apply_dead_time, _detection_probs, _double_coincidence, _two_or_more,
 )
 from dqps.errors import _POISSON_MEAN_MAX
-from dqps.protocol import BATCH_BLOCKS
+from dqps.protocol import BATCH_BLOCKS, _batch_size, run_batches
 from dqps.tagging import _poisson_head
 from test_protocol import assert_fits
 
@@ -100,6 +100,34 @@ def train_law(slot_laws, dead_time=0):
     return law
 
 
+def bench_probs(setup):
+    """The chance that a photon reaches each detector (3det: through the absorber)."""
+    probs = _detection_probs(setup)
+    if isinstance(setup, CalibSetup3):
+        p_abs, *arms = probs
+        probs = [p_abs * p for p in arms]
+    return probs
+
+
+def kept_share(setup):
+    """The share of trains the bench's kernel draws for.
+
+    A Poissonian train is kept with two or more detected photons, a table's
+    train with two or more photons.
+    """
+    if setup.source is None:
+        m = setup.mu * setup.L * sum(bench_probs(setup))
+        return -math.expm1(-m) - m * math.exp(-m)
+    return math.fsum(w for config, w in setup.source.support if sum(config) >= 2) / \
+        math.fsum(w for _, w in setup.source.support)
+
+
+def batched(setup, batches, extra=5):
+    """setup with enough trains for batches full batches and one of extra trains."""
+    cut = _batch_size(2**62, kept_share(setup))
+    return dataclasses.replace(setup, n_test=batches * cut + extra)
+
+
 def calibration_law(setup):
     """Exact law of a train's outcome double + 2 * triple on a bench.
 
@@ -107,10 +135,8 @@ def calibration_law(setup):
     with chance p (3det: through the absorber), independently per detector;
     a table slot holds its fixed count.
     """
-    probs, dead_time = _detection_probs(setup), 0
-    if isinstance(setup, CalibSetup3):
-        p_abs, *arms = probs
-        probs, dead_time = [p_abs * p for p in arms], setup.dead_time
+    probs = bench_probs(setup)
+    dead_time = setup.dead_time if isinstance(setup, CalibSetup3) else 0
     if setup.source is None:
         law = slot_law(probs, lambda m: math.exp(-setup.mu * m))
         return train_law([law] * setup.L, dead_time)
@@ -351,8 +377,9 @@ MIXED_TABLE = SourceDistribution((
 
 
 def test_two_detector_deterministic():
-    a = quiet_two(two_det(), seed=77, n_jobs=1, collect_events=True)
-    b = quiet_two(two_det(), seed=77, n_jobs=4, collect_events=True)
+    bench = batched(two_det(), 2)
+    a = quiet_two(bench, seed=77, n_jobs=1, collect_events=True)
+    b = quiet_two(bench, seed=77, n_jobs=4, collect_events=True)
     assert a == b
     assert np.array_equal(a.events, b.events)
 
@@ -415,8 +442,9 @@ def test_three_detector_no_dead_time_matches_two_detector_flux():
 
 
 def test_three_detector_deterministic():
-    a = quiet_three(three_det(), seed=15, n_jobs=1, collect_events=True)
-    b = quiet_three(three_det(), seed=15, n_jobs=4, collect_events=True)
+    bench = batched(three_det(), 2)
+    a = quiet_three(bench, seed=15, n_jobs=1, collect_events=True)
+    b = quiet_three(bench, seed=15, n_jobs=4, collect_events=True)
     assert a == b
     assert np.array_equal(a.events, b.events)
 
@@ -435,18 +463,18 @@ BENCHES = [(simulate_two_detector, two_det), (simulate_three_detector, three_det
 
 @pytest.mark.parametrize("simulate, setup", BENCHES)
 def test_report_without_events_equals_report_with_events(simulate, setup):
-    # 40000 trains run as two batches
-    with_events = simulate(setup(n_test=40000, mu=0.1), seed=5, n_jobs=2,
-                           collect_events=True)
-    without = simulate(setup(n_test=40000, mu=0.1), seed=5)
-    assert without.events is None and with_events.events.shape[0] == 40000
+    # three batches, the last of 5 trains
+    bench = batched(setup(mu=0.1), 2)
+    with_events = simulate(bench, seed=5, n_jobs=2, collect_events=True)
+    without = simulate(bench, seed=5)
+    assert without.events is None and with_events.events.shape[0] == bench.n_test
     assert without == with_events
     assert (without.n_triple is None) == (with_events.events.shape[1] == 1)
 
 
 @pytest.mark.parametrize("simulate, setup", BENCHES)
 def test_source_report_without_events_equals_report_with_events(simulate, setup):
-    bench = setup(L=4, source=MIXED_TABLE, n_test=40000)
+    bench = batched(setup(L=4, source=MIXED_TABLE), 2)
     with_events = simulate(bench, seed=5, n_jobs=2, collect_events=True)
     assert simulate(bench, seed=5) == with_events
     assert int(with_events.events[:, 0].sum()) == with_events.n_double > 0
@@ -581,6 +609,40 @@ def test_high_flux_memory_grows_with_the_cells_not_the_photons(simulate, setup):
         tracemalloc.stop()
     assert report.n_double == bench.n_test
     assert peak < 2 * BATCH_BLOCKS * cells * 8  # two copies of a batch's counts
+
+
+@pytest.mark.parametrize("simulate, setup", BENCHES)
+@pytest.mark.parametrize("overrides", [
+    dict(mu=0.02), dict(mu=0.3), dict(L=4, source=MIXED_TABLE), dict(mu=0.0),
+])
+def test_batch_cut_follows_the_kept_trains_alone(monkeypatch, simulate, setup, overrides):
+    # the same cut at one and two jobs, with and without events
+    calls = []
+
+    def spy(seed, n, n_jobs, kernel, share):
+        sizes = sorted(run_batches(seed, n, n_jobs, lambda rng, size: size, share))
+        calls.append((n, share, sizes))
+        return run_batches(seed, n, n_jobs, kernel, share)
+
+    monkeypatch.setattr("dqps.calibration.run_batches", spy)
+    bench = setup(**overrides)
+    if kept_share(bench) > 0:  # else one batch of any size
+        bench = batched(bench, 2)
+    for n_jobs, collect_events in itertools.product((1, 2), (False, True)):
+        quiet = quiet_two if simulate is simulate_two_detector else quiet_three
+        quiet(bench, seed=3, n_jobs=n_jobs, collect_events=collect_events)
+    assert all(call == calls[0] for call in calls)
+    n, share, sizes = calls[0]
+    assert n == bench.n_test and share == pytest.approx(kept_share(bench), rel=1e-12)
+    assert len(sizes) == (1 if share == 0 else 3)
+
+
+def test_train_count_must_fit_int64_counts():
+    # a batch may hold every train, so its counts and draws must stay in int64
+    for setup in (two_det, three_det):
+        with pytest.raises(ParameterError, match="'n_test'"):
+            setup(n_test=2**62 + 1)
+        assert setup(n_test=2**62).n_test == 2**62
 
 
 # --- q3 bound ----------------------------------------------------------------

@@ -394,8 +394,9 @@ def test_simulate_rates_a_yield_estimate_above_1_at_1(capsys, argv):
 
 
 def test_simulate_reproducible_across_jobs(capsys):
+    # three batches of about 4,096 expected clicks
     base = ("simulate", "--L", "2", "--mu", "0.1", "--eta", "0.5",
-            "--blocks", "40000", "--seed", "7", "--p-dark", "1e-4")
+            "--blocks", "200000", "--seed", "7", "--p-dark", "1e-4")
     _, serial, _ = run_cli(capsys, *base, "--jobs", "1")
     _, parallel, _ = run_cli(capsys, *base, "--jobs", "4")
     _, again, _ = run_cli(capsys, *base, "--jobs", "4")
@@ -754,6 +755,18 @@ def test_mu_beyond_the_poisson_ceiling_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "parameter 'mu': mu * L must be at most" in err
+
+
+@pytest.mark.parametrize("argv, param", [
+    (("simulate", "--L", "2", "--mu", "0.1", "--eta", "1", "--blocks"), "n_blocks"),
+    (("calibrate", "--mode", "2det", "--mu", "0.1", "--n-trains"), "n_test"),
+    (("calibrate", "--mode", "3det", "--mu", "0.1", "--n-trains"), "n_test"),
+])
+def test_a_count_beyond_int64_batches_exits_2(capsys, argv, param):
+    # one batch may hold every item, so its draws and counts must fit int64
+    code, out, err = run_cli(capsys, *argv, str(2**62 + 1))
+    assert code == 2 and out == ""
+    assert f"parameter '{param}': must be an integer in [1, {2**62}]" in err
 
 
 def test_calibrate_two_detector_zero_transmission_arm_exits_2(capsys):

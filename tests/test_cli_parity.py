@@ -29,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 import dqps
+from dqps import protocol
 from dqps.cli import main
 
 GOLDEN_PATH = Path(__file__).resolve().with_name("cli_parity.json")
@@ -62,8 +63,9 @@ INFEASIBLE = ("keyrate", "--L", "2", "--eta", "1e-4", "--error-rate", "0.25", "-
 SIMULATE = ("simulate", "--L", "4", "--mu", "0.1", "--eta", "0.3", "--blocks", "20000",
             "--seed", "17")
 # the benchmark's sparse regime (about 0.1% of blocks click) over four batches
+# of about 4,096 expected clicks each
 SIM_SPARSE = ("simulate", "--L", "20", "--mu", "0.005", "--eta", "0.01", "--delta", "0.2",
-              "--blocks", "131072", "--seed", "17")
+              "--blocks", "13000000", "--seed", "17")
 # bright and noisy over three batches: double clicks, ties, flips and misalignment
 SIM_BRIGHT = ("simulate", "--L", "3", "--mu", "2", "--eta", "1", "--p-dark", "0.05",
               "--delta", "0.4", "--bitflip", "0.05", "--blocks", "70000")
@@ -81,12 +83,12 @@ GOLDEN_SIMULATE = ("simulate", "--L", "4", "--mu", "0.1", "--eta", "0.3", "--blo
                    "50000", "--seed", "17", "--p-dark", "1e-3", "--delta", "0.2",
                    "--bitflip", "0.01", "--jobs", "2")
 # three batches each, bright enough for triples
-CAL_2DET_BATCHES = ("calibrate", "--mode", "2det", "--mu", "0.1", "--n-trains", "70000",
+CAL_2DET_BATCHES = ("calibrate", "--mode", "2det", "--mu", "0.1", "--n-trains", "120000",
                     "--seed", "11")
 CAL_3DET_BATCHES = ("calibrate", "--mode", "3det", "--mu", "0.3", "--n-trains", "70000",
                     "--seed", "13", "--eta-abs", "0.5")
 CAL_3DET_SOURCE = ("calibrate", "--mode", "3det", "--L", "2", "--mu", "0.5", "--n-trains",
-                   "70000", "--seed", "9", "--eta-abs", "0.8", "--source", "pairs.txt")
+                   "100000", "--seed", "9", "--eta-abs", "0.8", "--source", "pairs.txt")
 
 CASES = (
     (),
@@ -300,14 +302,37 @@ def test_the_matrix_covers_every_exit_code_and_subcommand():
                    for argv in CASES), command
 
 
+def _jobs_pairs():
+    return [(argv, argv[:-1] + ("2",)) for argv in CASES
+            if argv[-2:] == ("--jobs", "1") and argv[:-1] + ("2",) in CASES]
+
+
 def test_a_second_job_changes_no_byte():
     golden = _golden()
-    pairs = [(argv, argv[:-1] + ("2",)) for argv in CASES
-             if argv[-2:] == ("--jobs", "1") and argv[:-1] + ("2",) in CASES]
+    pairs = _jobs_pairs()
     assert len(pairs) == 5
     for one, two in pairs:
         assert golden[_key(one)]["exit"] == 0
         assert golden[_key(one)] == golden[_key(two)], one
+
+
+def test_each_jobs_pair_spans_three_batches(monkeypatch, tmp_path):
+    # batches are cut by expected clicks or kept trains, so a pair's size
+    # decides whether a second job has a batch to run at all
+    _prepare(monkeypatch, tmp_path)
+    batches = []
+    cut = protocol._batch_size
+
+    def counted(n, share):
+        size = cut(n, share)
+        batches.append(-(-n // size))
+        return size
+
+    monkeypatch.setattr(protocol, "_batch_size", counted)
+    for one, _ in _jobs_pairs():
+        batches.clear()
+        _run_in_process(one, tmp_path)
+        assert batches and min(batches) >= 3, (one, batches)
 
 
 def test_in_process_calls_match_the_golden_file(monkeypatch, tmp_path):

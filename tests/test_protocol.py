@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,9 @@ from dqps import (
 )
 from dqps.errors import _POISSON_MEAN_MAX
 from dqps.keyrate import RateInputs
-from dqps.protocol import BATCH_BLOCKS, _measured_bit
+from dqps.protocol import (
+    _BATCH_WORK, BATCH_BLOCKS, _batch_size, _click_law, _measured_bit, run_batches,
+)
 
 
 def protocol_law(params, channel):
@@ -69,6 +72,17 @@ def assert_fits(observed, law):
     expected = observed.sum() * law[~empty] / law[~empty].sum()
     p_value = chisquare(observed[~empty], expected).pvalue
     assert p_value > 1e-3, (p_value, observed, expected)
+
+
+def batched(params, channel, batches, extra=17):
+    """params with enough blocks that run_batches cuts them into batches + 1 batches.
+
+    The last one holds extra blocks; the cut sizes batches by expected clicks.
+    """
+    cut = _batch_size(2**62, _click_law(params, channel)[2])
+    n_blocks = batches * cut + extra
+    assert -(-n_blocks // _batch_size(n_blocks, _click_law(params, channel)[2])) > batches
+    return dataclasses.replace(params, n_blocks=n_blocks)
 
 
 def quiet_run(params, channel, n_jobs=1):
@@ -164,8 +178,9 @@ def test_detection_means_detector_swap_is_alternating_flip():
 
 
 def test_run_simulation_counters_are_consistent():
-    params = ProtocolParams(L=5, mu=0.3, p1=0.4, n_blocks=BATCH_BLOCKS + 17, seed=9)
-    stats = quiet_run(params, ChannelModel(eta=0.8))
+    channel = ChannelModel(eta=0.8)
+    params = batched(ProtocolParams(L=5, mu=0.3, p1=0.4, n_blocks=1, seed=9), channel, 2)
+    stats = quiet_run(params, channel)
     n = params.n_blocks
     assert stats.n_rep == n
     assert sum(stats.j_hist_d0) + sum(stats.j_hist_d1) == n
@@ -177,8 +192,8 @@ def test_run_simulation_counters_are_consistent():
 
 
 def test_run_simulation_deterministic_across_jobs():
-    params = ProtocolParams(L=4, mu=0.05, p1=0.5, n_blocks=3 * BATCH_BLOCKS, seed=42)
     channel = ChannelModel(eta=0.3, p_dark=1e-4)
+    params = batched(ProtocolParams(L=4, mu=0.05, p1=0.5, n_blocks=1, seed=42), channel, 3)
     serial = quiet_run(params, channel, n_jobs=1)
     threaded = quiet_run(params, channel, n_jobs=4)
     assert serial == threaded
@@ -326,8 +341,9 @@ def test_run_simulation_follows_exact_law(L, mu, p1, channel_kw):
 
 def test_degenerate_channels():
     # eta = 0 without dark counts: p_none = 1, the kernel must not divide by 0;
-    # eta = 1e-300: p_none^(L-1) rounds to 1 and p_click is 5e-301, so no block clicks
-    params = ProtocolParams(L=6, mu=0.1, p1=0.5, n_blocks=BATCH_BLOCKS + 5, seed=12)
+    # eta = 1e-300: p_none^(L-1) rounds to 1 and p_click is 5e-301, so no block
+    # clicks; with (next to) no clicks expected, every size runs as one batch
+    params = ProtocolParams(L=6, mu=0.1, p1=0.5, n_blocks=2 * BATCH_BLOCKS + 5, seed=12)
     for dark_free in (ChannelModel(eta=0.0), ChannelModel(eta=1e-300)):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -335,8 +351,9 @@ def test_degenerate_channels():
         assert stats.Q_hat == 0.0 and stats.sifted_check == 0
         assert stats.j_hist_d0[0] + stats.j_hist_d1[0] == params.n_blocks
 
-    # mu * eta >= 50: the first timing always clicks
-    bright = ProtocolParams(L=6, mu=50.0, p1=0.5, n_blocks=BATCH_BLOCKS + 5, seed=13)
+    # mu * eta >= 50: the first timing always clicks, in three batches
+    bright = batched(ProtocolParams(L=6, mu=50.0, p1=0.5, n_blocks=1, seed=13),
+                     ChannelModel(eta=1.0), 2, extra=5)
     stats = quiet_run(bright, ChannelModel(eta=1.0))
     assert stats.j_hist_d0[1] + stats.j_hist_d1[1] == bright.n_blocks
     assert stats.tagged_data == stats.sifted_data
@@ -402,3 +419,76 @@ def test_detection_means_read_the_pulse_count_from_the_bits():
     two = detection_means(dataclasses.replace(params, L=2), channel, pair, c, d)
     assert means.shape == (1000, 1, 2)
     assert np.array_equal(means, two)
+
+
+SHARES = [0.0, 5e-301, 1e-12, 1e-6, 9.495e-4, 0.0446, 0.125, _BATCH_WORK / BATCH_BLOCKS,
+          0.3, 0.617, 1.0]
+COUNTS = [1, 17, BATCH_BLOCKS - 1, BATCH_BLOCKS, BATCH_BLOCKS + 1, 10**5, 3 * 10**6,
+          2**26 + 3, 10**12 + 1, 2**62]
+
+
+@pytest.mark.parametrize("share", SHARES)
+def test_batch_cut_bounds_the_expected_work_of_a_batch(share):
+    for n in COUNTS:
+        cut = _batch_size(n, share)
+        assert min(n, BATCH_BLOCKS) <= cut <= n, (n, cut)
+        assert cut * share <= max(_BATCH_WORK, BATCH_BLOCKS * share), (n, cut)
+        # a share that leaves a batch of BATCH_BLOCKS items idle grows the batch
+        if share * BATCH_BLOCKS < _BATCH_WORK and cut < n:
+            assert (cut + 1) * share > _BATCH_WORK, (n, cut)
+
+
+def test_batch_cut_ignores_the_thread_count():
+    for n, share in ((10**6, 0.01), (10**5, 1.0), (3 * 10**5 + 1, 0.05), (10**7, 0.0)):
+        cuts = []
+        for n_jobs in (1, 2, 3):
+            sizes = run_batches(5, n, n_jobs, lambda rng, size: size, share=share)
+            assert sum(sizes) == n and len(set(sizes[:-1])) <= 1
+            cuts.append(sizes)
+        assert cuts[0] == cuts[1] == cuts[2]
+        assert sizes[0] == _batch_size(n, share)
+
+
+def test_run_simulation_cuts_batches_by_its_click_probability(monkeypatch):
+    calls = []
+    real = run_batches
+
+    def spy(seed, n, n_jobs, kernel, share):
+        calls.append((n, share))
+        return real(seed, n, n_jobs, kernel, share)
+
+    monkeypatch.setattr("dqps.protocol.run_batches", spy)
+    params = ProtocolParams(L=20, mu=0.005, p1=0.5, n_blocks=10**6, seed=3)
+    channel = ChannelModel(eta=0.01, p_dark=1e-6)
+    for n_jobs in (1, 2):
+        quiet_run(params, channel, n_jobs=n_jobs)
+    p_none = math.exp(-params.mu * channel.eta) * (1 - channel.p_dark) ** 2
+    p_click = 1 - p_none ** (params.L - 1)
+    assert calls[0] == calls[1] and calls[0][0] == params.n_blocks
+    assert calls[0][1] == pytest.approx(p_click, rel=1e-12)
+
+
+def test_sparse_run_memory_follows_the_clicks_not_the_blocks():
+    # the benchmark's sparse setting at 2**26 blocks: about 1 block in 1,000
+    # clicks, so a batch holds millions of blocks and about _BATCH_WORK clicks
+    params = ProtocolParams(L=20, mu=0.005, p1=0.5, n_blocks=2**26, seed=4)
+    channel = ChannelModel(eta=0.01, e_mis=0.2)
+    cut = _batch_size(params.n_blocks, _click_law(params, channel)[2])
+    assert params.n_blocks // cut >= 3 and cut > 100 * _BATCH_WORK
+    quiet_run(dataclasses.replace(params, n_blocks=cut), channel)  # first-call set-up
+    tracemalloc.start()
+    try:
+        stats = quiet_run(params, channel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(stats.j_hist_d0) + sum(stats.j_hist_d1) == params.n_blocks
+    # a few hundred bytes per expected click, far below one byte per block
+    assert peak < 256 * _BATCH_WORK < cut
+
+
+def test_block_count_must_fit_int64_counts():
+    # a batch may hold every block, so its counts and draws must stay in int64
+    with pytest.raises(ParameterError, match="'n_blocks'"):
+        ProtocolParams(L=2, mu=0.1, p1=0.5, n_blocks=2**62 + 1, seed=0)
+    ProtocolParams(L=2, mu=0.1, p1=0.5, n_blocks=2**62, seed=0)
