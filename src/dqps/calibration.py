@@ -29,11 +29,12 @@ batch runner, ``protocol.run_batches``, so a seed gives the same counts for
 any thread count.  The runner cuts the trains by the expected number of
 kept trains, not by trains: ``_calibrate`` passes the kept share, P(N >= 2)
 of the detected photon count N for a Poissonian source and the table's
-mass on two or more photons for a source table.  A bench's kernel reports only the flags of the trains
-that can coincide, [double] or [double, triple]; ``_calibrate`` counts
-them, applies the setup's bound and builds the report.  Only an event log
-needs the kept trains' places among the batch's rows; ``_calibrate`` draws
-them last, so the counts do not depend on whether events are collected.
+mass on two or more photons for a source table.  A bench's kernel reports
+only the flags of the trains that can coincide, [double] or [double,
+triple]; ``_calibrate`` counts them, applies the setup's bound and builds
+the report.  Only an event log needs the kept trains' places among the
+batch's rows; ``_calibrate`` draws them last, so the counts do not depend
+on whether events are collected.
 """
 
 from __future__ import annotations
