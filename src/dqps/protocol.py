@@ -290,8 +290,9 @@ def run_simulation(
     order whatever the thread count.
     """
     law = _click_law(params, channel)
+    p_click = law[2]
     kernel = partial(_simulate_batch, params, channel, law)
-    batches = run_batches(params.seed, params.n_blocks, n_jobs, kernel, share=law[2])
+    batches = run_batches(params.seed, params.n_blocks, n_jobs, kernel, share=p_click)
     counts = sum(batches).tolist()
     sifted_data, errors_data, sifted_check, errors_check, tagged_data = counts[:5]
 

@@ -118,12 +118,13 @@ def kept_share(setup):
     if setup.source is None:
         m = setup.mu * setup.L * sum(bench_probs(setup))
         return -math.expm1(-m) - m * math.exp(-m)
-    return math.fsum(w for config, w in setup.source.support if sum(config) >= 2) / \
-        math.fsum(w for _, w in setup.source.support)
+    support = setup.source.support
+    return (math.fsum(w for config, w in support if sum(config) >= 2)
+            / math.fsum(w for _, w in support))
 
 
 def batched(setup, batches, extra=5):
-    """setup with enough trains for batches full batches and one of extra trains."""
+    """setup with trains for that many full batches and a last one of extra trains."""
     cut = _batch_size(2**62, kept_share(setup))
     return dataclasses.replace(setup, n_test=batches * cut + extra)
 
@@ -628,8 +629,8 @@ def test_batch_cut_follows_the_kept_trains_alone(monkeypatch, simulate, setup, o
     bench = setup(**overrides)
     if kept_share(bench) > 0:  # else one batch of any size
         bench = batched(bench, 2)
+    quiet = quiet_two if simulate is simulate_two_detector else quiet_three
     for n_jobs, collect_events in itertools.product((1, 2), (False, True)):
-        quiet = quiet_two if simulate is simulate_two_detector else quiet_three
         quiet(bench, seed=3, n_jobs=n_jobs, collect_events=collect_events)
     assert all(call == calls[0] for call in calls)
     n, share, sizes = calls[0]

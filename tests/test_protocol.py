@@ -75,14 +75,9 @@ def assert_fits(observed, law):
 
 
 def batched(params, channel, batches, extra=17):
-    """params with enough blocks that run_batches cuts them into batches + 1 batches.
-
-    The last one holds extra blocks; the cut sizes batches by expected clicks.
-    """
+    """params with blocks for that many full batches and a last one of extra blocks."""
     cut = _batch_size(2**62, _click_law(params, channel)[2])
-    n_blocks = batches * cut + extra
-    assert -(-n_blocks // _batch_size(n_blocks, _click_law(params, channel)[2])) > batches
-    return dataclasses.replace(params, n_blocks=n_blocks)
+    return dataclasses.replace(params, n_blocks=batches * cut + extra)
 
 
 def quiet_run(params, channel, n_jobs=1):
