@@ -33,7 +33,7 @@ from dqps import (
     simulate_two_detector,
 )
 from dqps.cli import main
-from test_cli_parity import GOLDEN_3DET, GOLDEN_3DET_LOG
+from test_cli_parity import GOLDEN_2DET, GOLDEN_3DET, GOLDEN_3DET_LOG, GOLDEN_SIMULATE
 from test_cli_parity import _golden as _parity_golden
 from test_cli_parity import _key as _parity_key
 
@@ -862,6 +862,10 @@ def test_left_out_flags_take_the_library_defaults(capsys, argv, defaults):
 # Exact stdout of small deterministic runs.  A change to these bytes has to
 # be deliberate and logged.  The seeded simulate and calibrate pins are
 # TEXT_CASES of the CLI parity matrix, in tests/cli_parity.json.
+def _pinned(argv) -> dict:
+    return _parity_golden()[_parity_key(argv)]
+
+
 GOLDEN_KEYRATE_ARGS = (
     "keyrate", "--L", "3", "--eta", "0.05", "--error-rate", "0.02", "--mu", "0.01",
 )
@@ -938,6 +942,8 @@ GOLDEN_RTAG_ORACLE_CSV = (
      GOLDEN_SWEEP_DEAD_ROW),
     (GOLDEN_RTAG_ORACLE_ARGS, GOLDEN_RTAG_ORACLE),
     (GOLDEN_RTAG_ORACLE_ARGS + ("--format", "csv"), GOLDEN_RTAG_ORACLE_CSV),
+    (GOLDEN_2DET + ("--format", "csv"), _pinned(GOLDEN_2DET + ("--format", "csv"))["text"]),
+    (GOLDEN_3DET + ("--format", "csv"), _pinned(GOLDEN_3DET + ("--format", "csv"))["text"]),
 ])
 def test_golden_record_outputs(capsys, argv, golden):
     code, out, err = run_cli(capsys, *argv)
@@ -956,12 +962,27 @@ def test_golden_rtag_source_output(capsys, tmp_path, monkeypatch):
     ), err
 
 
+def test_golden_outputs(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *GOLDEN_2DET)
+    assert code == 0 and out == _pinned(GOLDEN_2DET)["text"], err
+
+    golden = _pinned(GOLDEN_3DET_LOG)
+    code, out, err = run_cli(capsys, *GOLDEN_3DET_LOG)
+    assert code == 0 and out == golden["text"], err
+    log = (tmp_path / "events.csv").read_bytes()
+    assert hashlib.sha256(log).hexdigest() == golden["files"]["events.csv"]
+
+    code, out, err = run_cli(capsys, *GOLDEN_SIMULATE)
+    assert code == 0 and out == _pinned(GOLDEN_SIMULATE)["text"], err
+
+
 def test_event_log_chunks_join_to_the_golden_bytes(capsys, tmp_path, monkeypatch):
     # 50000 rows in chunks of 4096: twelve full chunks and a partial one
     monkeypatch.setattr("dqps.cli._EVENT_LOG_CHUNK", 4096)
     monkeypatch.chdir(tmp_path)
     # at one job, against the bytes pinned at two
-    golden = _parity_golden()[_parity_key(GOLDEN_3DET_LOG)]
+    golden = _pinned(GOLDEN_3DET_LOG)
     code, out, err = run_cli(capsys, *GOLDEN_3DET, "--event-log", "events.csv")
     assert code == 0 and out == golden["text"], err
     log = (tmp_path / "events.csv").read_bytes()
