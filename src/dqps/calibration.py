@@ -20,9 +20,10 @@ those trains alone: per kept train, not per train.  A Poissonian batch
 draws that number from a binomial and each kept train's photon count from
 the Poisson law given two or more; a source table draws every
 configuration's count at once and expands the configurations of two or
-more photons.  One multinomial per kept train routes its photons to
-(detector, slot) cells, so memory grows with the kept trains and the
-cells, not with the photons, at any flux.
+more photons.  Photons then go to (detector, slot) cells: a group that
+holds no more photons than there are cells draws one uniform per photon,
+a larger group one multinomial, so memory grows with the kept trains and
+the cells, not with the photons, at any flux.
 
 Both benches run through one driver, ``_calibrate``, on the protocol's seeded
 batch runner, ``protocol.run_batches``, so a seed gives the same counts for
@@ -344,6 +345,27 @@ def _two_or_more(rng, m: float, p2: float, k: int) -> np.ndarray:
     return drawn[:k]
 
 
+def _occupied(rng, counts, cells) -> np.ndarray:
+    """Which cells each group of photons reaches: counts' shape plus one axis.
+
+    Each photon lands in cell j with chance cells[j], independently; the
+    last cell takes the rest, as in numpy's multinomial.  A group of at most
+    len(cells) photons draws one uniform per photon, a larger group one
+    multinomial, so memory stays O(groups * cells) at any flux.
+    """
+    flat = counts.ravel()
+    width = len(cells)
+    reached = np.zeros((flat.size, width), dtype=bool)
+    few = np.flatnonzero(flat <= width)
+    photons = flat[few]
+    cell = np.searchsorted(np.cumsum(cells[:-1]), rng.random(photons.sum()), side="right")
+    reached[np.repeat(few, photons), cell] = True
+    many = flat > width
+    if many.any():
+        reached[many] = rng.multinomial(flat[many], cells) > 0
+    return reached.reshape(*counts.shape, width)
+
+
 def _clicks(setup, table, probs, rng, n: int):
     """The clicks of the trains among n that hold two or more photons.
 
@@ -356,22 +378,24 @@ def _clicks(setup, table, probs, rng, n: int):
     / L.  A table draws how many trains take each configuration, keeps the
     configurations of two or more photons, and sends each photon of a slot
     to detector i with chance probs[i], or to none; its kept trains come
-    grouped by configuration.  clicks[i] holds detector i's clicks, one row
-    per kept train.
+    grouped by configuration.  _occupied routes the photons of a train, or
+    of a table's slot, one uniform each when they are no more than the
+    cells, else by one multinomial.  clicks[i] holds detector i's clicks,
+    one row per kept train.
     """
     if table is None:
         m = setup.mu * setup.L * sum(probs)
         p2 = _kept_share(m)
         photons = _two_or_more(rng, m, p2, rng.binomial(n, p2))
         cells = np.repeat(np.divide(probs, sum(probs)) / setup.L, setup.L)
-        routed = rng.multinomial(photons, cells).reshape(-1, len(probs), setup.L)
-        return routed.transpose(1, 0, 2) > 0
+        reached = _occupied(rng, photons, cells).reshape(-1, len(probs), setup.L)
+        return reached.transpose(1, 0, 2)
     configs, totals, p = table
     trains = rng.multinomial(n, p)
     kept = np.flatnonzero(totals >= 2)
     photons = np.repeat(configs[kept], trains[kept], axis=0)
-    routed = rng.multinomial(photons, [*probs, 0.0])  # the last cell takes the rest
-    return np.moveaxis(routed[..., :-1] > 0, -1, 0)
+    reached = _occupied(rng, photons, [*probs, 0.0])  # the last cell takes the rest
+    return np.moveaxis(reached[..., :-1], -1, 0)
 
 
 def _two_detector_batch(table, setup: CalibSetup2, probs, rng, n: int):

@@ -22,7 +22,8 @@ from dqps import (
     simulate_two_detector,
 )
 from dqps.calibration import (
-    _REJECTION_FROM, _apply_dead_time, _detection_probs, _double_coincidence, _two_or_more,
+    _REJECTION_FROM, _apply_dead_time, _detection_probs, _double_coincidence, _occupied,
+    _two_or_more,
 )
 from dqps.errors import _POISSON_MEAN_MAX
 from dqps.protocol import BATCH_BLOCKS, _batch_size, run_batches
@@ -376,6 +377,16 @@ MIXED_TABLE = SourceDistribution((
     ((0, 0, 3, 0), 0.05),
 ))
 
+# slots of 5 and 7 photons, more than the 3 (2det) or 4 (3det) cells a table
+# slot's photons go to, beside slots of 3 or fewer
+CROWDED_TABLE = SourceDistribution((
+    ((0, 0, 0, 0), 0.3),
+    ((1, 1, 0, 0), 0.2),
+    ((0, 5, 0, 0), 0.2),
+    ((2, 0, 0, 7), 0.15),
+    ((1, 0, 3, 0), 0.15),
+))
+
 
 def test_two_detector_deterministic():
     bench = batched(two_det(), 2)
@@ -509,6 +520,10 @@ def bright_three_det(L, mu, dead_time):
     (CalibSetup2(L=3, mu=1.0, true_T=0.6, true_R=0.35, eta1=0.2, eta2=0.3), 2),
     (two_det(L=50, mu=0.05), 3),
     (two_det(L=4, mu=0.0, source=MIXED_TABLE), 4),
+    # a kept train's N >= 2 photons (Poisson mean 4) go to 4 cells, so in every
+    # batch some trains go photon by photon and some by multinomial
+    (two_det(L=2, mu=4.0), 5),
+    (two_det(L=4, mu=0.0, source=CROWDED_TABLE), 6),
 ])
 def test_two_detector_double_rate_is_exact(setup, seed):
     assert_bench_follows_exact_law(setup, seed)
@@ -525,20 +540,28 @@ def test_three_detector_doubles_under_dead_time_are_exact(dead_time):
     assert_bench_follows_exact_law(bright_three_det(6, 0.5, dead_time), seed=20 + dead_time)
 
 
-def test_three_detector_source_table_is_exact():
+def unequal_three_det(**overrides):
     # three unequal arms (0.25, 0.15, 0.4), so a mix-up of two detectors shows
-    setup = three_det(L=4, mu=0.0, source=MIXED_TABLE, eta2=0.15, eta3=0.4,
-                      true_eff2=0.6, true_eff3=0.8, eta_abs=0.8, true_eta_abs=0.8)
+    setup = three_det(eta2=0.15, eta3=0.4, true_eff2=0.6, true_eff3=0.8,
+                      eta_abs=0.8, true_eta_abs=0.8, **overrides)
     assert _detection_probs(setup) == pytest.approx([0.8, 0.25, 0.15, 0.4], rel=1e-15)
-    assert_bench_follows_exact_law(setup, seed=25)
+    return setup
+
+
+def test_three_detector_source_table_is_exact():
+    assert_bench_follows_exact_law(unequal_three_det(L=4, mu=0.0, source=MIXED_TABLE),
+                                   seed=25)
+
+
+def test_three_detector_crowded_source_table_is_exact():
+    # slots beyond the cells go by multinomial, the rest photon by photon
+    assert_bench_follows_exact_law(unequal_three_det(L=4, mu=0.0, source=CROWDED_TABLE),
+                                   seed=27)
 
 
 def test_three_detector_unequal_arms_are_exact():
     # the Poissonian source through the same three unequal arms
-    setup = three_det(L=6, mu=0.5, eta2=0.15, eta3=0.4, true_eff2=0.6, true_eff3=0.8,
-                      eta_abs=0.8, true_eta_abs=0.8)
-    assert _detection_probs(setup) == pytest.approx([0.8, 0.25, 0.15, 0.4], rel=1e-15)
-    assert_bench_follows_exact_law(setup, seed=26)
+    assert_bench_follows_exact_law(unequal_three_det(L=6, mu=0.5), seed=26)
 
 
 @pytest.mark.parametrize("mu, bias", [
@@ -594,6 +617,30 @@ def test_two_or_more_sampler_follows_the_truncated_poisson_law(m):
     law /= math.fsum(law)
     assert draws.max() <= top
     assert_fits(*lumped(np.bincount(draws - 2, minlength=law.size), law, n))
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 4)])
+def test_occupied_reaches_no_cell_from_an_empty_group(shape):
+    reached = _occupied(np.random.default_rng(1), np.zeros(shape, dtype=np.int64),
+                        [0.2, 0.3, 0.5])
+    assert reached.shape == (*shape, 3) and not reached.any()
+
+
+def test_occupied_sends_a_lone_photon_to_exactly_one_cell():
+    reached = _occupied(np.random.default_rng(2), np.ones((1000, 2), dtype=np.int64),
+                        [0.2, 0.3, 0.0, 0.5])
+    assert (reached.sum(axis=-1) == 1).all()
+    assert not reached[..., 2].any() and reached[..., [0, 1, 3]].any(axis=(0, 1)).all()
+
+
+@pytest.mark.parametrize("sure", [0, 1, 2])
+def test_occupied_sends_every_photon_to_a_sure_cell(sure):
+    # groups of 1-3 photons go one uniform each, of 4 and more by multinomial
+    cells = np.zeros(3)
+    cells[sure] = 1.0
+    counts = np.array([0, 1, 2, 3, 4, 5, 10**12, 0, 3])
+    reached = _occupied(np.random.default_rng(sure), counts, cells)
+    assert (reached == np.outer(counts > 0, cells == 1.0)).all()
 
 
 @pytest.mark.parametrize("simulate, setup", BENCHES)
