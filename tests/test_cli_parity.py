@@ -89,6 +89,9 @@ CAL_3DET_BATCHES = ("calibrate", "--mode", "3det", "--mu", "0.3", "--n-trains", 
                     "--seed", "13", "--eta-abs", "0.5")
 CAL_3DET_SOURCE = ("calibrate", "--mode", "3det", "--L", "2", "--mu", "0.5", "--n-trains",
                    "100000", "--seed", "9", "--eta-abs", "0.8", "--source", "pairs.txt")
+# the same table at 2det: kept share 0.1, so three batches of 40,960 trains
+CAL_2DET_SOURCE = ("calibrate", "--mode", "2det", "--L", "2", "--mu", "0.5", "--n-trains",
+                   "100000", "--seed", "9", "--source", "pairs.txt")
 
 CASES = (
     (),
@@ -194,6 +197,8 @@ CASES = (
     CAL_3DET_BATCHES + ("--jobs", "2"),
     CAL_3DET_SOURCE + ("--jobs", "1"),
     CAL_3DET_SOURCE + ("--jobs", "2"),
+    CAL_2DET_SOURCE + ("--jobs", "1"),
+    CAL_2DET_SOURCE + ("--jobs", "2"),
     # about 1e10 photons per train
     ("calibrate", "--mode", "2det", "--L", "2", "--mu", "1e10", "--n-trains", "10"),
     ("calibrate", "--mode", "3det", "--L", "2", "--mu", "1e10", "--n-trains", "10"),
@@ -310,7 +315,7 @@ def _jobs_pairs():
 def test_a_second_job_changes_no_byte():
     golden = _golden()
     pairs = _jobs_pairs()
-    assert len(pairs) == 5
+    assert len(pairs) == 6
     for one, two in pairs:
         assert golden[_key(one)]["exit"] == 0
         assert golden[_key(one)] == golden[_key(two)], one
