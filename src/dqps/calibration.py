@@ -27,15 +27,17 @@ the cells, not with the photons, at any flux.
 
 Both benches run through one driver, ``_calibrate``, on the protocol's seeded
 batch runner, ``protocol.run_batches``, so a seed gives the same counts for
-any thread count.  The runner cuts the trains by the expected number of
-kept trains, not by trains: ``_calibrate`` passes the kept share, P(N >= 2)
-of the detected photon count N for a Poissonian source and the table's
-mass on two or more photons for a source table.  A bench's kernel reports
-only the flags of the trains that can coincide, [double] or [double,
-triple]; ``_calibrate`` counts them, applies the setup's bound and builds
-the report.  Only an event log needs the kept trains' places among the
-batch's rows; ``_calibrate`` draws them last, so the counts do not depend
-on whether events are collected.
+any thread count.  ``_source_law`` is the one place that tells a Poissonian
+source from a table: once per run it works out the kept share (P(N >= 2)
+of the detected photon count N, or the table's mass on two or more
+photons), the true tagging probability and the click sampler that every
+batch calls.  The runner cuts the trains by the expected number of kept
+trains, not by trains.  A bench's flag function reports only the flags of
+the trains that can coincide, [double] or [double, triple];
+``_calibrate`` counts them, applies the setup's bound and builds the
+report.  Only an event log needs the kept trains' places among the batch's
+rows; ``_calibrate`` draws them last, so the counts do not depend on
+whether events are collected.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -317,18 +318,6 @@ def _apply_dead_time(raw: np.ndarray, dead_time: int) -> np.ndarray:
     return masked
 
 
-def _source_table(source: SourceDistribution):
-    """A source's configurations, photons per train and normalised weights."""
-    configs, weights = source.as_arrays()
-    return configs, configs.sum(axis=1), weights / weights.sum()
-
-
-@lru_cache(maxsize=16)
-def _kept_share(m: float) -> float:
-    """P(N >= 2) for N ~ Poisson(m), worked out once per run, not per batch."""
-    return float(_poisson_head(m)[3])
-
-
 def _two_or_more(rng, m: float, p2: float, k: int) -> np.ndarray:
     """k draws of N given N >= 2, for N ~ Poisson(m) and p2 = P(N >= 2)."""
     if p2 < _REJECTION_FROM:
@@ -366,11 +355,13 @@ def _occupied(rng, counts, cells) -> np.ndarray:
     return reached.reshape(*counts.shape, width)
 
 
-def _clicks(setup, table, probs, rng, n: int):
-    """The clicks of the trains among n that hold two or more photons.
+def _source_law(setup, probs):
+    """The run's source, worked out once: (kept share, true rtag, clicks).
 
-    probs[i] is the chance that a photon reaches detector i.  table is None
-    for a Poissonian source, else the _source_table of the run's source.
+    probs[i] is the chance that a photon reaches detector i.  The kept
+    share is the expected fraction of trains that hold two or more
+    detected photons, and clicks(rng, n) returns the clicks of those trains
+    among n: clicks[i] holds detector i's clicks, one row per kept train.
     A thinned Poissonian train is again Poissonian, with mean
     m = mu * L * sum(probs), so that source draws how many of the n trains
     hold N >= 2 detected photons, then N for those trains only, and sends
@@ -380,58 +371,60 @@ def _clicks(setup, table, probs, rng, n: int):
     to detector i with chance probs[i], or to none; its kept trains come
     grouped by configuration.  _occupied routes the photons of a train, or
     of a table's slot, one uniform each when they are no more than the
-    cells, else by one multinomial.  clicks[i] holds detector i's clicks,
-    one row per kept train.
+    cells, else by one multinomial.
     """
-    if table is None:
+    source = setup.source
+    if source is None:
         m = setup.mu * setup.L * sum(probs)
-        p2 = _kept_share(m)
-        photons = _two_or_more(rng, m, p2, rng.binomial(n, p2))
+        p2 = float(_poisson_head(m)[3])
         cells = np.repeat(np.divide(probs, sum(probs)) / setup.L, setup.L)
-        reached = _occupied(rng, photons, cells).reshape(-1, len(probs), setup.L)
-        return reached.transpose(1, 0, 2)
-    configs, totals, p = table
-    trains = rng.multinomial(n, p)
-    kept = np.flatnonzero(totals >= 2)
-    photons = np.repeat(configs[kept], trains[kept], axis=0)
-    reached = _occupied(rng, photons, [*probs, 0.0])  # the last cell takes the rest
-    return np.moveaxis(reached[..., :-1], -1, 0)
+
+        def clicks(rng, n: int):
+            photons = _two_or_more(rng, m, p2, rng.binomial(n, p2))
+            reached = _occupied(rng, photons, cells).reshape(-1, len(probs), setup.L)
+            return reached.transpose(1, 0, 2)
+
+        return p2, rtag_coherent(TagParams(setup.L, setup.mu)), clicks
+    configs, weights = source.as_arrays()
+    p = weights / weights.sum()
+    kept = configs.sum(axis=1) >= 2
+    kept_configs = configs[kept]
+    cells = [*probs, 0.0]  # the last cell takes the rest
+
+    def clicks(rng, n: int):
+        trains = rng.multinomial(n, p)
+        photons = np.repeat(kept_configs, trains[kept], axis=0)
+        reached = _occupied(rng, photons, cells)
+        return np.moveaxis(reached[..., :-1], -1, 0)
+
+    return float(p[kept].sum()), rtag_general(source), clicks
 
 
-def _two_detector_batch(table, setup: CalibSetup2, probs, rng, n: int):
-    return _double_coincidence(*_clicks(setup, table, probs, rng, n))[:, None]
+def _two_detector_flags(setup: CalibSetup2, clicks):
+    return _double_coincidence(*clicks)[:, None]
 
 
-def _three_detector_batch(table, setup: CalibSetup3, probs, rng, n: int):
-    clicks = _clicks(setup, table, probs, rng, n)
+def _three_detector_flags(setup: CalibSetup3, clicks):
     masked = [_apply_dead_time(c, setup.dead_time) for c in clicks[:2]]
     # dead time never hides a detector's first click, so triples use raw clicks
     triple = clicks.any(axis=2).all(axis=0)
     return np.stack([_double_coincidence(*masked), triple], 1)
 
 
-def _calibrate(mode, setup, kernel, probs, seed, n_jobs, collect_events):
-    """Run kernel over setup.n_test trains and report the bound it gives.
+def _calibrate(mode, setup, flags, probs, seed, n_jobs, collect_events):
+    """Run setup.n_test trains and report the bound they give.
 
-    probs[i] is the chance that a photon reaches detector i.
-    kernel(table, setup, probs, rng, n), with table the _source_table of
-    setup.source or None, returns the flags of the trains among n
-    that can coincide, one row each; the counts come from those rows alone.
-    Batches are cut by the expected number of those trains.  Events place
-    the rows at distinct random trains of the batch, drawn after the
-    kernel's draws.
+    probs[i] is the chance that a photon reaches detector i; _source_law
+    turns it into the run's kept share, true rtag and click sampler.
+    flags(setup, clicks) returns the flags of the kept trains, one row
+    each; the counts come from those rows alone.  Batches are cut by the
+    expected number of kept trains.  Events place the rows at distinct
+    random trains of the batch, drawn after the clicks.
     """
-    source = setup.source
-    if source is None:
-        table = None
-        kept = _kept_share(setup.mu * setup.L * sum(probs))
-    else:
-        table = _source_table(source)  # once per run, not per batch
-        _, totals, weights = table
-        kept = float(weights[totals >= 2].sum())
+    kept, true_rtag, clicks = _source_law(setup, probs)
 
     def batch(rng, size):
-        found = kernel(table, setup, probs, rng, size)
+        found = flags(setup, clicks(rng, size))
         events = None
         if collect_events:
             events = np.zeros((size, found.shape[1]), dtype=bool)
@@ -449,10 +442,6 @@ def _calibrate(mode, setup, kernel, probs, seed, n_jobs, collect_events):
     # a kernel with one column of flags counts no triples
     n_double, n_triple = (*sum(counts).tolist(), None)[:2]
     bound, sigma = setup._bound(n_double, n_triple)
-    if source is None:
-        true_rtag = rtag_coherent(TagParams(setup.L, setup.mu))
-    else:
-        true_rtag = rtag_general(source)
     return CalibrationReport(
         mode=mode,
         n_test=setup.n_test,
@@ -475,7 +464,7 @@ def simulate_two_detector(
     efficiency bounds, valid for any photon-number-diagonal source.
     """
     probs = _detection_probs(setup)
-    return _calibrate("2det", setup, _two_detector_batch, probs, seed, n_jobs,
+    return _calibrate("2det", setup, _two_detector_flags, probs, seed, n_jobs,
                       collect_events)
 
 
@@ -490,5 +479,5 @@ def simulate_three_detector(
     """
     p_abs, *arms = _detection_probs(setup)
     probs = [p_abs * p for p in arms]  # the absorber, then the arm
-    return _calibrate("3det", setup, _three_detector_batch, probs, seed, n_jobs,
+    return _calibrate("3det", setup, _three_detector_flags, probs, seed, n_jobs,
                       collect_events)

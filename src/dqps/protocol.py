@@ -260,24 +260,24 @@ def run_batches(seed: int, n: int, n_jobs: int, kernel, share: float) -> list:
 
     share is the expected fraction of the items that the kernel draws for
     (clicked blocks, kept trains); see _batch_size.  The cut depends on n
-    and share alone.  Batch i gets child i of SeedSequence(seed); batches
-    run serially or on n_jobs threads, and the results come back in
-    batch order, so they do not depend on the thread count.
+    and share alone.  Batch i draws from child i of SeedSequence(seed),
+    made when the batch runs; batches run serially or on n_jobs threads,
+    and the results come back in batch order, so they do not depend on
+    the thread count.
     """
     _seed("seed", seed)
     _positive_count("n_jobs", n_jobs)
     cut = _batch_size(n, share)
     n_batches = -(-n // cut)
-    children = np.random.SeedSequence(seed).spawn(n_batches)
-    sizes = [min(cut, n - i * cut) for i in range(n_batches)]
 
-    def run(child, size):
-        return kernel(np.random.default_rng(child), size)
+    def run(i):
+        child = np.random.SeedSequence(seed, spawn_key=(i,))
+        return kernel(np.random.default_rng(child), min(cut, n - i * cut))
 
     if n_jobs == 1 or n_batches == 1:
-        return list(map(run, children, sizes))
+        return list(map(run, range(n_batches)))
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(run, children, sizes))
+        return list(pool.map(run, range(n_batches)))
 
 
 def run_simulation(

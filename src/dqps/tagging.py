@@ -46,14 +46,15 @@ DEFAULT_WORK_LIMIT = 10**8
 
 def _validate_counts(counts: PhotonConfig) -> tuple[int, ...]:
     try:
-        t = tuple(int(k) for k in counts)
+        given = tuple(counts)  # read once, so a one-shot iterator works too
+        t = tuple(map(int, given))
     except (TypeError, ValueError):
         raise ParameterError("counts", "must be a sequence of integers") from None
     if len(t) < 2:
         raise ParameterError("counts", "needs at least 2 pulses")
-    if any(k < 0 for k in t):
+    if min(t) < 0:
         raise ParameterError("counts", "photon counts must be nonnegative")
-    if any(k != c for k, c in zip(t, counts)):
+    if t != given:
         raise ParameterError("counts", "photon counts must be integers")
     return t
 

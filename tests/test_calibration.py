@@ -21,6 +21,7 @@ from dqps import (
     simulate_three_detector,
     simulate_two_detector,
 )
+from dqps import calibration
 from dqps.calibration import (
     _REJECTION_FROM, _apply_dead_time, _detection_probs, _double_coincidence, _occupied,
     _two_or_more,
@@ -683,6 +684,26 @@ def test_batch_cut_follows_the_kept_trains_alone(monkeypatch, simulate, setup, o
     n, share, sizes = calls[0]
     assert n == bench.n_test and share == pytest.approx(kept_share(bench), rel=1e-12)
     assert len(sizes) == (1 if share == 0 else 3)
+
+
+@pytest.mark.parametrize("simulate, setup", BENCHES)
+@pytest.mark.parametrize("overrides, owner, name", [
+    (dict(mu=0.3), calibration, "_poisson_head"),
+    (dict(L=4, source=MIXED_TABLE), SourceDistribution, "as_arrays"),
+], ids=["poissonian", "table"])
+def test_the_source_law_is_worked_out_once_per_run(
+        monkeypatch, simulate, setup, overrides, owner, name):
+    # three batches on two jobs take the kept share and the table from one call
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    simulate(batched(setup(**overrides), 2), seed=5, n_jobs=2, collect_events=True)
+    assert len(calls) == 1
 
 
 def test_train_count_must_fit_int64_counts():

@@ -444,6 +444,44 @@ def test_batch_cut_ignores_the_thread_count():
         assert sizes[0] == _batch_size(n, share)
 
 
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_batch_streams_are_the_spawned_children_of_the_seed(monkeypatch, n_jobs):
+    monkeypatch.setattr("dqps.protocol._batch_size", lambda n, share: 3)
+    for seed in (0, 17, 2**63 + 5):
+        draws = run_batches(seed, 20, n_jobs, lambda rng, size: rng.random(size), share=1.0)
+        children = np.random.SeedSequence(seed).spawn(7)
+        expected = [np.random.default_rng(child).random(min(3, 20 - 3 * i))
+                    for i, child in enumerate(children)]
+        assert len(draws) == 7
+        for got, want in zip(draws, expected):
+            assert np.array_equal(got, want), seed
+
+
+def test_batch_set_up_does_not_grow_with_the_batch_count(monkeypatch):
+    # the first batch measures what run_batches holds before it, then stops
+    # the run, so no large run starts
+    class Stop(Exception):
+        pass
+
+    def first_batch(rng, size):
+        held.append(tracemalloc.get_traced_memory()[0] - before)
+        raise Stop
+
+    monkeypatch.setattr("dqps.protocol._batch_size", lambda n, share: 1)
+    run_batches(1, 2, 1, lambda rng, size: size, share=1.0)  # first-call set-up
+    held = []
+    tracemalloc.start()
+    try:
+        for n_batches in (16, 2**16):
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(Stop):
+                run_batches(1, n_batches, 1, first_batch, share=1.0)
+    finally:
+        tracemalloc.stop()
+    # spawning 2**16 children up front would hold some 25 MB
+    assert max(held) < 64 * 1024, held
+
+
 def test_run_simulation_cuts_batches_by_its_click_probability(monkeypatch):
     calls = []
     real = run_batches

@@ -398,6 +398,33 @@ def test_source_distribution_rejects_ragged_support():
         SourceDistribution((((0, 0), 0.5), ((1, 0, 0), 0.5)))
 
 
+@pytest.mark.parametrize("counts, message", [
+    (5, "must be a sequence of integers"),
+    (("a", 1), "must be a sequence of integers"),
+    ((float("nan"), 1), "must be a sequence of integers"),
+    ((1,), "needs at least 2 pulses"),
+    ((-1, 1.5), "must be nonnegative"),  # the sign is checked before the type
+    ((-0.5, 1), "must be integers"),
+    ((1.5, 0), "must be integers"),
+    (("1", 0), "must be integers"),
+])
+def test_photon_counts_are_refused_in_check_order(counts, message):
+    with pytest.raises(ParameterError, match=f"'counts': .*{message}"):
+        is_untagged_config(counts)
+    with pytest.raises(ParameterError, match=f"'counts': .*{message}"):
+        SourceDistribution(((counts, 1.0),))
+
+
+def test_photon_counts_accept_any_integer_valued_iterable():
+    for counts in (iter([1, 0, 1]), (np.int64(1), 0.0, True), [1, 0, 1], range(2)):
+        assert is_untagged_config(counts)
+    # a one-shot iterator is read once, and its values are still checked
+    with pytest.raises(ParameterError, match="must be integers"):
+        is_untagged_config(iter([1.5, 0]))
+    dist = SourceDistribution(((iter([1, 0, 1]), 0.5), ((np.int64(2), 0.0, 0), 0.5)))
+    assert dist.support == (((1, 0, 1), 0.5), ((2, 0, 0), 0.5))
+
+
 def test_source_distribution_from_file(tmp_path):
     path = tmp_path / "source.txt"
     path.write_text(
