@@ -33,7 +33,10 @@ from dqps import (
     simulate_two_detector,
 )
 from dqps.cli import main
-from test_cli_parity import GOLDEN_2DET, GOLDEN_3DET, GOLDEN_3DET_LOG, GOLDEN_SIMULATE
+from test_cli_parity import (
+    GOLDEN_2DET, GOLDEN_3DET, GOLDEN_3DET_LOG, GOLDEN_SIMULATE, INFEASIBLE, KEYRATE, OPTIMIZED,
+    RTAG,
+)
 from test_cli_parity import _golden as _parity_golden
 from test_cli_parity import _key as _parity_key
 
@@ -824,7 +827,7 @@ def _channel_defaults():
     return [arg for name, flag in flags.items() for arg in (flag, str(defaults[name]))]
 
 
-KEYRATE = ("keyrate", "--L", "20", "--eta-db", "20", "--error-rate", "0.03")
+KEYRATE_20DB = ("keyrate", "--L", "20", "--eta-db", "20", "--error-rate", "0.03")
 MU_LO, MU_HI = inspect.signature(optimize_mu).parameters["mu_bounds"].default
 OPTIMIZER_DEFAULTS = (
     "--mu-lo", str(MU_LO), "--mu-hi", str(MU_HI),
@@ -844,9 +847,9 @@ OPTIMIZER_DEFAULTS = (
     (("rtag", "--L", "4", "--mu", "0.3", "--oracle"),
      ["--cap", _default(rtag_bruteforce, "photon_cap"),
       "--work-limit", _default(rtag_bruteforce, "work_limit")]),
-    (KEYRATE + ("--mu", "0.005"),
+    (KEYRATE_20DB + ("--mu", "0.005"),
      ["--ec-inefficiency", _default(key_rate, "ec_inefficiency")]),
-    (KEYRATE + ("--optimize",), OPTIMIZER_DEFAULTS),
+    (KEYRATE_20DB + ("--optimize",), OPTIMIZER_DEFAULTS),
     (("sweep", "--L-list", "2,4", "--eta-db-range", "0:20:10", "--error-rate", "0.03"),
      OPTIMIZER_DEFAULTS),
 ])
@@ -860,61 +863,21 @@ def test_left_out_flags_take_the_library_defaults(capsys, argv, defaults):
 # --- golden outputs ---------------------------------------------------------------
 
 # Exact stdout of small deterministic runs.  A change to these bytes has to
-# be deliberate and logged.  The seeded simulate and calibrate pins are
-# TEXT_CASES of the CLI parity matrix, in tests/cli_parity.json.
+# be deliberate and logged.  Every pin but the sweep dead row is a TEXT_CASE
+# of the CLI parity matrix, in tests/cli_parity.json, so one re-record moves
+# them all.
 def _pinned(argv) -> dict:
     return _parity_golden()[_parity_key(argv)]
 
 
-GOLDEN_KEYRATE_ARGS = (
-    "keyrate", "--L", "3", "--eta", "0.05", "--error-rate", "0.02", "--mu", "0.01",
-)
-GOLDEN_KEYRATE = (
-    '{"L": 3, "Q": 0.0009995001666250085, "error_rate": 0.02, "eta": 0.05, '
-    '"eta_db": 13.010299956639813, "f_ec": 0.14144054254182067, '
-    '"f_pa": 0.47333975783878124, "feasible": true, "mu": 0.01, '
-    '"optimized": false, "p0": 1.0, "rate_per_pulse": 0.0001283423846522747, '
-    '"record": "keyrate", "rtag": 0.0003440558916817269}\n'
-)
-GOLDEN_KEYRATE_CSV = (
-    "record,L,eta,eta_db,error_rate,p0,optimized,mu,Q,rtag,f_pa,f_ec,"
-    "rate_per_pulse,feasible\n"
-    "keyrate,3,0.050000000000000003,13.010299956639813,0.02,1,false,0.01,"
-    "0.00099950016662500845,0.00034405589168172689,0.47333975783878124,"
-    "0.14144054254182067,0.0001283423846522747,true\n"
-)
-GOLDEN_KEYRATE_OPTIMIZED = (
-    '{"L": 2, "Q": 1.6299262925916723e-05, "error_rate": 0.03, "eta": 0.01, '
-    '"eta_db": 20.0, "f_ec": 0.1943918578315762, "f_pa": 0.5023244865578753, '
-    '"feasible": true, "mu": 0.001629939576034609, "optimized": true, '
-    '"p0": 1.0, "rate_per_pulse": 2.4716500219647547e-06, "record": "keyrate", '
-    '"rtag": 5.301872772535996e-06}\n'
-)
-GOLDEN_KEYRATE_INFEASIBLE_ARGS = (
-    "keyrate", "--L", "2", "--eta", "1e-4", "--error-rate", "0.25", "--optimize",
-)
-GOLDEN_KEYRATE_INFEASIBLE = (
-    '{"L": 2, "Q": null, "error_rate": 0.25, "eta": 0.0001, "eta_db": 40.0, '
-    '"f_ec": null, "f_pa": null, "feasible": false, "mu": null, '
-    '"optimized": true, "p0": 1.0, "rate_per_pulse": 0.0, "record": "keyrate", '
-    '"rtag": null}\n'
-)
-GOLDEN_KEYRATE_INFEASIBLE_CSV = (
-    "record,L,eta,eta_db,error_rate,p0,optimized,mu,Q,rtag,f_pa,f_ec,"
-    "rate_per_pulse,feasible\n"
-    "keyrate,2,0.0001,40,0.25,1,true,,,,,,0,false\n"
-)
+def _pinned_text(*cases) -> list:
+    return [(argv, _pinned(argv)["text"]) for argv in cases]
 
 
-@pytest.mark.parametrize("argv, golden", [
-    (GOLDEN_KEYRATE_ARGS, GOLDEN_KEYRATE),
-    (GOLDEN_KEYRATE_ARGS + ("--format", "csv"), GOLDEN_KEYRATE_CSV),
-    (("keyrate", "--L", "2", "--eta-db", "20", "--error-rate", "0.03",
-      "--optimize"), GOLDEN_KEYRATE_OPTIMIZED),
-    (GOLDEN_KEYRATE_INFEASIBLE_ARGS, GOLDEN_KEYRATE_INFEASIBLE),
-    (GOLDEN_KEYRATE_INFEASIBLE_ARGS + ("--format", "csv"),
-     GOLDEN_KEYRATE_INFEASIBLE_CSV),
-])
+@pytest.mark.parametrize("argv, golden", _pinned_text(
+    KEYRATE, KEYRATE + ("--format", "csv"), OPTIMIZED,
+    INFEASIBLE, INFEASIBLE + ("--format", "csv"),
+))
 def test_golden_keyrate_outputs(capsys, argv, golden):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and out == golden, err
@@ -926,40 +889,17 @@ GOLDEN_SWEEP_DEAD_ROW = (
     "2,0,1,5.051673070041216e-05,5.0515454751857502e-05,"
     "5.1035363992208579e-09,2.1226766331622511e-09\n"
 )
-GOLDEN_RTAG_ORACLE_ARGS = ("rtag", "--L", "5", "--mu", "0.2", "--oracle", "--cap", "6")
-GOLDEN_RTAG_ORACLE = (
-    '{"L": 5, "mu": 0.2, "oracle_value": 0.17300700558420867, "record": "rtag", '
-    '"source": null, "truncation_bound": 1.0662389259330613e-08, '
-    '"value": 0.17300701624659764}\n'
-)
-GOLDEN_RTAG_ORACLE_CSV = (
-    "record,source,oracle_value,truncation_bound,L,mu,value\n"
-    "rtag,,0.17300700558420867,1.0662389259330613e-08,5,0.20000000000000001,"
-    "0.17300701624659764\n"
-)
+
+
 @pytest.mark.parametrize("argv, golden", [
     (("sweep", "--L-list", "2", "--eta-db-range", "0:40:40", "--error-rate", "0.11"),
      GOLDEN_SWEEP_DEAD_ROW),
-    (GOLDEN_RTAG_ORACLE_ARGS, GOLDEN_RTAG_ORACLE),
-    (GOLDEN_RTAG_ORACLE_ARGS + ("--format", "csv"), GOLDEN_RTAG_ORACLE_CSV),
-    (GOLDEN_2DET + ("--format", "csv"), _pinned(GOLDEN_2DET + ("--format", "csv"))["text"]),
-    (GOLDEN_3DET + ("--format", "csv"), _pinned(GOLDEN_3DET + ("--format", "csv"))["text"]),
+    *_pinned_text(RTAG, RTAG + ("--format", "csv"), GOLDEN_2DET + ("--format", "csv"),
+                  GOLDEN_3DET + ("--format", "csv")),
 ])
 def test_golden_record_outputs(capsys, argv, golden):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and out == golden, err
-
-
-def test_golden_rtag_source_output(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "pairs.txt").write_text(
-        "# two-pulse table\n0 0 0.5\n1 0 0.2\n0 1 0.2\n1 1 0.1\n"
-    )
-    code, out, err = run_cli(capsys, "rtag", "--source", "pairs.txt")
-    assert code == 0 and out == (
-        '{"L": 2, "mu": null, "oracle_value": null, "record": "rtag", '
-        '"source": "pairs.txt", "truncation_bound": null, "value": 0.1}\n'
-    ), err
 
 
 def test_golden_outputs(capsys, tmp_path, monkeypatch):
@@ -1064,13 +1004,13 @@ def test_config_applies_to_its_own_call_only(capsys, tmp_path):
 
 # every subcommand in turn, with help and argparse errors in between
 IN_PROCESS_SEQUENCE = (
-    GOLDEN_KEYRATE_ARGS,
+    KEYRATE,
     ("--help",),
     ("sweep", "--L-list", "2", "--eta-db-range", "0:40:40", "--error-rate", "0.11"),
     ("keyrate", "--L", "x"),
     ("simulate", "--L", "4", "--mu", "0.1", "--eta", "0.3", "--blocks", "50000"),
     ("sweep", "--help"),
-    GOLDEN_RTAG_ORACLE_ARGS + ("--format", "csv"),
+    RTAG + ("--format", "csv"),
     ("calibrate", "--mode", "4det"),
     ("calibrate", "--mode", "2det", "--mu", "0.02", "--n-trains", "20000"),
 )

@@ -59,6 +59,7 @@ INPUTS = {
 }
 
 KEYRATE = ("keyrate", "--L", "3", "--eta", "0.05", "--error-rate", "0.02", "--mu", "0.01")
+OPTIMIZED = ("keyrate", "--L", "2", "--eta-db", "20", "--error-rate", "0.03", "--optimize")
 INFEASIBLE = ("keyrate", "--L", "2", "--eta", "1e-4", "--error-rate", "0.25", "--optimize")
 SIMULATE = ("simulate", "--L", "4", "--mu", "0.1", "--eta", "0.3", "--blocks", "20000",
             "--seed", "17")
@@ -70,6 +71,7 @@ SIM_SPARSE = ("simulate", "--L", "20", "--mu", "0.005", "--eta", "0.01", "--delt
 SIM_BRIGHT = ("simulate", "--L", "3", "--mu", "2", "--eta", "1", "--p-dark", "0.05",
               "--delta", "0.4", "--bitflip", "0.05", "--blocks", "70000")
 RTAG = ("rtag", "--L", "5", "--mu", "0.2", "--oracle", "--cap", "6")
+RTAG_SOURCE = ("rtag", "--source", "pairs.txt")
 CAL_2DET = ("calibrate", "--mode", "2det", "--mu", "0.02", "--n-trains", "20000",
             "--seed", "11")
 CAL_3DET = ("calibrate", "--mode", "3det", "--mu", "0.05", "--n-trains", "20000",
@@ -102,7 +104,7 @@ CASES = (
     KEYRATE + ("--format", "csv"),
     KEYRATE + ("--output", "out.json"),
     KEYRATE + ("--output", "missing/out.json"),
-    ("keyrate", "--L", "2", "--eta-db", "20", "--error-rate", "0.03", "--optimize"),
+    OPTIMIZED,
     INFEASIBLE,
     INFEASIBLE + ("--format", "csv"),
     ("keyrate", "--L", "1", "--eta", "0.05", "--error-rate", "0.02", "--mu", "0.01"),
@@ -166,8 +168,8 @@ CASES = (
     # rtag
     RTAG,
     RTAG + ("--format", "csv"),
-    ("rtag", "--source", "pairs.txt"),
-    ("rtag", "--source", "pairs.txt", "--format", "csv", "--output", "tag.csv"),
+    RTAG_SOURCE,
+    RTAG_SOURCE + ("--format", "csv", "--output", "tag.csv"),
     ("rtag", "--source", "missing.txt"),
     ("rtag", "--L", "9", "--mu", "0.1", "--oracle", "--cap", "10", "--work-limit", "1e8"),
     ("rtag", "--L", "2", "--mu", "0.1", "--cap", "4"),
@@ -213,6 +215,14 @@ CASES = (
 
 # cases whose stdout text is kept beside its hash
 TEXT_CASES = (
+    KEYRATE,
+    KEYRATE + ("--format", "csv"),
+    OPTIMIZED,
+    INFEASIBLE,
+    INFEASIBLE + ("--format", "csv"),
+    RTAG,
+    RTAG + ("--format", "csv"),
+    RTAG_SOURCE,
     GOLDEN_SIMULATE,
     GOLDEN_2DET,
     GOLDEN_2DET + ("--format", "csv"),
