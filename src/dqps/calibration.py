@@ -119,6 +119,22 @@ def _check_bound_finite(setup) -> None:
         _refuse_overflow({bound: getattr(setup, bound) for bound, *_ in setup._arms()})
 
 
+def _check_setup(setup, *splitters) -> None:
+    """The checks both benches share; each splitter is its (T, R) field pair."""
+    _block_length("L", setup.L)
+    _mean_photon_number("mu", setup.mu)
+    _block_photon_mean(setup.L, setup.mu)
+    for name in (name for pair in splitters for name in pair):
+        _probability(name, getattr(setup, name))
+    for T, R in splitters:
+        if getattr(setup, T) + getattr(setup, R) > 1 + _BOUND_TOL:
+            raise ParameterError(T, f"splitter outputs {T} + {R} exceed 1")
+    _detection_probs(setup)
+    _item_count("n_test", setup.n_test)
+    _check_bound_finite(setup)
+    _check_source(setup)
+
+
 @dataclass(frozen=True)
 class CalibSetup2:
     """Two-detector test bench.
@@ -143,17 +159,7 @@ class CalibSetup2:
     source: SourceDistribution | None = None
 
     def __post_init__(self):
-        _block_length("L", self.L)
-        _mean_photon_number("mu", self.mu)
-        _block_photon_mean(self.L, self.mu)
-        for name in ("true_T", "true_R"):
-            _probability(name, getattr(self, name))
-        if self.true_T + self.true_R > 1 + _BOUND_TOL:
-            raise ParameterError("true_T", "splitter outputs true_T + true_R exceed 1")
-        _detection_probs(self)
-        _item_count("n_test", self.n_test)
-        _check_bound_finite(self)
-        _check_source(self)
+        _check_setup(self, ("true_T", "true_R"))
 
     def _arms(self):
         """(declared bound, transmission, truth, split named when dark) per arm."""
@@ -204,20 +210,8 @@ class CalibSetup3:
     source: SourceDistribution | None = None
 
     def __post_init__(self):
-        _block_length("L", self.L)
-        _mean_photon_number("mu", self.mu)
-        _block_photon_mean(self.L, self.mu)
-        for name in ("true_T1", "true_R1", "true_T2", "true_R2"):
-            _probability(name, getattr(self, name))
-        if self.true_T1 + self.true_R1 > 1 + _BOUND_TOL:
-            raise ParameterError("true_T1", "splitter 1 outputs exceed 1")
-        if self.true_T2 + self.true_R2 > 1 + _BOUND_TOL:
-            raise ParameterError("true_T2", "splitter 2 outputs exceed 1")
-        _detection_probs(self)
+        _check_setup(self, ("true_T1", "true_R1"), ("true_T2", "true_R2"))
         _check_int("dead_time", self.dead_time, 0)
-        _item_count("n_test", self.n_test)
-        _check_bound_finite(self)
-        _check_source(self)
 
     def _arms(self):
         """The arm table as in CalibSetup2, absorber first, then routing order."""

@@ -261,23 +261,28 @@ def run_batches(seed: int, n: int, n_jobs: int, kernel, share: float) -> list:
     share is the expected fraction of the items that the kernel draws for
     (clicked blocks, kept trains); see _batch_size.  The cut depends on n
     and share alone.  Batch i draws from child i of SeedSequence(seed),
-    made when the batch runs; batches run serially or on n_jobs threads,
-    and the results come back in batch order, so they do not depend on
-    the thread count.
+    made when the batch runs.  Batches run serially or on n_jobs threads,
+    thread w running batches w, w + n_jobs, ... so that none waits queued;
+    the results come back in batch order, whatever the thread count.
     """
     _seed("seed", seed)
     _positive_count("n_jobs", n_jobs)
     cut = _batch_size(n, share)
     n_batches = -(-n // cut)
+    lanes = min(n_jobs, n_batches)
 
     def run(i):
         child = np.random.SeedSequence(seed, spawn_key=(i,))
         return kernel(np.random.default_rng(child), min(cut, n - i * cut))
 
-    if n_jobs == 1 or n_batches == 1:
-        return list(map(run, range(n_batches)))
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(run, range(n_batches)))
+    def lane(w):
+        return [run(i) for i in range(w, n_batches, lanes)]
+
+    if lanes == 1:
+        return lane(0)
+    with ThreadPoolExecutor(max_workers=lanes) as pool:
+        results = list(pool.map(lane, range(lanes)))
+    return [results[i % lanes][i // lanes] for i in range(n_batches)]
 
 
 def run_simulation(

@@ -361,6 +361,6 @@ def _tagged_weight_histogram(L: int, cap: int) -> tuple[float, ...]:
     norm_m, norm_e = _binary(list(zip(fact, accumulate(repeat(L, L * cap), mul, initial=1))))
     n = np.add.outer(np.arange(rows), np.arange(cols))
     joint = np.ldexp(joint * norm_m[n], norm_e[n] - np.add.outer(head_scale, tail_scale))
-    # shift row a right by a, so that column n holds the terms with a + b = n
-    skew = np.hstack([joint, np.zeros((rows, rows))]).ravel()[:-rows].reshape(rows, -1)
-    return tuple(math.fsum(column) for column in skew.T.tolist())
+    # anti-diagonal n = a + b of the join is diagonal cols - 1 - n of a flipped view
+    flipped = joint[:, ::-1]
+    return tuple(math.fsum(flipped.diagonal(k).tolist()) for k in range(cols - 1, -rows, -1))

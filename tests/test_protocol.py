@@ -482,6 +482,26 @@ def test_batch_set_up_does_not_grow_with_the_batch_count(monkeypatch):
     assert max(held) < 64 * 1024, held
 
 
+def test_a_second_job_queues_no_batch(monkeypatch):
+    # a future per batch, all submitted before the first one returned, took
+    # about 1.6 kB a batch, some 100 times the one-job peak here; each thread
+    # now runs its own share of the batches, so only the results grow
+    monkeypatch.setattr("dqps.protocol._batch_size", lambda n, share: 1)
+    run_batches(1, 4, 2, lambda rng, size: size, share=1.0)  # first-call set-up
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n_jobs in (1, 2):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sizes = run_batches(1, 2**12, n_jobs, lambda rng, size: size, share=1.0)
+            assert sizes == [1] * 2**12
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 4 * peaks[0], peaks
+
+
 def test_run_simulation_cuts_batches_by_its_click_probability(monkeypatch):
     calls = []
     real = run_batches

@@ -336,6 +336,23 @@ def test_oracle_histogram_memory_stays_small():
     assert peak < 2_000_000
 
 
+def test_oracle_join_memory_per_grid_point():
+    # at L = 2 the (cap+1)^2 join dominates: it and its few same-sized
+    # temporaries take about 40 bytes a grid point; a skewed copy of the join
+    # and a Python list of it took about 100
+    cap = 300
+    _tagged_weight_histogram(2, 4)  # first-call set-up
+    _tagged_weight_histogram.cache_clear()
+    tracemalloc.start()
+    try:
+        _tagged_weight_histogram(2, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _tagged_weight_histogram.cache_clear()
+    assert peak < 64 * (cap + 1) ** 2
+
+
 @pytest.mark.parametrize("L, mu, cap", [(4, 100.0, 60), (3, 150.0, 80)])
 def test_bruteforce_far_above_the_cap_against_mpmath(L, mu, cap):
     # W[n] = sum prod 1/k! is subnormal or 0 here, so only scaled weights see
