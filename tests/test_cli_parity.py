@@ -56,6 +56,9 @@ INPUTS = {
     "malformed.cfg": "L 3\n",
     "foreign.cfg": "blocks = 100\n",
     "pairs.txt": "# two-pulse table\n0 0 0.5\n1 0 0.2\n0 1 0.2\n1 1 0.05\n2 0 0.05\n",
+    # slots of 5 and 7 photons, more than the 3 (2det) or 4 (3det) cells
+    "crowded.txt": "# four-pulse table\n0 0 0 0 0.3\n1 1 0 0 0.2\n0 5 0 0 0.2\n"
+                   "2 0 0 7 0.15\n1 0 3 0 0.15\n",
 }
 
 KEYRATE = ("keyrate", "--L", "3", "--eta", "0.05", "--error-rate", "0.02", "--mu", "0.01")
@@ -94,6 +97,14 @@ CAL_3DET_SOURCE = ("calibrate", "--mode", "3det", "--L", "2", "--mu", "0.5", "--
 # the same table at 2det: kept share 0.1, so three batches of 40,960 trains
 CAL_2DET_SOURCE = ("calibrate", "--mode", "2det", "--L", "2", "--mu", "0.5", "--n-trains",
                    "100000", "--seed", "9", "--source", "pairs.txt")
+# a table whose slots hold more photons than cells: kept share 0.7, so 2det
+# runs three batches of 32,768 trains and 3det two
+CAL_2DET_CROWDED = ("calibrate", "--mode", "2det", "--L", "4", "--mu", "0.5", "--n-trains",
+                    "70000", "--seed", "21", "--source", "crowded.txt")
+CAL_3DET_CROWDED_LOG = ("calibrate", "--mode", "3det", "--L", "4", "--mu", "0.5",
+                        "--n-trains", "40000", "--seed", "23", "--eta-abs", "0.8",
+                        "--dead-time", "2", "--source", "crowded.txt",
+                        "--event-log", "events.csv")
 
 CASES = (
     (),
@@ -201,6 +212,9 @@ CASES = (
     CAL_3DET_SOURCE + ("--jobs", "2"),
     CAL_2DET_SOURCE + ("--jobs", "1"),
     CAL_2DET_SOURCE + ("--jobs", "2"),
+    CAL_2DET_CROWDED + ("--jobs", "1"),
+    CAL_2DET_CROWDED + ("--jobs", "2"),
+    CAL_3DET_CROWDED_LOG,
     # about 1e10 photons per train
     ("calibrate", "--mode", "2det", "--L", "2", "--mu", "1e10", "--n-trains", "10"),
     ("calibrate", "--mode", "3det", "--L", "2", "--mu", "1e10", "--n-trains", "10"),
@@ -325,7 +339,7 @@ def _jobs_pairs():
 def test_a_second_job_changes_no_byte():
     golden = _golden()
     pairs = _jobs_pairs()
-    assert len(pairs) == 6
+    assert len(pairs) == 7
     for one, two in pairs:
         assert golden[_key(one)]["exit"] == 0
         assert golden[_key(one)] == golden[_key(two)], one
