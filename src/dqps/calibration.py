@@ -16,28 +16,26 @@ and diagonal sources in scope.
 
 Only trains where two or more photons reach a detector can coincide, and
 trains are independent, so a batch draws how many there are and then
-those trains alone: per kept train, not per train.  A Poissonian batch
-draws that number from a binomial and each kept train's photon count from
-the Poisson law given two or more; a source table draws every
-configuration's count at once and expands the configurations of two or
-more photons.  Photons then go to (detector, slot) cells: a group that
-holds no more photons than there are cells draws one uniform per photon,
-a larger group one multinomial, so memory grows with the kept trains and
-the cells, not with the photons, at any flux.
+those trains alone.  A Poissonian batch draws that number from a binomial
+and each kept train's photon count from the Poisson law given two or
+more; a table draws every configuration's count at once and routes the
+occupied slots of those of two or more photons.  A group of photons no
+larger than the number of (detector, slot) cells draws one uniform per
+photon, a larger group one multinomial, so memory grows with the kept
+trains and the cells, not with the photons.  The clicks fill one
+C-contiguous clicks[detector, slot, kept train], so the double, dead-time
+and triple tests shift and reduce whole rows of trains.
 
-Both benches run through one driver, ``_calibrate``, on the protocol's seeded
-batch runner, ``protocol.run_batches``, so a seed gives the same counts for
-any thread count.  ``_source_law`` is the one place that tells a Poissonian
-source from a table: once per run it works out the kept share (P(N >= 2)
-of the detected photon count N, or the table's mass on two or more
-photons), the true tagging probability and the click sampler that every
-batch calls.  The runner cuts the trains by the expected number of kept
-trains, not by trains.  A bench's flag function reports only the flags of
-the trains that can coincide, [double] or [double, triple];
-``_calibrate`` counts them, applies the setup's bound and builds the
-report.  Only an event log needs the kept trains' places among the batch's
-rows; ``_calibrate`` draws them last, so the counts do not depend on
-whether events are collected.
+Both benches run through one driver, ``_calibrate``, on the protocol's
+seeded batch runner, ``protocol.run_batches``, so a seed gives the same
+counts for any thread count.  ``_source_law``, the one place that tells a
+Poissonian source from a table, works out once per run the kept share,
+the true tagging probability and the click sampler that every batch
+calls; batches are cut by the expected number of kept trains.  A bench's
+flag function flags the kept trains alone, [double] or [double, triple];
+``_calibrate`` counts them and builds the report.  An event log places
+the kept trains among the batch's rows by draws taken last, so the
+counts do not depend on whether events are collected.
 """
 
 from __future__ import annotations
@@ -97,12 +95,11 @@ def _refuse_overflow(declared: dict) -> None:
 
 def _check_source(setup) -> None:
     """Refuse a source table of another length than L or with trains beyond int64."""
-    source = setup.source
-    if source is None:
+    if setup.source is None:
         return
-    if source.L != setup.L:
+    if setup.source.L != setup.L:
         raise ParameterError("source", "distribution length differs from L")
-    if max(sum(c) for c, _ in source.support) >= 2**63:
+    if setup.source._counts.sum(axis=1, dtype=object).max() >= 2**63:
         raise ParameterError("source", "photons per train must fit in int64")
 
 
@@ -229,11 +226,8 @@ class CalibSetup3:
         scale = 2.0 * self.eta1 * self.eta2 * self.eta_abs**2
         bound = (n_double / self.n_test + q3) / scale
         triple_weight = 1.0 / (6.0 * self.eta1 * self.eta2 * self.eta3)
-        sigma = (
-            math.sqrt(max(n_double, 1) + max(n_triple, 1) * triple_weight**2)
-            / self.n_test
-            / scale
-        )
+        sigma = (math.sqrt(max(n_double, 1) + max(n_triple, 1) * triple_weight**2)
+                 / self.n_test / scale)
         return bound, sigma
 
 
@@ -288,26 +282,25 @@ def relative_slack_limit(L: int, mu: float) -> float:
 
 
 def _double_coincidence(clicks1: np.ndarray, clicks2: np.ndarray) -> np.ndarray:
-    """Trains where the detectors clicked within one slot of each other."""
+    """Per train, whether the detectors clicked within one slot; clicks are (slot, train)."""
     near = clicks2.copy()  # each slot of detector 2 OR its immediate neighbors
-    near[:, :-1] |= clicks2[:, 1:]
-    near[:, 1:] |= clicks2[:, :-1]
-    return (clicks1 & near).any(axis=1)
+    near[:-1] |= clicks2[1:]
+    near[1:] |= clicks2[:-1]
+    return (clicks1 & near).any(axis=0)
 
 
 def _apply_dead_time(raw: np.ndarray, dead_time: int) -> np.ndarray:
     """Drop clicks while a detector is recovering from an earlier one.
 
-    A dead time beyond the train's L slots hides the same clicks as L, so it
-    is clamped there and t + dead_time stays within int64.
+    raw is (slot, train).  A dead time beyond the L slots hides the same
+    clicks as L, so it is clamped there and t + dead_time stays in int64.
     """
-    n, L = raw.shape
-    dead_time = min(dead_time, L)
+    dead_time = min(dead_time, len(raw))
     masked = np.zeros_like(raw)
-    blind_until = np.full(n, -1, dtype=np.int64)
-    for t in range(L):
-        ok = raw[:, t] & (t > blind_until)
-        masked[:, t] = ok
+    blind_until = np.full(raw.shape[1:], -1, dtype=np.int64)
+    for t in range(len(raw)):
+        ok = raw[t] & (t > blind_until)
+        masked[t] = ok
         blind_until = np.where(ok, t + dead_time, blind_until)
     return masked
 
@@ -328,44 +321,50 @@ def _two_or_more(rng, m: float, p2: float, k: int) -> np.ndarray:
     return drawn[:k]
 
 
-def _occupied(rng, counts, cells) -> np.ndarray:
-    """Which cells each group of photons reaches: counts' shape plus one axis.
+def _occupied(rng, counts, cells):
+    """Where each group of photons lands: (group, cell, many, reached).
 
     Each photon lands in cell j with chance cells[j], independently; the
-    last cell takes the rest, as in numpy's multinomial.  A group of at most
-    len(cells) photons draws one uniform per photon, a larger group one
-    multinomial, so memory stays O(groups * cells) at any flux.
+    last cell takes the rest, as in numpy's multinomial.  Each photon of a
+    group of at most len(cells) draws one uniform and gives one (group, cell)
+    pair.  Each larger group many[i] draws one multinomial, and reached[i]
+    holds the cells it reached, so memory stays O(groups * cells) at any flux.
     """
-    flat = counts.ravel()
     width = len(cells)
-    reached = np.zeros((flat.size, width), dtype=bool)
-    few = np.flatnonzero(flat <= width)
-    photons = flat[few]
-    cell = np.searchsorted(np.cumsum(cells[:-1]), rng.random(photons.sum()), side="right")
-    reached[np.repeat(few, photons), cell] = True
-    many = flat > width
-    if many.any():
-        reached[many] = rng.multinomial(flat[many], cells) > 0
-    return reached.reshape(*counts.shape, width)
+    few = np.flatnonzero(counts <= width)
+    photons = counts[few]
+    edges, u = np.cumsum(cells[:-1]), rng.random(photons.sum())
+    # a cell counts the edges at or below u; one comparison each beats a search to ~40
+    cell = (sum(u >= edge for edge in edges.tolist()) if width <= 32
+            else np.searchsorted(edges, u, side="right"))
+    many = np.flatnonzero(counts > width)
+    reached = (rng.multinomial(counts[many], cells) > 0 if many.size
+               else np.zeros((0, width), dtype=bool))
+    return np.repeat(few, photons), cell, many, reached
+
+
+def _click_planes(group, cell, many, reached, at, size: int) -> np.ndarray:
+    """_occupied's result as clicks[cell, place], group g sitting at place at[g]."""
+    planes = np.zeros((reached.shape[1], size), dtype=bool)
+    planes.reshape(-1)[cell * size + at[group]] = True
+    planes[:, at[many]] = reached.T
+    return planes
 
 
 def _source_law(setup, probs):
     """The run's source, worked out once: (kept share, true rtag, clicks).
 
-    probs[i] is the chance that a photon reaches detector i.  The kept
-    share is the expected fraction of trains that hold two or more
-    detected photons, and clicks(rng, n) returns the clicks of those trains
-    among n: clicks[i] holds detector i's clicks, one row per kept train.
-    A thinned Poissonian train is again Poissonian, with mean
-    m = mu * L * sum(probs), so that source draws how many of the n trains
-    hold N >= 2 detected photons, then N for those trains only, and sends
-    each photon to a (detector, slot) cell with chance probs[i] / sum(probs)
-    / L.  A table draws how many trains take each configuration, keeps the
-    configurations of two or more photons, and sends each photon of a slot
-    to detector i with chance probs[i], or to none; its kept trains come
-    grouped by configuration.  _occupied routes the photons of a train, or
-    of a table's slot, one uniform each when they are no more than the
-    cells, else by one multinomial.
+    probs[i] is the chance that a photon reaches detector i.  The kept share
+    is the expected fraction of trains with two or more detected photons;
+    clicks(rng, n) returns their clicks among n as clicks[detector, slot, kept
+    train].  A thinned Poissonian train is again Poissonian, with mean
+    m = mu * L * sum(probs): that source draws how many trains hold N >= 2,
+    then N for those alone, and routes each photon to a (detector, slot) cell
+    with chance probs[i] / sum(probs) / L.  A table finds the occupied slots
+    of its configurations of two or more photons once per run; a batch draws
+    how many trains take each, grouped by configuration, and routes only
+    those slots, train by train and slot by slot as every slot once drew,
+    each photon to detector i with chance probs[i] or to none.
     """
     source = setup.source
     if source is None:
@@ -375,21 +374,30 @@ def _source_law(setup, probs):
 
         def clicks(rng, n: int):
             photons = _two_or_more(rng, m, p2, rng.binomial(n, p2))
-            reached = _occupied(rng, photons, cells).reshape(-1, len(probs), setup.L)
-            return reached.transpose(1, 0, 2)
+            k = len(photons)
+            planes = _click_planes(*_occupied(rng, photons, cells), np.arange(k), k)
+            return planes.reshape(len(probs), setup.L, k)
 
         return p2, rtag_coherent(TagParams(setup.L, setup.mu)), clicks
     configs, weights = source.as_arrays()
     p = weights / weights.sum()
     kept = configs.sum(axis=1) >= 2
-    kept_configs = configs[kept]
+    # the kept configurations' occupied slots, configuration by configuration
+    config, slot = np.nonzero(configs[kept])
+    photons = configs[kept][config, slot]
+    occupied = np.bincount(config, minlength=np.count_nonzero(kept))
+    first = np.cumsum(occupied) - occupied
     cells = [*probs, 0.0]  # the last cell takes the rest
 
     def clicks(rng, n: int):
-        trains = rng.multinomial(n, p)
-        photons = np.repeat(kept_configs, trains[kept], axis=0)
-        reached = _occupied(rng, photons, cells)
-        return np.moveaxis(reached[..., :-1], -1, 0)
+        of = np.repeat(np.arange(len(occupied)), rng.multinomial(n, p)[kept])
+        k, width = len(of), occupied[of]
+        train = np.repeat(np.arange(k), width)
+        # a train's j-th group is the j-th occupied slot of its configuration
+        entry = np.arange(train.size) + np.repeat(first[of] - np.cumsum(width) + width, width)
+        routed = _occupied(rng, photons[entry], cells)
+        planes = _click_planes(*routed, slot[entry] * k + train, setup.L * k)
+        return planes[:-1].reshape(len(probs), setup.L, k)
 
     return float(p[kept].sum()), rtag_general(source), clicks
 
@@ -401,7 +409,7 @@ def _two_detector_flags(setup: CalibSetup2, clicks):
 def _three_detector_flags(setup: CalibSetup3, clicks):
     masked = [_apply_dead_time(c, setup.dead_time) for c in clicks[:2]]
     # dead time never hides a detector's first click, so triples use raw clicks
-    triple = clicks.any(axis=2).all(axis=0)
+    triple = clicks.any(axis=1).all(axis=0)
     return np.stack([_double_coincidence(*masked), triple], 1)
 
 
@@ -427,24 +435,15 @@ def _calibrate(mode, setup, flags, probs, seed, n_jobs, collect_events):
 
     results = run_batches(seed, setup.n_test, n_jobs, batch, share=kept)
     if setup.n_test < 10**4:
-        warnings.warn(
-            f"{setup.n_test} test trains give a statistically meaningless bound",
-            ThinStatisticsWarning,
-            stacklevel=3,
-        )
+        warnings.warn(f"{setup.n_test} test trains give a statistically meaningless bound",
+                      ThinStatisticsWarning, stacklevel=3)
     counts, events = zip(*results)
     # a kernel with one column of flags counts no triples
     n_double, n_triple = (*sum(counts).tolist(), None)[:2]
     bound, sigma = setup._bound(n_double, n_triple)
     return CalibrationReport(
-        mode=mode,
-        n_test=setup.n_test,
-        n_double=n_double,
-        n_triple=n_triple,
-        bound=bound,
-        true_rtag=true_rtag,
-        slack=bound - true_rtag,
-        sigma=sigma,
+        mode=mode, n_test=setup.n_test, n_double=n_double, n_triple=n_triple, bound=bound,
+        true_rtag=true_rtag, slack=bound - true_rtag, sigma=sigma,
         events=np.concatenate(events) if collect_events else None,
     )
 
@@ -458,8 +457,7 @@ def simulate_two_detector(
     efficiency bounds, valid for any photon-number-diagonal source.
     """
     probs = _detection_probs(setup)
-    return _calibrate("2det", setup, _two_detector_flags, probs, seed, n_jobs,
-                      collect_events)
+    return _calibrate("2det", setup, _two_detector_flags, probs, seed, n_jobs, collect_events)
 
 
 def simulate_three_detector(

@@ -33,24 +33,17 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import (
-    CalibSetup2,
-    CalibSetup3,
-    simulate_three_detector,
-    simulate_two_detector,
+    CalibSetup2, CalibSetup3, simulate_three_detector, simulate_two_detector,
 )
 from .errors import ParameterError, WorkLimitError
 from .keyrate import KeyRateReport, RateInputs, channel_q, key_rate
 from .optimize import DEFAULT_MU_BOUNDS, SweepSpec, optimize_mu, sweep
 from .protocol import ChannelModel, ProtocolParams, estimate_key_rate, run_simulation
 from .tagging import (
-    SourceDistribution,
-    TagParams,
-    rtag_bruteforce,
-    rtag_coherent,
-    rtag_general,
+    SourceDistribution, TagParams, rtag_bruteforce, rtag_coherent, rtag_general,
 )
 
-_EVENT_LOG_CHUNK = 1 << 16  # event-log rows formatted per write
+_EVENT_LOG_CHUNK = 1 << 16  # most event-log rows formatted per buffer
 
 # calibrate's bench flags: every field of the two setups but L, mu, n_test and source
 _BENCH_FIELDS = {field.name: field for setup in (CalibSetup2, CalibSetup3)
@@ -101,20 +94,19 @@ def _render(records: list[dict], fmt: str) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
 
-def _event_rows(start: int, events: np.ndarray) -> bytes:
+def _event_rows(start: int, events: np.ndarray):
     """CSV rows "train,flag[,flag]" for trains start, start + 1, ... as ASCII.
 
-    Rows are built byte by byte in a (column, row) uint8 buffer, one buffer
-    per run of train numbers with the same digit count, then transposed once.
-    Digits come from floor division by 10 in the narrowest unsigned type,
-    which numpy does far faster than np.divmod or int64 arithmetic.
+    Each buffer holds up to _EVENT_LOG_CHUNK rows of one digit count, built
+    byte by byte as (column, row) uint8, transposed once and yielded for
+    writelines.  Digits come from floor division by 10 in the narrowest
+    unsigned type, which numpy does far faster than np.divmod or int64.
     """
-    parts = []
     stop = start + len(events)
     lo = start
     while lo < stop:
         width = len(str(lo))
-        hi = min(stop, 10 ** width)
+        hi = min(stop, 10 ** width, lo + _EVENT_LOG_CHUNK)
         cols = np.empty((width + 2 * events.shape[1] + 1, hi - lo), np.uint8)
         number = np.arange(lo, hi, dtype=np.min_scalar_type(hi))
         for k in range(width - 1, -1, -1):
@@ -126,9 +118,8 @@ def _event_rows(start: int, events: np.ndarray) -> bytes:
         cols[width + 1::2] += ord("0")
         cols[width:-1:2] = ord(",")
         cols[-1] = ord("\n")
-        parts.append(cols.T.tobytes())
+        yield cols.T.tobytes()
         lo = hi
-    return b"".join(parts)
 
 
 def _fields(obj, *skip: str) -> dict:
@@ -471,9 +462,7 @@ def cmd_calibrate(args) -> list[dict]:
         columns = ["train", "double", "triple"][:1 + report.events.shape[1]]
         with open(_resolve_out(args.event_log), "wb") as handle:
             handle.write((",".join(columns) + "\n").encode())
-            for start in range(0, len(report.events), _EVENT_LOG_CHUNK):
-                events = report.events[start:start + _EVENT_LOG_CHUNK]
-                handle.write(_event_rows(start, events))
+            handle.writelines(_event_rows(0, report.events))
     etas = {name: getattr(setup, name, None)
             for name in ("eta1", "eta2", "eta3", "eta_abs")}
     return [{"record": "calibration", "mode": report.mode, "L": setup.L, "mu": mu,

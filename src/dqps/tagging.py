@@ -59,6 +59,16 @@ def _validate_counts(counts: PhotonConfig) -> tuple[int, ...]:
     return t
 
 
+def _plain_counts(support) -> np.ndarray | None:
+    """The configurations as one (n, L >= 2) int64 array, none negative, else None."""
+    try:
+        counts = np.array([config for config, _ in support])
+    except (TypeError, ValueError, OverflowError):
+        return None
+    plain = counts.dtype == np.int64 and counts.ndim == 2 and counts.shape[1] >= 2
+    return counts if plain and counts.min() >= 0 else None
+
+
 @dataclass(frozen=True)
 class TagParams:
     """Block length and mean photon number per pulse.
@@ -87,10 +97,13 @@ class SourceDistribution:
     def __post_init__(self):
         if not self.support:
             raise ParameterError("support", "must be non-empty")
-        configs = []
+        counts = _plain_counts(self.support)
+        # big ints, floats, ragged rows and every error go row by row
+        configs = [] if counts is None else list(map(tuple, counts.tolist()))
         probs = []
         for config, p in self.support:
-            configs.append(_validate_counts(config))
+            if counts is None:
+                configs.append(_validate_counts(config))
             if not math.isfinite(p) or p < 0 or p > 1:
                 raise ParameterError("support", f"probability {p!r} outside [0, 1]")
             probs.append(float(p))
@@ -100,9 +113,10 @@ class SourceDistribution:
         total = math.fsum(probs)
         if abs(total - 1.0) > 1e-12:
             raise ParameterError("support", f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(
-            self, "support", tuple((c, p) for c, p in zip(configs, probs))
-        )
+        object.__setattr__(self, "support", tuple(zip(configs, probs)))
+        # the counts as one array, of Python ints where they were not plain
+        object.__setattr__(self, "_counts", np.array(configs, dtype=object)
+                           if counts is None else counts)
 
     @property
     def L(self) -> int:
@@ -126,7 +140,7 @@ class SourceDistribution:
                         "source", f"line {lineno}: need at least 2 counts and a probability"
                     )
                 try:
-                    counts = tuple(int(f) for f in fields[:-1])
+                    counts = tuple(map(int, fields[:-1]))
                     prob = float(fields[-1])
                 except ValueError:
                     raise ParameterError(
@@ -139,9 +153,8 @@ class SourceDistribution:
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Configurations as an (n, L) int array plus the probability vector."""
-        configs = np.array([c for c, _ in self.support], dtype=np.int64)
-        probs = np.array([p for _, p in self.support], dtype=np.float64)
-        return configs, probs
+        return (np.array(self._counts, dtype=np.int64),
+                np.array([p for _, p in self.support], dtype=np.float64))
 
 
 class BruteForceResult(NamedTuple):
@@ -302,7 +315,7 @@ def rtag_bruteforce(
 
 def rtag_general(src: SourceDistribution) -> float:
     """Tagged probability mass of an explicit finite source distribution."""
-    configs = _capped([c for c, _ in src.support])
+    configs = np.minimum(src._counts, 2).astype(np.int8)  # the rule sees no more than 2
     probs = np.array([p for _, p in src.support])
     return math.fsum(probs[_tagged(configs)])
 

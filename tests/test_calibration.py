@@ -23,8 +23,8 @@ from dqps import (
 )
 from dqps import calibration
 from dqps.calibration import (
-    _REJECTION_FROM, _apply_dead_time, _detection_probs, _double_coincidence, _occupied,
-    _two_or_more,
+    _REJECTION_FROM, _apply_dead_time, _click_planes, _detection_probs, _double_coincidence,
+    _occupied, _two_or_more,
 )
 from dqps.errors import _POISSON_MEAN_MAX
 from dqps.protocol import BATCH_BLOCKS, _batch_size, run_batches
@@ -292,36 +292,70 @@ def test_setup3_checks_its_source_as_setup2_does():
 
 # --- coincidence counting helpers -------------------------------------------
 
+def slots(*rows):
+    """Clicks given one row per train, laid out as (slot, train)."""
+    return np.array(rows, dtype=bool).T
+
+
 def test_double_coincidence_patterns():
-    c1 = np.array([[0, 1, 0, 0]], dtype=bool)
-    same = np.array([[0, 1, 0, 0]], dtype=bool)
-    adjacent = np.array([[0, 0, 1, 0]], dtype=bool)
-    far = np.array([[0, 0, 0, 1]], dtype=bool)
+    c1 = slots([0, 1, 0, 0])
+    same = slots([0, 1, 0, 0])
+    adjacent = slots([0, 0, 1, 0])
+    far = slots([0, 0, 0, 1])
     assert _double_coincidence(c1, same)[0]
     assert _double_coincidence(c1, adjacent)[0]
     assert _double_coincidence(adjacent, c1)[0]
     assert not _double_coincidence(c1, far)[0]
-    assert not _double_coincidence(c1, np.zeros((1, 4), bool))[0]
+    assert not _double_coincidence(c1, np.zeros((4, 1), bool))[0]
 
 
 def test_dead_time_masking_patterns():
-    raw = np.array([[1, 1, 1, 0, 1]], dtype=bool)
+    raw = slots([1, 1, 1, 0, 1])
     assert (_apply_dead_time(raw, 0) == raw).all()
-    assert (_apply_dead_time(raw, 1) == [[1, 0, 1, 0, 1]]).all()
-    assert (_apply_dead_time(raw, 2) == [[1, 0, 0, 0, 1]]).all()
+    assert (_apply_dead_time(raw, 1) == slots([1, 0, 1, 0, 1])).all()
+    assert (_apply_dead_time(raw, 2) == slots([1, 0, 0, 0, 1])).all()
     # a dead time beyond the train hides the same clicks; t + dead_time once overflowed
     for dead in (5, 9, 2**63 - 1, 10**20):
-        assert (_apply_dead_time(raw, dead) == [[1, 0, 0, 0, 0]]).all()
+        assert (_apply_dead_time(raw, dead) == slots([1, 0, 0, 0, 0])).all()
 
 
 def test_dead_time_never_creates_clicks():
     rng = np.random.default_rng(0)
-    raw = rng.random((200, 12)) < 0.3
+    raw = rng.random((12, 200)) < 0.3
     for dead in (1, 2, 5):
         masked = _apply_dead_time(raw, dead)
         assert not (masked & ~raw).any()
         # first click of every train survives masking
-        assert (masked.any(axis=1) == raw.any(axis=1)).all()
+        assert (masked.any(axis=0) == raw.any(axis=0)).all()
+
+
+def double_by_train(clicks1, clicks2):
+    """The double test train by train: a slot where 1 clicked and 2 within one slot."""
+    L = len(clicks1)
+    return [any(clicks1[t, n] and clicks2[max(t - 1, 0):t + 2, n].any() for t in range(L))
+            for n in range(clicks1.shape[1])]
+
+
+def dead_time_by_train(raw, dead_time):
+    """Dead-time masking train by train: a click registers once the detector is ready."""
+    masked = np.zeros_like(raw)
+    for n in range(raw.shape[1]):
+        ready = 0
+        for t in range(len(raw)):
+            if raw[t, n] and t >= ready:
+                masked[t, n], ready = True, t + dead_time + 1
+    return masked
+
+
+@pytest.mark.parametrize("L", range(2, 13))
+def test_flags_match_a_train_by_train_loop(L):
+    # click densities from sparse to crowded, a different one per train
+    rng = np.random.default_rng(L)
+    clicks1, clicks2 = rng.random((2, L, 400)) < rng.random(400)
+    assert _double_coincidence(clicks1, clicks2).tolist() == double_by_train(clicks1, clicks2)
+    for dead_time in (0, 1, 3, L, 10**20):
+        assert np.array_equal(_apply_dead_time(clicks1, dead_time),
+                              dead_time_by_train(clicks1, dead_time)), dead_time
 
 
 # --- two-detector mode -------------------------------------------------------
@@ -620,18 +654,41 @@ def test_two_or_more_sampler_follows_the_truncated_poisson_law(m):
     assert_fits(*lumped(np.bincount(draws - 2, minlength=law.size), law, n))
 
 
+def planes(counts, cells, seed):
+    """_occupied's result as reached[group, cell], through _click_planes."""
+    routed = _occupied(np.random.default_rng(seed), counts, cells)
+    return _click_planes(*routed, np.arange(len(counts)), len(counts)).T
+
+
 @pytest.mark.parametrize("shape", [(7,), (3, 4)])
 def test_occupied_reaches_no_cell_from_an_empty_group(shape):
-    reached = _occupied(np.random.default_rng(1), np.zeros(shape, dtype=np.int64),
-                        [0.2, 0.3, 0.5])
-    assert reached.shape == (*shape, 3) and not reached.any()
+    counts = np.zeros(shape, dtype=np.int64).ravel()
+    group, cell, many, reached = _occupied(np.random.default_rng(1), counts, [0.2, 0.3, 0.5])
+    assert group.size == cell.size == many.size == 0 and reached.shape == (0, 3)
+    reached = planes(counts, [0.2, 0.3, 0.5], seed=1)
+    assert reached.shape == (counts.size, 3) and not reached.any()
 
 
 def test_occupied_sends_a_lone_photon_to_exactly_one_cell():
-    reached = _occupied(np.random.default_rng(2), np.ones((1000, 2), dtype=np.int64),
-                        [0.2, 0.3, 0.0, 0.5])
+    counts = np.ones(2000, dtype=np.int64)
+    group, cell, many, _ = _occupied(np.random.default_rng(2), counts, [0.2, 0.3, 0.0, 0.5])
+    assert (group == np.arange(2000)).all() and many.size == 0
+    reached = planes(counts, [0.2, 0.3, 0.0, 0.5], seed=2)
     assert (reached.sum(axis=-1) == 1).all()
-    assert not reached[..., 2].any() and reached[..., [0, 1, 3]].any(axis=(0, 1)).all()
+    assert not reached[..., 2].any() and reached[..., [0, 1, 3]].any(axis=0).all()
+
+
+@pytest.mark.parametrize("width", [2, 4, 32, 33, 300])
+def test_occupied_finds_each_cell_by_one_rule_either_way(width):
+    # up to 32 cells each edge is compared, above them searched: both give
+    # the number of edges at or below the photon's uniform
+    cells = np.random.default_rng(width).random(width)
+    cells /= cells.sum()
+    group, cell, _, _ = _occupied(np.random.default_rng(0), np.ones(5000, dtype=np.int64),
+                                  cells)
+    u = np.random.default_rng(0).random(5000)
+    assert np.array_equal(cell, np.searchsorted(np.cumsum(cells[:-1]), u, side="right"))
+    assert np.array_equal(cell, (u[:, None] >= np.cumsum(cells[:-1])).sum(axis=1))
 
 
 @pytest.mark.parametrize("sure", [0, 1, 2])
@@ -640,24 +697,29 @@ def test_occupied_sends_every_photon_to_a_sure_cell(sure):
     cells = np.zeros(3)
     cells[sure] = 1.0
     counts = np.array([0, 1, 2, 3, 4, 5, 10**12, 0, 3])
-    reached = _occupied(np.random.default_rng(sure), counts, cells)
-    assert (reached == np.outer(counts > 0, cells == 1.0)).all()
+    group, cell, many, reached = _occupied(np.random.default_rng(sure), counts, cells)
+    assert group.tolist() == [1, 2, 2, 3, 3, 3, 8, 8, 8] and (cell == sure).all()
+    assert many.tolist() == [4, 5, 6] and reached.dtype == bool
+    assert (planes(counts, cells, sure) == np.outer(counts > 0, cells == 1.0)).all()
 
 
 @pytest.mark.parametrize("simulate, setup", BENCHES)
 def test_high_flux_memory_grows_with_the_cells_not_the_photons(simulate, setup):
-    # about 5e6 detected photons per train: the photons of one batch would
-    # need over a terabyte, its (detector, slot) counts take 8 bytes a cell
-    bench = setup(L=10, mu=1e6, n_test=2 * BATCH_BLOCKS)
-    cells = 3 * bench.L  # three detectors at most
-    tracemalloc.start()
-    try:
-        report = simulate(bench, seed=1, collect_events=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.n_double == bench.n_test
-    assert peak < 2 * BATCH_BLOCKS * cells * 8  # two copies of a batch's counts
+    # about 5e6 detected photons per train, or a table slot of 1e12 beside
+    # slots of 1 and 3: the photons of one batch would need over a terabyte,
+    # its (detector, slot) counts take 8 bytes a cell
+    table = SourceDistribution((((10**12, 0, 0, 1) + (0,) * 5 + (3,), 1.0),))
+    for source in (None, table):
+        bench = setup(L=10, mu=1e6, n_test=2 * BATCH_BLOCKS, source=source)
+        cells = 3 * bench.L  # three detectors at most
+        tracemalloc.start()
+        try:
+            report = simulate(bench, seed=1, collect_events=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_double == bench.n_test
+        assert peak < 2 * BATCH_BLOCKS * cells * 8, source  # two copies of a batch's counts
 
 
 @pytest.mark.parametrize("simulate, setup", BENCHES)

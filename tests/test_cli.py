@@ -610,7 +610,12 @@ def test_event_rows_match_the_percent_template(capsys, tmp_path, monkeypatch,
     for start, length in windows:
         events = _flags(fill, length, columns)
         expected = _percent_template_rows(start, events)
-        assert dqps.cli._event_rows(start, events) == expected, (start, length)
+        parts = list(dqps.cli._event_rows(start, events))
+        # each buffer holds up to a chunk of rows, every one of the same width
+        for part in parts:
+            rows = part.splitlines()
+            assert len(rows) <= dqps.cli._EVENT_LOG_CHUNK and len(set(map(len, rows))) == 1
+        assert b"".join(parts) == expected, (start, length)
 
     # the whole log through calibrate: two chunks, the second crossing 99999|100000
     events = _flags(fill, 100_001, columns)
