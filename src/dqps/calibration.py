@@ -334,7 +334,7 @@ def _occupied(rng, counts, cells):
     few = np.flatnonzero(counts <= width)
     photons = counts[few]
     edges, u = np.cumsum(cells[:-1]), rng.random(photons.sum())
-    # a cell counts the edges at or below u; one comparison each beats a search to ~40
+    # the cell counts the edges at or below u; comparing each beats a search up to ~40
     cell = (sum(u >= edge for edge in edges.tolist()) if width <= 32
             else np.searchsorted(edges, u, side="right"))
     many = np.flatnonzero(counts > width)
