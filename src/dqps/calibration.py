@@ -29,13 +29,12 @@ and triple tests shift and reduce whole rows of trains.
 Both benches run through one driver, ``_calibrate``, on the protocol's
 seeded batch runner, ``protocol.run_batches``, so a seed gives the same
 counts for any thread count.  ``_source_law``, the one place that tells a
-Poissonian source from a table, works out once per run the kept share,
-the true tagging probability and the click sampler that every batch
-calls; batches are cut by the expected number of kept trains.  A bench's
-flag function flags the kept trains alone, [double] or [double, triple];
-``_calibrate`` counts them and builds the report.  An event log places
-the kept trains among the batch's rows by draws taken last, so the
-counts do not depend on whether events are collected.
+Poissonian source from a table, works out once per run the kept share
+that cuts the batches, the true tagging probability and the click
+sampler that every batch calls.  A bench's flag function flags the kept
+trains alone, [double] or [double, triple]; ``_calibrate`` counts them
+and builds the report.  An event log places the kept trains among the
+batch's rows by draws taken last, so no count depends on it.
 """
 
 from __future__ import annotations
@@ -337,6 +336,7 @@ def _occupied(rng, counts, cells):
     # the cell counts the edges at or below u; comparing each beats a search up to ~40
     cell = (sum(u >= edge for edge in edges.tolist()) if width <= 32
             else np.searchsorted(edges, u, side="right"))
+    del u  # freed before the group index, one more entry per photon, is made
     many = np.flatnonzero(counts > width)
     reached = (rng.multinomial(counts[many], cells) > 0 if many.size
                else np.zeros((0, width), dtype=bool))
@@ -346,7 +346,7 @@ def _occupied(rng, counts, cells):
 def _click_planes(group, cell, many, reached, at, size: int) -> np.ndarray:
     """_occupied's result as clicks[cell, place], group g sitting at place at[g]."""
     planes = np.zeros((reached.shape[1], size), dtype=bool)
-    planes.reshape(-1)[cell * size + at[group]] = True
+    planes[cell, at[group]] = True
     planes[:, at[many]] = reached.T
     return planes
 
