@@ -94,11 +94,12 @@ def _refuse_overflow(declared: dict) -> None:
 
 def _check_source(setup) -> None:
     """Refuse a source table of another length than L or with trains beyond int64."""
-    if setup.source is None:
+    source = setup.source
+    if source is None:
         return
-    if setup.source.L != setup.L:
+    if source.L != setup.L:
         raise ParameterError("source", "distribution length differs from L")
-    if setup.source._counts.sum(axis=1, dtype=object).max() >= 2**63:
+    if max(sum(c) for c, _ in source.support) >= 2**63:
         raise ParameterError("source", "photons per train must fit in int64")
 
 
@@ -225,8 +226,11 @@ class CalibSetup3:
         scale = 2.0 * self.eta1 * self.eta2 * self.eta_abs**2
         bound = (n_double / self.n_test + q3) / scale
         triple_weight = 1.0 / (6.0 * self.eta1 * self.eta2 * self.eta3)
-        sigma = (math.sqrt(max(n_double, 1) + max(n_triple, 1) * triple_weight**2)
-                 / self.n_test / scale)
+        sigma = (
+            math.sqrt(max(n_double, 1) + max(n_triple, 1) * triple_weight**2)
+            / self.n_test
+            / scale
+        )
         return bound, sigma
 
 
@@ -320,35 +324,26 @@ def _two_or_more(rng, m: float, p2: float, k: int) -> np.ndarray:
     return drawn[:k]
 
 
-def _occupied(rng, counts, cells):
-    """Where each group of photons lands: (group, cell, many, reached).
+def _occupied(rng, counts, cells, at, size: int) -> np.ndarray:
+    """Which cells each group of photons reaches, as reached[cell, place].
 
-    Each photon lands in cell j with chance cells[j], independently; the
-    last cell takes the rest, as in numpy's multinomial.  Each photon of a
-    group of at most len(cells) draws one uniform and gives one (group, cell)
-    pair.  Each larger group many[i] draws one multinomial, and reached[i]
-    holds the cells it reached, so memory stays O(groups * cells) at any flux.
+    Group i sits at place at[i] of size places.  Each photon lands in cell j
+    with chance cells[j], independently; the last cell takes the rest, as in
+    numpy's multinomial.  A group of at most len(cells) photons draws one
+    uniform per photon, a larger group one multinomial, so memory stays
+    O(groups * cells) at any flux.
     """
     width = len(cells)
-    few = np.flatnonzero(counts <= width)
-    photons = counts[few]
-    edges, u = np.cumsum(cells[:-1]), rng.random(photons.sum())
-    # the cell counts the edges at or below u; comparing each beats a search up to ~40
-    cell = (sum(u >= edge for edge in edges.tolist()) if width <= 32
-            else np.searchsorted(edges, u, side="right"))
-    del u  # freed before the group index, one more entry per photon, is made
-    many = np.flatnonzero(counts > width)
-    reached = (rng.multinomial(counts[many], cells) > 0 if many.size
-               else np.zeros((0, width), dtype=bool))
-    return np.repeat(few, photons), cell, many, reached
-
-
-def _click_planes(group, cell, many, reached, at, size: int) -> np.ndarray:
-    """_occupied's result as clicks[cell, place], group g sitting at place at[g]."""
-    planes = np.zeros((reached.shape[1], size), dtype=bool)
-    planes[cell, at[group]] = True
-    planes[:, at[many]] = reached.T
-    return planes
+    reached = np.zeros((width, size), dtype=bool)
+    few = counts <= width
+    # taken before the uniforms, so that no small array splits their freed block
+    photons, place = counts[few], at[few]
+    cell = np.searchsorted(np.cumsum(cells[:-1]), rng.random(photons.sum()), side="right")
+    reached[cell, np.repeat(place, photons)] = True
+    many = ~few
+    if many.any():
+        reached[:, at[many]] = (rng.multinomial(counts[many], cells) > 0).T
+    return reached
 
 
 def _source_law(setup, probs):
@@ -375,8 +370,8 @@ def _source_law(setup, probs):
         def clicks(rng, n: int):
             photons = _two_or_more(rng, m, p2, rng.binomial(n, p2))
             k = len(photons)
-            planes = _click_planes(*_occupied(rng, photons, cells), np.arange(k), k)
-            return planes.reshape(len(probs), setup.L, k)
+            reached = _occupied(rng, photons, cells, np.arange(k), k)
+            return reached.reshape(len(probs), setup.L, k)
 
         return p2, rtag_coherent(TagParams(setup.L, setup.mu)), clicks
     configs, weights = source.as_arrays()
@@ -395,9 +390,8 @@ def _source_law(setup, probs):
         train = np.repeat(np.arange(k), width)
         # a train's j-th group is the j-th occupied slot of its configuration
         entry = np.arange(train.size) + np.repeat(first[of] - np.cumsum(width) + width, width)
-        routed = _occupied(rng, photons[entry], cells)
-        planes = _click_planes(*routed, slot[entry] * k + train, setup.L * k)
-        return planes[:-1].reshape(len(probs), setup.L, k)
+        reached = _occupied(rng, photons[entry], cells, slot[entry] * k + train, setup.L * k)
+        return reached[:-1].reshape(len(probs), setup.L, k)
 
     return float(p[kept].sum()), rtag_general(source), clicks
 
@@ -435,15 +429,24 @@ def _calibrate(mode, setup, flags, probs, seed, n_jobs, collect_events):
 
     results = run_batches(seed, setup.n_test, n_jobs, batch, share=kept)
     if setup.n_test < 10**4:
-        warnings.warn(f"{setup.n_test} test trains give a statistically meaningless bound",
-                      ThinStatisticsWarning, stacklevel=3)
+        warnings.warn(
+            f"{setup.n_test} test trains give a statistically meaningless bound",
+            ThinStatisticsWarning,
+            stacklevel=3,
+        )
     counts, events = zip(*results)
     # a kernel with one column of flags counts no triples
     n_double, n_triple = (*sum(counts).tolist(), None)[:2]
     bound, sigma = setup._bound(n_double, n_triple)
     return CalibrationReport(
-        mode=mode, n_test=setup.n_test, n_double=n_double, n_triple=n_triple, bound=bound,
-        true_rtag=true_rtag, slack=bound - true_rtag, sigma=sigma,
+        mode=mode,
+        n_test=setup.n_test,
+        n_double=n_double,
+        n_triple=n_triple,
+        bound=bound,
+        true_rtag=true_rtag,
+        slack=bound - true_rtag,
+        sigma=sigma,
         events=np.concatenate(events) if collect_events else None,
     )
 
@@ -457,7 +460,8 @@ def simulate_two_detector(
     efficiency bounds, valid for any photon-number-diagonal source.
     """
     probs = _detection_probs(setup)
-    return _calibrate("2det", setup, _two_detector_flags, probs, seed, n_jobs, collect_events)
+    return _calibrate("2det", setup, _two_detector_flags, probs, seed, n_jobs,
+                      collect_events)
 
 
 def simulate_three_detector(

@@ -33,14 +33,21 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import (
-    CalibSetup2, CalibSetup3, simulate_three_detector, simulate_two_detector,
+    CalibSetup2,
+    CalibSetup3,
+    simulate_three_detector,
+    simulate_two_detector,
 )
 from .errors import ParameterError, WorkLimitError
 from .keyrate import KeyRateReport, RateInputs, channel_q, key_rate
 from .optimize import DEFAULT_MU_BOUNDS, SweepSpec, optimize_mu, sweep
 from .protocol import ChannelModel, ProtocolParams, estimate_key_rate, run_simulation
 from .tagging import (
-    SourceDistribution, TagParams, rtag_bruteforce, rtag_coherent, rtag_general,
+    SourceDistribution,
+    TagParams,
+    rtag_bruteforce,
+    rtag_coherent,
+    rtag_general,
 )
 
 _EVENT_LOG_CHUNK = 1 << 16  # most event-log rows formatted per buffer

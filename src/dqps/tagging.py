@@ -59,16 +59,6 @@ def _validate_counts(counts: PhotonConfig) -> tuple[int, ...]:
     return t
 
 
-def _plain_counts(support) -> np.ndarray | None:
-    """The configurations as one (n, L >= 2) int64 array, none negative, else None."""
-    try:
-        counts = np.array([config for config, _ in support])
-    except (TypeError, ValueError, OverflowError):
-        return None
-    plain = counts.dtype == np.int64 and counts.ndim == 2 and counts.shape[1] >= 2
-    return counts if plain and counts.min() >= 0 else None
-
-
 @dataclass(frozen=True)
 class TagParams:
     """Block length and mean photon number per pulse.
@@ -97,13 +87,10 @@ class SourceDistribution:
     def __post_init__(self):
         if not self.support:
             raise ParameterError("support", "must be non-empty")
-        counts = _plain_counts(self.support)
-        # big ints, floats, ragged rows and every error go row by row
-        configs = [] if counts is None else list(map(tuple, counts.tolist()))
+        configs = []
         probs = []
         for config, p in self.support:
-            if counts is None:
-                configs.append(_validate_counts(config))
+            configs.append(_validate_counts(config))
             if not math.isfinite(p) or p < 0 or p > 1:
                 raise ParameterError("support", f"probability {p!r} outside [0, 1]")
             probs.append(float(p))
@@ -113,10 +100,9 @@ class SourceDistribution:
         total = math.fsum(probs)
         if abs(total - 1.0) > 1e-12:
             raise ParameterError("support", f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "support", tuple(zip(configs, probs)))
-        # the counts as one array, of Python ints where they were not plain
-        object.__setattr__(self, "_counts", np.array(configs, dtype=object)
-                           if counts is None else counts)
+        object.__setattr__(
+            self, "support", tuple((c, p) for c, p in zip(configs, probs))
+        )
 
     @property
     def L(self) -> int:
@@ -153,8 +139,9 @@ class SourceDistribution:
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Configurations as an (n, L) int array plus the probability vector."""
-        return (np.array(self._counts, dtype=np.int64),
-                np.array([p for _, p in self.support], dtype=np.float64))
+        configs = np.array([c for c, _ in self.support], dtype=np.int64)
+        probs = np.array([p for _, p in self.support], dtype=np.float64)
+        return configs, probs
 
 
 class BruteForceResult(NamedTuple):
@@ -315,7 +302,7 @@ def rtag_bruteforce(
 
 def rtag_general(src: SourceDistribution) -> float:
     """Tagged probability mass of an explicit finite source distribution."""
-    configs = np.minimum(src._counts, 2).astype(np.int8)  # the rule sees no more than 2
+    configs = _capped([c for c, _ in src.support])
     probs = np.array([p for _, p in src.support])
     return math.fsum(probs[_tagged(configs)])
 

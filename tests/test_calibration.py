@@ -23,8 +23,8 @@ from dqps import (
 )
 from dqps import calibration
 from dqps.calibration import (
-    _REJECTION_FROM, _apply_dead_time, _click_planes, _detection_probs, _double_coincidence,
-    _occupied, _two_or_more,
+    _REJECTION_FROM, _apply_dead_time, _detection_probs, _double_coincidence, _occupied,
+    _two_or_more,
 )
 from dqps.errors import _POISSON_MEAN_MAX
 from dqps.protocol import BATCH_BLOCKS, _batch_size, run_batches
@@ -654,41 +654,31 @@ def test_two_or_more_sampler_follows_the_truncated_poisson_law(m):
     assert_fits(*lumped(np.bincount(draws - 2, minlength=law.size), law, n))
 
 
-def planes(counts, cells, seed):
-    """_occupied's result as reached[group, cell], through _click_planes."""
-    routed = _occupied(np.random.default_rng(seed), counts, cells)
-    return _click_planes(*routed, np.arange(len(counts)), len(counts)).T
+def by_group(counts, cells, seed):
+    """_occupied's result as reached[group, cell], group i at place i."""
+    rng = np.random.default_rng(seed)
+    return _occupied(rng, counts, cells, np.arange(len(counts)), len(counts)).T
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 4)])
 def test_occupied_reaches_no_cell_from_an_empty_group(shape):
     counts = np.zeros(shape, dtype=np.int64).ravel()
-    group, cell, many, reached = _occupied(np.random.default_rng(1), counts, [0.2, 0.3, 0.5])
-    assert group.size == cell.size == many.size == 0 and reached.shape == (0, 3)
-    reached = planes(counts, [0.2, 0.3, 0.5], seed=1)
+    reached = by_group(counts, [0.2, 0.3, 0.5], seed=1)
     assert reached.shape == (counts.size, 3) and not reached.any()
 
 
 def test_occupied_sends_a_lone_photon_to_exactly_one_cell():
-    counts = np.ones(2000, dtype=np.int64)
-    group, cell, many, _ = _occupied(np.random.default_rng(2), counts, [0.2, 0.3, 0.0, 0.5])
-    assert (group == np.arange(2000)).all() and many.size == 0
-    reached = planes(counts, [0.2, 0.3, 0.0, 0.5], seed=2)
+    reached = by_group(np.ones(2000, dtype=np.int64), [0.2, 0.3, 0.0, 0.5], seed=2)
     assert (reached.sum(axis=-1) == 1).all()
     assert not reached[..., 2].any() and reached[..., [0, 1, 3]].any(axis=0).all()
 
 
-@pytest.mark.parametrize("width", [2, 4, 32, 33, 300])
-def test_occupied_finds_each_cell_by_one_rule_either_way(width):
-    # up to 32 cells each edge is compared, above them searched: both give
-    # the number of edges at or below the photon's uniform
-    cells = np.random.default_rng(width).random(width)
-    cells /= cells.sum()
-    group, cell, _, _ = _occupied(np.random.default_rng(0), np.ones(5000, dtype=np.int64),
-                                  cells)
-    u = np.random.default_rng(0).random(5000)
-    assert np.array_equal(cell, np.searchsorted(np.cumsum(cells[:-1]), u, side="right"))
-    assert np.array_equal(cell, (u[:, None] >= np.cumsum(cells[:-1])).sum(axis=1))
+def test_occupied_puts_each_group_at_its_place():
+    counts = np.array([0, 1, 2, 3, 4, 5, 10**12, 0, 3])
+    at = np.random.default_rng(3).permutation(20)[:counts.size]
+    reached = _occupied(np.random.default_rng(4), counts, [0.2, 0.3, 0.5], at, 20)
+    assert (reached[:, at].T == by_group(counts, [0.2, 0.3, 0.5], seed=4)).all()
+    assert not np.delete(reached, at, axis=1).any()
 
 
 @pytest.mark.parametrize("sure", [0, 1, 2])
@@ -697,10 +687,8 @@ def test_occupied_sends_every_photon_to_a_sure_cell(sure):
     cells = np.zeros(3)
     cells[sure] = 1.0
     counts = np.array([0, 1, 2, 3, 4, 5, 10**12, 0, 3])
-    group, cell, many, reached = _occupied(np.random.default_rng(sure), counts, cells)
-    assert group.tolist() == [1, 2, 2, 3, 3, 3, 8, 8, 8] and (cell == sure).all()
-    assert many.tolist() == [4, 5, 6] and reached.dtype == bool
-    assert (planes(counts, cells, sure) == np.outer(counts > 0, cells == 1.0)).all()
+    reached = by_group(counts, cells, sure)
+    assert (reached == np.outer(counts > 0, cells == 1.0)).all()
 
 
 @pytest.mark.parametrize("simulate, setup", BENCHES)

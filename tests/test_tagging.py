@@ -442,30 +442,6 @@ def test_photon_counts_accept_any_integer_valued_iterable():
     assert dist.support == (((1, 0, 1), 0.5), ((2, 0, 0), 0.5))
 
 
-def test_plain_counts_validate_as_the_row_by_row_path_does():
-    # plain ints validate as one array; floats and unsigned numpy ints go row
-    # by row; both give the same support, equality, arrays and rtag
-    rows = (((0, 0, 0), 0.5), ((1, 0, 1), 0.25), ((0, 3, 0), 0.25))
-    plain = SourceDistribution(rows)
-    for other in ([(list(c), p) for c, p in rows],
-                  [(np.array(c, dtype=np.uint8), p) for c, p in rows],
-                  [(tuple(map(float, c)), p) for c, p in rows]):
-        dist = SourceDistribution(tuple(other))
-        assert dist == plain and dist.support == rows
-        assert all(type(k) is int for c, _ in dist.support for k in c)
-        for got, want in zip(dist.as_arrays(), plain.as_arrays()):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert rtag_general(dist) == rtag_general(plain) == 0.25
-    # as_arrays hands out a copy
-    plain.as_arrays()[0][:] = 7
-    assert plain.as_arrays()[0].max() == 3
-    # the first bad row decides the error, whichever check it fails
-    with pytest.raises(ParameterError, match="probability 1.5"):
-        SourceDistribution((((0, 0), 1.5), ((-1, 0), 0.5)))
-    with pytest.raises(ParameterError, match="nonnegative"):
-        SourceDistribution((((-1, 0), 1.5), ((0, 0), 0.5)))
-
-
 def test_source_distribution_from_file(tmp_path):
     path = tmp_path / "source.txt"
     path.write_text(
