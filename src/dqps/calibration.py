@@ -358,8 +358,10 @@ def _source_law(setup, probs):
     with chance probs[i] / sum(probs) / L.  A table finds the occupied slots
     of its configurations of two or more photons once per run; a batch draws
     how many trains take each, grouped by configuration, and routes only
-    those slots, train by train and slot by slot as every slot once drew,
-    each photon to detector i with chance probs[i] or to none.
+    those slots, each photon to detector i with chance probs[i] or to none.
+    Its groups are ordered train by train and, in a train, slot by slot:
+    the groups of at most len(probs) + 1 photons draw their uniforms in that
+    order, then the larger ones their multinomials, as _occupied draws.
     """
     source = setup.source
     if source is None:

@@ -16,7 +16,8 @@ Handlers pass on to the library only the flags given, so a flag left out
 takes the library's default.  Relative --output and --event-log paths
 resolve against $DQPS_OUTPUT_DIR when set.
 
-Exit codes: 0 success, 2 validation, 3 I/O, 4 resource limit.
+Exit codes: 0 success, 2 validation, 3 I/O, 4 resource limit (the work
+meter, or an array numpy cannot allocate).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .calibration import (
     simulate_three_detector,
     simulate_two_detector,
 )
-from .errors import ParameterError, WorkLimitError
+from .errors import ParameterError, WorkLimitError, _read_text
 from .keyrate import KeyRateReport, RateInputs, channel_q, key_rate
 from .optimize import DEFAULT_MU_BOUNDS, SweepSpec, optimize_mu, sweep
 from .protocol import ChannelModel, ProtocolParams, estimate_key_rate, run_simulation
@@ -250,7 +251,7 @@ def _config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
     """The file's values by dest, converted and checked as sub's flags are."""
     actions = {action.dest: action for action in sub._actions
                if action.dest not in ("help", "config")}
-    text = Path(path).read_text()
+    text = _read_text("config", Path(path))
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -485,6 +486,10 @@ _HANDLERS = {
 }
 
 
+# the exit code of each error main reports; MemoryError is numpy refusing an array
+_EXIT_CODES = {ParameterError: 2, OSError: 3, WorkLimitError: 4, MemoryError: 4}
+
+
 def main(argv=None) -> int:
     parser, subs = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -509,15 +514,9 @@ def main(argv=None) -> int:
         # sweep has no --format: its records are CSV
         _emit(_render(records, getattr(args, "format", "csv")), args.output)
         return 0
-    except ParameterError as exc:
+    except tuple(_EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except WorkLimitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def main_entry() -> None:

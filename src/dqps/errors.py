@@ -33,6 +33,16 @@ class ThinStatisticsWarning(UserWarning):
     """Sample too small for the estimate to be statistically meaningful."""
 
 
+def _read_text(param: str, path) -> str:
+    """The file's text as UTF-8; bytes that do not decode are refused as `param`."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        message = f"not UTF-8 text: {exc.reason} at offset {exc.start}"
+        raise ParameterError(param, message) from None
+
+
 def _check_int(param: str, value, lo: int, hi: float = math.inf) -> None:
     """Refuse anything but an integer in [lo, hi].
 

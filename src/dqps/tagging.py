@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (
     ParameterError, WorkLimitError, _block_length, _check_int, _check_real,
-    _mean_photon_number,
+    _mean_photon_number, _read_text,
 )
 
 # A photon configuration is the per-pulse photon count tuple (k_0 .. k_{L-1}).
@@ -115,24 +115,24 @@ class SourceDistribution:
         Blank lines and `#` comments are skipped.
         """
         pairs = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                fields = line.split()
-                if len(fields) < 3:
-                    raise ParameterError(
-                        "source", f"line {lineno}: need at least 2 counts and a probability"
-                    )
-                try:
-                    counts = tuple(map(int, fields[:-1]))
-                    prob = float(fields[-1])
-                except ValueError:
-                    raise ParameterError(
-                        "source", f"line {lineno}: malformed record {line!r}"
-                    ) from None
-                pairs.append((counts, prob))
+        # the read made "\r\n" and "\r" into "\n"; splitlines would also split at "\f"
+        for lineno, raw in enumerate(_read_text("source", path).split("\n"), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            fields = line.split()
+            if len(fields) < 3:
+                raise ParameterError(
+                    "source", f"line {lineno}: need at least 2 counts and a probability"
+                )
+            try:
+                counts = tuple(map(int, fields[:-1]))
+                prob = float(fields[-1])
+            except ValueError:
+                raise ParameterError(
+                    "source", f"line {lineno}: malformed record {line!r}"
+                ) from None
+            pairs.append((counts, prob))
         if not pairs:
             raise ParameterError("source", "file contains no records")
         return cls(tuple(pairs))

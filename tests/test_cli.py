@@ -956,6 +956,36 @@ def test_unwritable_output_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("rtag", "--source", "table.txt"),
+    ("calibrate", "--mode", "2det", "--L", "2", "--mu", "0.1", "--n-trains", "1000",
+     "--source", "table.txt"),
+    ("rtag", "--config", "rtag.cfg"),
+])
+def test_input_files_that_are_not_utf8_exit_2(capsys, tmp_path, monkeypatch, argv):
+    # a latin-1 mu sign (0xb5) in a comment line
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.txt").write_bytes(b"# \xb5 = 0.1\n0 0 0.5\n1 1 0.5\n")
+    (tmp_path / "rtag.cfg").write_bytes(b"# \xb5 = 0.1\nL = 2\nmu = 0.1\n")
+    code, out, err = run_cli(capsys, *argv)
+    param = "config" if "--config" in argv else "source"
+    assert code == 2 and out == ""
+    assert err == f"error: parameter '{param}': not UTF-8 text: invalid start byte at offset 2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--L", str(10**16), "--mu", "1e-10", "--eta", "0.5", "--blocks", "10"),
+    ("calibrate", "--mode", "2det", "--L", str(10**16), "--mu", "0.1", "--n-trains", "1000"),
+    ("calibrate", "--mode", "3det", "--L", str(10**16), "--mu", "0.1", "--n-trains", "1000"),
+])
+def test_an_array_numpy_cannot_allocate_exits_4(capsys, argv):
+    # every guard passes, then one array asks for over 100 PiB, more than any
+    # 64-bit host can map
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 def test_no_subcommand_exits_2(capsys):
     assert main([]) == 2
     capsys.readouterr()

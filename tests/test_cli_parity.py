@@ -2,7 +2,9 @@
 
 CASES covers every subcommand, JSON and CSV, --output, --event-log,
 --source, --help, --config (one case per subcommand, flags over the file,
-and each way a config file can be refused) and the exit codes 0, 2, 3 and 4.
+and each way a config file can be refused) and the exit codes 0, 2, 3 and
+4.  A case that ends in --jobs 1 and has a twin at --jobs 2 is a jobs pair:
+the two must match byte for byte, over three batches or more.
 Every case runs in one working directory that holds INPUTS.  The golden
 file keeps, per case, the exit code, the sha256 of stdout, the sha256 of
 each file the case writes, and the last stderr line when dqps itself
@@ -105,6 +107,20 @@ CAL_3DET_CROWDED_LOG = ("calibrate", "--mode", "3det", "--L", "4", "--mu", "0.5"
                         "--n-trains", "40000", "--seed", "23", "--eta-abs", "0.8",
                         "--dead-time", "2", "--source", "crowded.txt",
                         "--event-log", "events.csv")
+# L = 1000 over four batches
+SIM_LONG = ("simulate", "--L", "1000", "--mu", "0.001", "--eta", "0.001", "--p-dark", "1e-6",
+            "--blocks", "5000000")
+# the crowded table at 3det over three batches
+CAL_3DET_CROWDED = ("calibrate", "--mode", "3det", "--L", "4", "--mu", "0.5", "--eta-abs",
+                    "0.8", "--n-trains", "70000", "--source", "crowded.txt")
+# seven batches; a kept train's photons go one uniform each or by multinomial
+# as they are no more or more than its 4 cells
+CAL_2DET_BRIGHT = ("calibrate", "--mode", "2det", "--L", "2", "--mu", "4", "--n-trains",
+                   "200000")
+# an event log over four batches, two write chunks and 6-digit train numbers
+CAL_3DET_LOG_BATCHES = ("calibrate", "--mode", "3det", "--mu", "0.3", "--eta-abs", "0.5",
+                        "--dead-time", "2", "--n-trains", "100001", "--event-log",
+                        "events.csv")
 
 CASES = (
     (),
@@ -119,6 +135,8 @@ CASES = (
     INFEASIBLE,
     INFEASIBLE + ("--format", "csv"),
     ("keyrate", "--L", "1", "--eta", "0.05", "--error-rate", "0.02", "--mu", "0.01"),
+    ("keyrate", "--L", "2", "--error-rate", "0.02", "--mu", "0.01"),
+    ("keyrate", "--L", "2", "--eta", "0.05", "--error-rate", "0.02"),
     ("keyrate", "--L", "x"),
     ("keyrate", "--frobnicate", "1"),
     ("keyrate", "--format", "xml"),
@@ -150,6 +168,9 @@ CASES = (
     # sweep
     ("sweep", "--L-list", "2", "--eta-db-range", "0:40:40", "--error-rate", "0.11"),
     ("sweep", "--L-list", "2,x", "--eta-db-range", "0:40:40", "--error-rate", "0.11"),
+    ("sweep", "--L-list", "2", "--eta-db-range", "0:40", "--error-rate", "0.11"),
+    ("sweep", "--L-list", "2", "--eta-db-range", "0:x:40", "--error-rate", "0.11"),
+    ("sweep", "--L-list", "2", "--eta-db-range", "0:inf:40", "--error-rate", "0.11"),
     ("sweep", "--config", "sweep.cfg"),
     ("sweep", "--config", "sweep.cfg", "--error-rate", "0.05", "--output", "sweep.csv"),
     ("sweep", "--config", "simulate.cfg"),
@@ -164,6 +185,8 @@ CASES = (
     SIM_SPARSE + ("--jobs", "2"),
     SIM_BRIGHT + ("--jobs", "1"),
     SIM_BRIGHT + ("--jobs", "2"),
+    SIM_LONG + ("--jobs", "1"),
+    SIM_LONG + ("--jobs", "2"),
     ("simulate", "--L", "1000", "--mu", "0.001", "--eta", "0.001", "--p-dark", "1e-6",
      "--blocks", "50000", "--seed", "17"),
     # every block clicks at j = 1; Q_hat is noise around 1, and the rate reads it at 1
@@ -214,7 +237,13 @@ CASES = (
     CAL_2DET_SOURCE + ("--jobs", "2"),
     CAL_2DET_CROWDED + ("--jobs", "1"),
     CAL_2DET_CROWDED + ("--jobs", "2"),
+    CAL_3DET_CROWDED + ("--jobs", "1"),
+    CAL_3DET_CROWDED + ("--jobs", "2"),
     CAL_3DET_CROWDED_LOG,
+    CAL_2DET_BRIGHT + ("--jobs", "1"),
+    CAL_2DET_BRIGHT + ("--jobs", "2"),
+    CAL_3DET_LOG_BATCHES + ("--jobs", "1"),
+    CAL_3DET_LOG_BATCHES + ("--jobs", "2"),
     # about 1e10 photons per train
     ("calibrate", "--mode", "2det", "--L", "2", "--mu", "1e10", "--n-trains", "10"),
     ("calibrate", "--mode", "3det", "--L", "2", "--mu", "1e10", "--n-trains", "10"),
@@ -339,7 +368,7 @@ def _jobs_pairs():
 def test_a_second_job_changes_no_byte():
     golden = _golden()
     pairs = _jobs_pairs()
-    assert len(pairs) == 7
+    assert len(pairs) == 11
     for one, two in pairs:
         assert golden[_key(one)]["exit"] == 0
         assert golden[_key(one)] == golden[_key(two)], one

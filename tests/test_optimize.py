@@ -259,5 +259,9 @@ def test_sweep_spec_validation():
         SweepSpec(L_values=(2,), eta_values=(0.0,), error_rate=0.03)
     with pytest.raises(ParameterError, match="L_values"):
         SweepSpec(L_values=(1,), eta_values=(0.1,), error_rate=0.03)
+    with pytest.raises(ParameterError, match="'L_values': must be non-empty"):
+        SweepSpec(L_values=(), eta_values=(0.1,), error_rate=0.03)
+    with pytest.raises(ParameterError, match="'eta_values': must be non-empty"):
+        SweepSpec(L_values=(2,), eta_values=(), error_rate=0.03)
     with pytest.raises(ParameterError, match="'tolerance'"):
         SweepSpec(L_values=(2,), eta_values=(0.1,), error_rate=0.03, tolerance=math.inf)

@@ -413,6 +413,8 @@ def test_source_distribution_rejects_bad_probabilities():
 def test_source_distribution_rejects_ragged_support():
     with pytest.raises(ParameterError):
         SourceDistribution((((0, 0), 0.5), ((1, 0, 0), 0.5)))
+    with pytest.raises(ParameterError, match="'support': must be non-empty"):
+        SourceDistribution(())
 
 
 @pytest.mark.parametrize("counts, message", [
@@ -457,6 +459,12 @@ def test_source_distribution_from_file(tmp_path):
 
 def test_source_distribution_from_file_malformed(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("1 0.5\n")  # needs at least two pulses plus probability
-    with pytest.raises(ParameterError, match="source"):
-        SourceDistribution.from_file(path)
+    for data, message in [
+        (b"1 0.5\n", "line 1: need at least 2 counts"),  # two pulses plus probability
+        (b"# a table\n0 x 0.5\n", "line 2: malformed record '0 x 0.5'"),
+        (b"# no records\n\n", "file contains no records"),
+        (b"# 0.5 \xb5W, latin-1\n0 0 1\n", "not UTF-8 text"),
+    ]:
+        path.write_bytes(data)
+        with pytest.raises(ParameterError, match=f"'source': {message}"):
+            SourceDistribution.from_file(path)
