@@ -52,6 +52,9 @@ from .tagging import (
 )
 
 _EVENT_LOG_CHUNK = 1 << 16  # most event-log rows formatted per buffer
+# most loss points one sweep takes: about half an hour of optimizer work,
+# refused before the list is built
+_DB_GRID_MAX = 10**7
 
 # calibrate's bench flags: every field of the two setups but L, mu, n_test and source
 _BENCH_FIELDS = {field.name: field for setup in (CalibSetup2, CalibSetup3)
@@ -349,7 +352,8 @@ def _parse_db_grid(text: str) -> list[float]:
     if step <= 0 or hi < lo:
         raise ParameterError("eta_db_range", "need step > 0 and hi >= lo")
     span = (hi - lo) / step
-    if not math.isfinite(span):
+    # the grid has floor(span + 1e-9) + 1 points; an infinite span fails too
+    if not span + 1e-9 < _DB_GRID_MAX:
         raise ParameterError("eta_db_range", "too many grid points")
     return [lo + k * step for k in range(int(math.floor(span + 1e-9)) + 1)]
 

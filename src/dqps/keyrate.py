@@ -106,9 +106,9 @@ def key_rate(
     else:
         _probability("rtag_override", rtag_override)
         rtag = rtag_override
-    f_pa, f_ec, rate, feasible = _rate(
-        inputs.L, inputs.p0, inputs.Q, inputs.E0, inputs.E1, rtag, ec_inefficiency
-    )
+    # Q = 0 forces E0 = 0, and f_ec = 0 there
+    f_ec = ec_inefficiency * _entropy(inputs.E0 / inputs.Q if inputs.Q > 0 else 0.0)
+    f_pa, rate, feasible = _rate(inputs.L, inputs.p0, inputs.Q, inputs.E1, rtag, f_ec)
     return KeyRateReport(
         rtag, float(f_pa), float(f_ec), float(rate), bool(feasible), inputs.mu
     )
@@ -141,17 +141,17 @@ def _privacy_amp(Q, E1, rtag):
     return f_pa, feasible, untagged, h1
 
 
-def _rate(L: int, p0, Q, E0, E1, rtag, ec_inefficiency=1.0):
-    """The rate formula of the module docstring: (f_pa, f_ec, rate, feasible).
+def _rate(L: int, p0, Q, E1, rtag, f_ec):
+    """The rate formula of the module docstring: (f_pa, rate, feasible).
 
-    Q = 0 gives f_ec = 0 (E0 = 0 there); an infeasible privacy
-    amplification or a nonpositive rate gives rate 0 and feasible False.
+    f_ec is the error-correction cost per sifted bit, f_EC(E0/Q) in full.
+    An infeasible privacy amplification or a nonpositive rate gives rate 0
+    and feasible False.
     """
-    f_ec = ec_inefficiency * _entropy(E0 / np.where(Q > 0.0, Q, 1.0))
     f_pa, feasible, untagged, h1 = _privacy_amp(Q, E1, rtag)
     rate = p0 ** 2 / L * (untagged * (1.0 - h1) - Q * f_ec)
     feasible = feasible & (rate > 0.0)
-    return f_pa, f_ec, np.where(feasible, rate, 0.0), feasible
+    return f_pa, np.where(feasible, rate, 0.0), feasible
 
 
 def channel_q(L: int, mu: float, eta: float) -> float:

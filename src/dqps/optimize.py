@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, _block_length, _check_real, _probability
-from .keyrate import _channel_q, _rate
+from .keyrate import _channel_q, _entropy, _rate
 from .keyrate import channel_q, key_rate  # noqa: F401  perfbench/spans.py wraps these names
 from .tagging import _rtag
 from .tagging import rtag_coherent  # noqa: F401  perfbench/spans.py wraps this name
@@ -80,10 +80,12 @@ class SweepSpec:
 
 
 def _rates(L: int, eta: float, error_rate: float, mu):
-    """key_rate's rate per pulse at p0 = 1, for a float or an array of mu."""
+    """key_rate's rate per pulse at p0 = 1, for a float or an array of mu.
+
+    E0/Q is error_rate at every mu, so f_EC is one scalar per call.
+    """
     Q = _channel_q(L, mu, eta)
-    E = error_rate * Q
-    return _rate(L, 1.0, Q, E, E, _rtag(L, mu))[2]
+    return _rate(L, 1.0, Q, error_rate * Q, _rtag(L, mu), _entropy(error_rate))[1]
 
 
 def optimize_mu(

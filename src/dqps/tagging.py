@@ -12,12 +12,13 @@ holds two or more photons", written once as _tagged.
 
 The coherent case walks the block pulse by pulse as a three-state Markov
 chain (untagged with the last pulse empty, untagged with one photon in
-the last pulse, tagged) and raises its transition matrix to the L-th
-power by repeated squaring.  All entries are nonnegative, so nothing
-cancels: the result keeps its relative precision at every mu, where the
-complement 1 - P(untagged) would lose it like eps / mu^2.  The same code
-takes a float or a numpy array of mu.  count_untagged_configs, the
-pattern count of the closed form e^{-mu L} sum_m C(L+1-m, m) mu^m for the
+the last pulse, tagged) and sums the chain's absorption in closed form,
+from the two eigenvalues of its untagged block: a fixed amount of work at
+any L.  Every term of the sum is nonnegative, so nothing cancels: the
+result keeps its relative precision at every mu, where the complement
+1 - P(untagged) would lose it like eps / mu^2.  The same code takes a
+float or a numpy array of mu.  count_untagged_configs, the pattern count
+of the closed form e^{-mu L} sum_m C(L+1-m, m) mu^m for the
 untagged mass, stays as an independent combinatorial check.
 """
 
@@ -178,12 +179,12 @@ def count_untagged_configs(L: int, m: int) -> int:
 def rtag_coherent(p: TagParams) -> float:
     """Tagging probability of a phase-randomized coherent L-pulse block.
 
-    Walks the block pulse by pulse as a three-state chain (see `_rtag`)
-    and returns the mass absorbed in the tagged state, capped at 1.  No
-    term is ever subtracted from another, so the result
-    keeps its relative precision for every mu, also where it is as small
-    as (3L-2) mu^2 / 2: within 6e-14 of a 60-digit reference for
-    mu in [1e-12, 50] and L up to 1000.  mu = 0 gives exactly 0.
+    Sums the mass the three-state chain of `_rtag` absorbs in the tagged
+    state, in closed form, capped at 1.  No term is ever subtracted from
+    another, so the result keeps its relative precision for every mu, also
+    where it is as small as (3L-2) mu^2 / 2: within 1e-15 of a reference
+    that does not cancel for any L up to 2^62 and mu in [1e-100, 50].
+    mu = 0 gives exactly 0.
     """
     return float(_rtag(p.L, p.mu))
 
@@ -214,6 +215,20 @@ def _poisson_head(mu):
     return stay, one, any_, np.where(small, one * mu * series, any_ - one)
 
 
+# With s = x / (2 + x), log1p(x) - x = 2 s^3 sum_k s^(2k) / (2k+3) - x s, a
+# sum of two terms of one sign.  Its Horner coefficients, highest order
+# first: six terms reach 1e-17 relative below _LOG_SERIES_MAX, above which
+# log1p(x) - x loses at most a few ulps.
+_LOG_SERIES = tuple(2.0 / (2 * k + 3) for k in reversed(range(6)))
+_LOG_SERIES_MAX = 0.1
+# Past this mu every term of rtag but P(X >= 2) is below 1e-300 of it, so
+# the eigenvalue sums are taken here, where e^-log(l1) is still finite
+_CHAIN_MU_MAX = 700.0
+# L - 1 enters as a float, at most this much, so that no product overflows
+_CHAIN_STEPS_MAX = 2**1000
+_TINY = 5e-324  # the smallest subnormal
+
+
 def _rtag(L: int, mu):
     """Tagging probability for a float or a numpy array of mu (no validation).
 
@@ -224,37 +239,53 @@ def _rtag(L: int, mu):
         A -> A  e^-mu          A -> B  mu e^-mu        A -> T  P(X >= 2)
         B -> A  e^-mu          B -> T  P(X >= 1)
 
-    rtag is the A -> T entry of M^L, computed by repeated squaring of the
-    2x2 untagged block U and the absorption column c (M^2 has U^2 and
-    U c + c).  Every entry is a sum of products of nonnegative numbers,
-    so the relative error stays near L/2 ulps at worst (the rounding of
-    e^-mu, compounded over the pulses).  The entries of M come from
+    rtag is the A -> T entry of M^L, the sum over the first L pulses of
+    (row A of U^k) times the absorption column (P(X >= 2), P(X >= 1)),
+    where U = e^-mu [[1, mu], [1, 0]] is the untagged block.  With
+    x = 2 mu / (1 + sqrt(1 + 4 mu)) its eigenvalues are l1 = e^-mu (1 + x)
+    and l2 = -e^-mu x, and
+
+        rtag = [P2 ((1+x) S1 + x S2) + mu P1 (S1 - S2)] / (1 + 2x),
+
+    S_i = sum_{k<L} l_i^k.  Written with S_i = 1 + l_i T_i, where
+    T_i = sum_{k<L-1} l_i^k, this is P(X >= 2) plus two nonnegative terms:
+
+        rtag = P2 + [l1 T1 (P2 (1+x) + mu P1) + e^-mu x^2 T2 (P(X=1) + x P1)] / (1 + 2x).
+
+    l1 T1 = -expm1(-(L-1) g) / expm1(g) with g = -log l1 = x^2 - (log1p(x) - x),
+    taken from _LOG_SERIES at small x so that it does not cancel, and
+    T2 = (1 - l2^(L-1)) / (1 - l2).  x gets one Newton step, in which
+    mu - x is exact, because g ~ 3 x^2 / 2 doubles its relative error and
+    rtag near 1 inherits that of g.  The work is the same at every L;
+    the result is within 1e-15 of a reference that does not cancel for L
+    up to 2^62 and mu in [1e-100, 50].  The entries of M come from
     _poisson_head.  Floats give numpy scalars, arrays give arrays, element
     for element the same bits.
     """
     stay, one, any_, two = _poisson_head(mu)
-
-    # chain state after the pulses consumed so far: untagged (a, b), tagged t
-    a, b, t = 1.0, 0.0, 0.0
-    # M^(2^k): untagged block [[aa, ab], [ba, bb]], absorption column (ca, cb)
-    aa, ab, ba, bb, ca, cb = stay, one, stay, 0.0, two, any_
-    n = L
-    while True:
-        if n & 1:
-            a, b, t = a * aa + b * ba, a * ab + b * bb, t + a * ca + b * cb
-        n >>= 1
-        if not n:
-            # rows of M sum to 1 only up to rounding, which can carry t a
-            # few ulps past 1 once mu L is large; a NaN mu stays NaN
-            return np.minimum(t, 1.0)
-        aa, ab, ba, bb, ca, cb = (
-            aa * aa + ab * ba,
-            aa * ab + ab * bb,
-            ba * aa + bb * ba,
-            ba * ab + bb * bb,
-            aa * ca + ab * cb + ca,
-            ba * ca + bb * cb + cb,
-        )
+    m = np.minimum(mu, _CHAIN_MU_MAX)
+    r = np.sqrt(m + 0.25)
+    x = m / (0.5 + r)
+    q = r + r  # 1 + 2x
+    x = x + ((m - x) - x * x) / q
+    h = 1.0 + x
+    s = x / (2.0 + x)
+    s2 = s * s
+    series = _LOG_SERIES[0]
+    for coeff in _LOG_SERIES[1:]:
+        series = series * s2 + coeff
+    log_gap = np.where(x < _LOG_SERIES_MAX, s * (s2 * series - x), np.log1p(x) - x)
+    # g = -log l1 > 0 strictly, so l1 T1 is L - 1 where g underflows to 0
+    g = np.maximum(x * x - log_gap, _TINY)
+    n = float(min(L - 1, _CHAIN_STEPS_MAX))
+    a1 = np.expm1(-n * g) / np.expm1(g)  # -l1 T1
+    y = stay * x  # -l2
+    e2 = np.expm1(n * np.log(np.maximum(y, _TINY)))  # y^(L-1) - 1
+    t2 = (2.0 + e2 if L % 2 == 0 else -e2) / (1.0 + y)
+    rest = y * x * t2 * (one + x * any_) - a1 * (two * h + m * any_)
+    # rounding can carry the sum a few ulps past 1 once mu L is large; a
+    # NaN mu stays NaN
+    return np.minimum(two + rest / q, 1.0)
 
 
 def rtag_bruteforce(

@@ -891,8 +891,8 @@ def test_golden_keyrate_outputs(capsys, argv, golden):
 GOLDEN_SWEEP_DEAD_ROW = (
     "L,eta_db,eta,mu_opt,Q,rtag,rate\n"
     "2,40,0.0001,nan,nan,nan,0\n"
-    "2,0,1,5.051673070041216e-05,5.0515454751857502e-05,"
-    "5.1035363992208579e-09,2.1226766331622511e-09\n"
+    "2,0,1,5.051669976251535e-05,5.0515423815523536e-05,"
+    "5.1035301483287491e-09,2.1226766331622511e-09\n"
 )
 
 

@@ -77,6 +77,8 @@ SIM_BRIGHT = ("simulate", "--L", "3", "--mu", "2", "--eta", "1", "--p-dark", "0.
               "--delta", "0.4", "--bitflip", "0.05", "--blocks", "70000")
 RTAG = ("rtag", "--L", "5", "--mu", "0.2", "--oracle", "--cap", "6")
 RTAG_SOURCE = ("rtag", "--source", "pairs.txt")
+# L = 2^62, where rtag is 0.99984 and any error that grows with L shows
+RTAG_LONG = ("rtag", "--L", "4611686018427387904", "--mu", "1.1221477682079803e-09")
 CAL_2DET = ("calibrate", "--mode", "2det", "--mu", "0.02", "--n-trains", "20000",
             "--seed", "11")
 CAL_3DET = ("calibrate", "--mode", "3det", "--mu", "0.05", "--n-trains", "20000",
@@ -171,6 +173,8 @@ CASES = (
     ("sweep", "--L-list", "2", "--eta-db-range", "0:40", "--error-rate", "0.11"),
     ("sweep", "--L-list", "2", "--eta-db-range", "0:x:40", "--error-rate", "0.11"),
     ("sweep", "--L-list", "2", "--eta-db-range", "0:inf:40", "--error-rate", "0.11"),
+    # 10^9 + 1 points, refused before the grid is built
+    ("sweep", "--L-list", "2", "--eta-db-range", "0:1e9:1", "--error-rate", "0.03"),
     ("sweep", "--config", "sweep.cfg"),
     ("sweep", "--config", "sweep.cfg", "--error-rate", "0.05", "--output", "sweep.csv"),
     ("sweep", "--config", "simulate.cfg"),
@@ -204,6 +208,7 @@ CASES = (
     RTAG + ("--format", "csv"),
     RTAG_SOURCE,
     RTAG_SOURCE + ("--format", "csv", "--output", "tag.csv"),
+    RTAG_LONG,
     ("rtag", "--source", "missing.txt"),
     ("rtag", "--L", "9", "--mu", "0.1", "--oracle", "--cap", "10", "--work-limit", "1e8"),
     ("rtag", "--L", "2", "--mu", "0.1", "--cap", "4"),
@@ -266,6 +271,7 @@ TEXT_CASES = (
     RTAG,
     RTAG + ("--format", "csv"),
     RTAG_SOURCE,
+    RTAG_LONG,
     GOLDEN_SIMULATE,
     GOLDEN_2DET,
     GOLDEN_2DET + ("--format", "csv"),

@@ -18,6 +18,7 @@ from dqps import (
     rtag_coherent,
     sweep,
 )
+from dqps.keyrate import _entropy, _rate
 from dqps.optimize import (
     DEFAULT_GRID_POINTS, DEFAULT_MU_BOUNDS, DEFAULT_TOLERANCE, _SWEEP_CHUNK, _optimize, _rates,
 )
@@ -48,11 +49,21 @@ def test_optimize_mu_result_is_self_consistent():
 
 def test_grid_rates_equal_key_rate():
     # the grid and key_rate share one rate core, so the numbers are the same
+    # wherever its inputs are.  The grid's f_EC is h(error_rate) itself;
+    # key_rate's is h(E0 / Q) with E0 = error_rate * Q, which can round an
+    # ulp away, and only there does the grid's rate differ, through f_EC alone
     grid = np.geomspace(*DEFAULT_MU_BOUNDS, DEFAULT_GRID_POINTS)
     for L, eta, error_rate in ((2, 0.3, 0.03), (20, 1e-3, 0.03), (1000, 1e-5, 0.05)):
         values = _rates(L, eta, error_rate, grid)
-        expected = [rate_at(L, eta, error_rate, float(mu)) for mu in grid]
-        assert values.tolist() == expected
+        f_ec = _entropy(error_rate)
+        for mu, value in zip(grid.tolist(), values.tolist()):
+            Q = channel_q(L, mu, eta)
+            inputs = RateInputs.from_error_rates(L, mu, 1.0, Q, error_rate, error_rate)
+            report = key_rate(inputs)
+            if report.f_ec == f_ec:
+                assert value == report.rate_per_pulse
+            else:
+                assert value == _rate(L, 1.0, Q, inputs.E1, report.rtag, f_ec)[1]
         assert 0 < np.count_nonzero(values) < len(grid)
 
 

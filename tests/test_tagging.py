@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -176,7 +177,50 @@ def test_rtag_relative_error_against_mpmath():
             exact = rtag_mpmath(mpmath, L, float(mu))
             r = rtag_coherent(TagParams(L, float(mu)))
             worst = max(worst, float(abs(r - exact) / exact))
-    assert worst <= 1e-12
+    assert worst <= 1e-15
+
+
+def rtag_chain_mpmath(mpmath, L, mu):
+    """The A -> T entry of the chain's 3x3 matrix to the L-th power, by squaring.
+
+    Every entry is a sum of products of nonnegative numbers, so nothing
+    cancels but P(X >= 2) = P(X >= 1) - P(X = 1), which loses about
+    2 log10(1/mu) digits, and the squaring rounds about L times: the
+    working precision covers both.
+    """
+    digits = 40 + len(str(L)) + 2 * max(0, math.ceil(math.log10(1 / mu)))
+    with mpmath.workdps(digits):
+        mu = mpmath.mpf(mu)
+        stay, at_least_one = mpmath.exp(-mu), -mpmath.expm1(-mu)
+        step = mpmath.matrix([
+            [stay, mu * stay, at_least_one - mu * stay],
+            [stay, 0, at_least_one],
+            [0, 0, 1],
+        ])
+        power = mpmath.eye(3)
+        while L:
+            if L & 1:
+                power = power * step
+            step = step * step
+            L >>= 1
+        return power[0, 2]
+
+
+CHAIN_L = (2, 3, 4, 5, 20, 137, 1000, 10**6, 10**12, 2**62)
+CHAIN_MU = tuple(np.geomspace(1e-100, 50.0, 41)) + (0.4999, 0.5, 0.5001)
+
+
+def test_rtag_relative_error_at_any_block_length():
+    # the reference does not cancel, so the check holds down to mu = 1e-100;
+    # L runs to 2^62 so that any error growing with L shows
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for L in CHAIN_L:
+        values = _rtag(L, np.array(CHAIN_MU))
+        for mu, r in zip(CHAIN_MU, values.tolist()):
+            exact = rtag_chain_mpmath(mpmath, L, float(mu))
+            worst = max(worst, float(abs(r - exact) / exact))
+    assert worst <= 1e-15
 
 
 def inline_head(mu):
@@ -216,10 +260,17 @@ def test_poisson_head_two_or_more_against_mpmath():
 
 
 def test_rtag_array_call_matches_scalar_calls_bitwise():
-    mu = np.concatenate([np.geomspace(1e-12, 50.0, 97), [0.0, 0.5, 1e300]])
-    for L in PRECISION_L:
+    # from mu = 0 to the largest float and at any L, without a RuntimeWarning,
+    # which the suite turns into an error
+    top = sys.float_info.max
+    mu = np.concatenate([
+        np.geomspace(1e-12, 50.0, 97), [0.0, 0.5, 1e300],
+        np.geomspace(1e-300, 1e300, 31), [5e-324, 746.0, math.nextafter(top, 0.0), top],
+    ])
+    for L in PRECISION_L + (2**62, 2**62 + 1, 10**400):
         values = _rtag(L, mu)
         assert isinstance(values, np.ndarray) and values.shape == mu.shape
+        assert ((0.0 <= values) & (values <= 1.0)).all()
         scalars = [rtag_coherent(TagParams(L, float(m))) for m in mu]
         assert values.tolist() == scalars
         assert all(type(r) is float for r in scalars)
