@@ -21,8 +21,10 @@ and each kept train's photon count from the Poisson law given two or
 more; a table draws every configuration's count at once and routes the
 occupied slots of those of two or more photons.  A group of photons no
 larger than the number of (detector, slot) cells draws one uniform per
-photon, a larger group one multinomial, so memory grows with the kept
-trains and the cells, not with the photons.  The clicks fill one
+photon, which a bucket table built once per run (_cell_finder) maps to its
+cell in O(1), the same cell a binary search over the cell edges gives; a
+larger group draws one multinomial, so memory grows with the kept trains
+and the cells, not with the photons.  The clicks fill one
 C-contiguous clicks[detector, slot, kept train], so the double, dead-time
 and triple tests shift and reduce whole rows of trains.
 
@@ -31,10 +33,11 @@ seeded batch runner, ``protocol.run_batches``, so a seed gives the same
 counts for any thread count.  ``_source_law``, the one place that tells a
 Poissonian source from a table, works out once per run the kept share
 that cuts the batches, the true tagging probability and the click
-sampler that every batch calls.  A bench's flag function flags the kept
-trains alone, [double] or [double, triple]; ``_calibrate`` counts them
-and builds the report.  An event log places the kept trains among the
-batch's rows by draws taken last, so no count depends on it.
+sampler that every batch calls; it reads a table from the arrays that
+SourceDistribution kept when it validated it.  A bench's flag function
+flags the kept trains alone, [double] or [double, triple]; ``_calibrate``
+counts them and builds the report.  An event log places the kept trains
+among the batch's rows by draws taken last, so no count depends on it.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ _BOUND_TOL = 1e-12
 # the inverse CDF of N given N >= 2; from it on, by rejection of plain
 # Poisson draws, which then keep at least this share.
 _REJECTION_FROM = 0.25
+
+# _cell_finder maps this many uniforms at a time
+_FIND_BLOCK = 1 << 16
 
 
 def _detection_probs(setup) -> list[float]:
@@ -99,7 +105,7 @@ def _check_source(setup) -> None:
         return
     if source.L != setup.L:
         raise ParameterError("source", "distribution length differs from L")
-    if max(sum(c) for c, _ in source.support) >= 2**63:
+    if source._photons is None:
         raise ParameterError("source", "photons per train must fit in int64")
 
 
@@ -324,22 +330,59 @@ def _two_or_more(rng, m: float, p2: float, k: int) -> np.ndarray:
     return drawn[:k]
 
 
-def _occupied(rng, counts, cells, at, size: int) -> np.ndarray:
+def _cell_finder(cells):
+    """find(u): the cell of each uniform u, as binary search gives it.
+
+    That is np.searchsorted(np.cumsum(cells[:-1]), u, side="right"), built
+    once per run.  Split [0, 1) into B = 2^k >= 2 * len(cells) equal
+    buckets; b / B and u * B are exact in binary, so floor(u * B) is the
+    bucket of u, and start[b] = searchsorted(edges, b / B, "right") is the
+    cell of its lower end.  The cell of u lies at most as many edges on as
+    there are in (b / B, (b + 1) / B), so find adds 1 while u >= edges[cell],
+    at most that many times over all buckets, with the edges padded by +inf:
+    the same cell for every u, on an edge or in a zero-width cell too, in
+    O(1) per uniform.
+    """
+    edges = np.cumsum(cells[:-1])
+    buckets = 1 << (2 * len(cells) - 1).bit_length()
+    bounds = np.arange(buckets + 1) / buckets
+    start = np.searchsorted(edges, bounds[:-1], side="right")
+    # no u in bucket b reaches an edge at (b + 1) / B
+    steps = int((np.searchsorted(edges, bounds[1:], side="left") - start).max())
+    edges = np.append(edges, np.inf)
+
+    def find(u):
+        cell = np.empty(u.shape, np.intp)
+        for at in range(0, u.size, _FIND_BLOCK):  # so that the temporaries stay small
+            part = u[at:at + _FIND_BLOCK]
+            found = start[(part * buckets).astype(np.intp)]
+            for _ in range(steps):
+                found += part >= edges[found]
+            cell[at:at + _FIND_BLOCK] = found
+        return cell
+
+    return find
+
+
+def _occupied(rng, counts, cells, find, at, size: int) -> np.ndarray:
     """Which cells each group of photons reaches, as reached[cell, place].
 
     Group i sits at place at[i] of size places.  Each photon lands in cell j
     with chance cells[j], independently; the last cell takes the rest, as in
     numpy's multinomial.  A group of at most len(cells) photons draws one
-    uniform per photon, a larger group one multinomial, so memory stays
-    O(groups * cells) at any flux.
+    uniform per photon, which find, _cell_finder(cells), maps to its cell; a
+    larger group draws one multinomial.  So memory stays O(groups * cells)
+    at any flux.
     """
     width = len(cells)
     reached = np.zeros((width, size), dtype=bool)
     few = counts <= width
     # taken before the uniforms, so that no small array splits their freed block
     photons, place = counts[few], at[few]
-    cell = np.searchsorted(np.cumsum(cells[:-1]), rng.random(photons.sum()), side="right")
-    reached[cell, np.repeat(place, photons)] = True
+    flat = find(rng.random(photons.sum()))  # the cell, then the flat index in place
+    flat *= size
+    flat += np.repeat(place, photons)
+    reached.reshape(-1)[flat] = True
     many = ~few
     if many.any():
         reached[:, at[many]] = (rng.multinomial(counts[many], cells) > 0).T
@@ -368,23 +411,24 @@ def _source_law(setup, probs):
         m = setup.mu * setup.L * sum(probs)
         p2 = float(_poisson_head(m)[3])
         cells = np.repeat(np.divide(probs, sum(probs)) / setup.L, setup.L)
+        find = _cell_finder(cells)
 
         def clicks(rng, n: int):
             photons = _two_or_more(rng, m, p2, rng.binomial(n, p2))
             k = len(photons)
-            reached = _occupied(rng, photons, cells, np.arange(k), k)
+            reached = _occupied(rng, photons, cells, find, np.arange(k), k)
             return reached.reshape(len(probs), setup.L, k)
 
         return p2, rtag_coherent(TagParams(setup.L, setup.mu)), clicks
-    configs, weights = source.as_arrays()
-    p = weights / weights.sum()
-    kept = configs.sum(axis=1) >= 2
+    p = source._probs / source._probs.sum()
+    kept = source._photons >= 2
     # the kept configurations' occupied slots, configuration by configuration
-    config, slot = np.nonzero(configs[kept])
-    photons = configs[kept][config, slot]
+    config, slot = np.nonzero(source._counts[kept])
+    photons = source._counts[kept][config, slot]
     occupied = np.bincount(config, minlength=np.count_nonzero(kept))
     first = np.cumsum(occupied) - occupied
     cells = [*probs, 0.0]  # the last cell takes the rest
+    find = _cell_finder(cells)
 
     def clicks(rng, n: int):
         of = np.repeat(np.arange(len(occupied)), rng.multinomial(n, p)[kept])
@@ -392,7 +436,8 @@ def _source_law(setup, probs):
         train = np.repeat(np.arange(k), width)
         # a train's j-th group is the j-th occupied slot of its configuration
         entry = np.arange(train.size) + np.repeat(first[of] - np.cumsum(width) + width, width)
-        reached = _occupied(rng, photons[entry], cells, slot[entry] * k + train, setup.L * k)
+        reached = _occupied(rng, photons[entry], cells, find, slot[entry] * k + train,
+                            setup.L * k)
         return reached[:-1].reshape(len(probs), setup.L, k)
 
     return float(p[kept].sum()), rtag_general(source), clicks

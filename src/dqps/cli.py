@@ -105,31 +105,54 @@ def _render(records: list[dict], fmt: str) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
 
+@functools.lru_cache(maxsize=64)
+def _row_template(width: int, flags: int) -> np.ndarray:
+    """Event-log rows of trains 0 .. 10^min(width, 3) - 1, zero-padded to width digits.
+
+    Read-only uint8, one row per line, every flag 0.  Train numbers have at
+    most 19 digits and rows at most two flags, so the cache stays small.
+    """
+    number = np.arange(10 ** min(width, 3))
+    rows = np.full((number.size, width + 2 * flags + 1), ord("0"), np.uint8)
+    for k in range(width - 1, width - 1 - min(width, 3), -1):
+        number, digit = np.divmod(number, 10)
+        rows[:, k] += digit.astype(np.uint8)
+    rows[:, width:-1:2] = ord(",")
+    rows[:, -1] = ord("\n")
+    rows.flags.writeable = False
+    return rows
+
+
 def _event_rows(start: int, events: np.ndarray):
     """CSV rows "train,flag[,flag]" for trains start, start + 1, ... as ASCII.
 
-    Each buffer holds up to _EVENT_LOG_CHUNK rows of one digit count, built
-    byte by byte as (column, row) uint8, transposed once and yielded for
-    writelines.  Digits come from floor division by 10 in the narrowest
-    unsigned type, which numpy does far faster than np.divmod or int64.
+    A buffer holds whole tiles of S = 10^min(width, 3) trains of one digit
+    width, no more rows than _EVENT_LOG_CHUNK where that is at least S, and
+    is built in row order: one broadcast copies _row_template(width, flags)
+    into every tile, each leading digit is written once per tile down its
+    column, and only the set flags are written after.  The buffer's rows
+    from start on are yielded for writelines.
     """
+    flags = events.shape[1]
     stop = start + len(events)
     lo = start
     while lo < stop:
         width = len(str(lo))
-        hi = min(stop, 10 ** width, lo + _EVENT_LOG_CHUNK)
-        cols = np.empty((width + 2 * events.shape[1] + 1, hi - lo), np.uint8)
-        number = np.arange(lo, hi, dtype=np.min_scalar_type(hi))
-        for k in range(width - 1, -1, -1):
-            quotient = number // 10
-            cols[k] = number - quotient * 10
-            number = quotient
-        cols[width + 1::2] = events[lo - start:hi - start].T
-        cols[:width] += ord("0")
-        cols[width + 1::2] += ord("0")
-        cols[width:-1:2] = ord(",")
-        cols[-1] = ord("\n")
-        yield cols.T.tobytes()
+        tile = 10 ** min(width, 3)
+        first = lo // tile
+        hi = min(stop, 10**width, (first + max(1, _EVENT_LOG_CHUNK // tile)) * tile)
+        template = _row_template(width, flags)
+        size = template.shape[1]
+        out = np.empty((-(-hi // tile) - first, tile, size), np.uint8)
+        out[:] = template
+        number = np.arange(first, first + len(out))
+        for k in range(width - 4, -1, -1):  # the digits above the last three
+            number, digit = np.divmod(number, 10)
+            out[:, :, k] = (digit + ord("0"))[:, None]
+        rows = out.reshape(-1, size)[lo - first * tile:hi - first * tile]
+        hit = np.flatnonzero(events[lo - start:hi - start])
+        rows.reshape(-1)[hit // flags * size + width + 1 + 2 * (hit % flags)] = ord("1")
+        yield rows.tobytes()
         lo = hi
 
 

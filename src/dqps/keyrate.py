@@ -12,6 +12,7 @@ while rtag <= Q - 2*E1; beyond that the whole key is sacrificed.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +150,7 @@ def _rate(L: int, p0, Q, E1, rtag, f_ec):
     and feasible False.
     """
     f_pa, feasible, untagged, h1 = _privacy_amp(Q, E1, rtag)
-    rate = p0 ** 2 / L * (untagged * (1.0 - h1) - Q * f_ec)
+    rate = p0 ** 2 / _float(L) * (untagged * (1.0 - h1) - Q * f_ec)
     feasible = feasible & (rate > 0.0)
     return f_pa, np.where(feasible, rate, 0.0), feasible
 
@@ -169,4 +170,17 @@ def channel_q(L: int, mu: float, eta: float) -> float:
 def _channel_q(L: int, mu, eta):
     # a huge (L-1)*mu overflows to inf, and Q = 1 there is right
     with np.errstate(over="ignore"):
-        return -np.expm1(-(L - 1) * mu * eta)
+        return -np.expm1(-_float(L - 1) * mu * eta)
+
+
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+def _float(n: int) -> float:
+    """A block length as a float, the largest finite one past the float range.
+
+    Below it this is the float Python's int arithmetic converts n to, so no
+    bit moves; past it L - 1 and L stay finite, so Q saturates and the rate
+    underflows instead of raising OverflowError.
+    """
+    return float(min(n, _FLOAT_MAX))

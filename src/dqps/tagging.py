@@ -75,6 +75,33 @@ class TagParams:
         _mean_photon_number("mu", self.mu)
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _plain_arrays(support):
+    """The table as int64 (n, L) counts and float64 (n,) probabilities, or None.
+
+    None unless numpy reads the rows as one int64 table of two or more
+    pulses, every count nonnegative and small enough that a train's
+    photons fit in int64, and the probabilities as floats in [0, 1]; for
+    such rows the row-by-row checks of _checked_rows pass and give the same
+    values.
+    """
+    try:
+        counts = np.array([c for c, _ in support])
+        weights = np.array([p for _, p in support])
+    except (TypeError, ValueError, OverflowError):  # a bad pair, ragged rows, a huge number
+        return None
+    if (counts.dtype != np.int64 or counts.ndim != 2 or counts.shape[1] < 2
+            or weights.dtype != np.float64 or weights.ndim != 1):
+        return None
+    if counts.min() < 0 or counts.max() > _INT64_MAX // counts.shape[1]:
+        return None
+    if not ((weights >= 0.0) & (weights <= 1.0)).all():  # NaN fails too
+        return None
+    return counts, weights
+
+
 @dataclass(frozen=True)
 class SourceDistribution:
     """Finite photon-number distribution of an L-pulse source.
@@ -86,24 +113,33 @@ class SourceDistribution:
     support: tuple[tuple[tuple[int, ...], float], ...]
 
     def __post_init__(self):
+        """Validate once and keep the table as arrays for the samplers and rtag_general.
+
+        _counts (int64) is None when a count does not fit in int64, and
+        _photons, the photons per train, when a train's total does not.
+        """
         if not self.support:
             raise ParameterError("support", "must be non-empty")
-        configs = []
-        probs = []
-        for config, p in self.support:
-            configs.append(_validate_counts(config))
-            if not math.isfinite(p) or p < 0 or p > 1:
-                raise ParameterError("support", f"probability {p!r} outside [0, 1]")
-            probs.append(float(p))
-        L = len(configs[0])
-        if any(len(c) != L for c in configs):
-            raise ParameterError("support", "all configurations must share one block length")
+        support = tuple(self.support)
+        plain = _plain_arrays(support)
+        if plain is not None:
+            counts, weights = plain
+            configs, probs = list(map(tuple, counts.tolist())), weights.tolist()
+            photons, capped = counts.sum(axis=1), np.minimum(counts, 2).astype(np.int8)
+        else:
+            configs, probs = _checked_rows(support)
+            totals = list(map(sum, configs))
+            counts = (np.array(configs, dtype=np.int64)
+                      if max(map(max, configs)) <= _INT64_MAX else None)
+            photons = np.array(totals, dtype=np.int64) if max(totals) <= _INT64_MAX else None
+            capped, weights = _capped(configs), np.array(probs)
         total = math.fsum(probs)
         if abs(total - 1.0) > 1e-12:
             raise ParameterError("support", f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(
-            self, "support", tuple((c, p) for c, p in zip(configs, probs))
-        )
+        object.__setattr__(self, "support", tuple(zip(configs, probs)))
+        for name, value in (("_counts", counts), ("_probs", weights),
+                            ("_photons", photons), ("_capped", capped)):
+            object.__setattr__(self, name, value)
 
     @property
     def L(self) -> int:
@@ -140,9 +176,25 @@ class SourceDistribution:
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Configurations as an (n, L) int array plus the probability vector."""
-        configs = np.array([c for c, _ in self.support], dtype=np.int64)
-        probs = np.array([p for _, p in self.support], dtype=np.float64)
-        return configs, probs
+        counts = self._counts
+        if counts is None:  # a count beyond int64: numpy raises its OverflowError
+            counts = np.array([c for c, _ in self.support], dtype=np.int64)
+        return counts.copy(), self._probs.copy()
+
+
+def _checked_rows(support) -> tuple[list, list]:
+    """Check row by row, in order: the counts, then the probability; then the lengths."""
+    configs = []
+    probs = []
+    for config, p in support:
+        configs.append(_validate_counts(config))
+        if not math.isfinite(p) or p < 0 or p > 1:
+            raise ParameterError("support", f"probability {p!r} outside [0, 1]")
+        probs.append(float(p))
+    L = len(configs[0])
+    if any(len(c) != L for c in configs):
+        raise ParameterError("support", "all configurations must share one block length")
+    return configs, probs
 
 
 class BruteForceResult(NamedTuple):
@@ -333,9 +385,7 @@ def rtag_bruteforce(
 
 def rtag_general(src: SourceDistribution) -> float:
     """Tagged probability mass of an explicit finite source distribution."""
-    configs = _capped([c for c, _ in src.support])
-    probs = np.array([p for _, p in src.support])
-    return math.fsum(probs[_tagged(configs)])
+    return math.fsum(src._probs[_tagged(src._capped)])
 
 
 def _count_table(pulses: int, base: int) -> np.ndarray:

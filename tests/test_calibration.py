@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqps import (
     CalibSetup2,
@@ -23,8 +25,8 @@ from dqps import (
 )
 from dqps import calibration
 from dqps.calibration import (
-    _REJECTION_FROM, _apply_dead_time, _detection_probs, _double_coincidence, _occupied,
-    _two_or_more,
+    _REJECTION_FROM, _apply_dead_time, _cell_finder, _detection_probs, _double_coincidence,
+    _occupied, _two_or_more,
 )
 from dqps.errors import _POISSON_MEAN_MAX
 from dqps.protocol import BATCH_BLOCKS, _batch_size, run_batches
@@ -654,10 +656,56 @@ def test_two_or_more_sampler_follows_the_truncated_poisson_law(m):
     assert_fits(*lumped(np.bincount(draws - 2, minlength=law.size), law, n))
 
 
+def _cells(kind, weights, detectors, slots):
+    """Cell chances as _source_law makes them, or arbitrary ones with zero widths."""
+    weights = np.array(weights)
+    if kind == "poissonian":  # a detector times a slot, d * L equal cells per detector
+        probs = weights[:detectors] + 1e-3
+        return np.repeat(probs / probs.sum() / slots, slots)
+    if kind == "table":  # a photon reaches detector i or none; the last cell takes the rest
+        return np.array([*weights[:detectors] / len(weights), 0.0])
+    weights[::3] = 0.0  # zero-width cells, leading ones too
+    return weights / max(weights.sum(), 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["poissonian", "table", "arbitrary"]),
+    weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=40),
+    detectors=st.integers(1, 4),
+    slots=st.integers(1, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cell_finder_equals_the_binary_search(kind, weights, detectors, slots, seed):
+    cells = _cells(kind, weights, detectors, slots)
+    edges = np.cumsum(cells[:-1])
+    buckets = 1 << (2 * len(cells) - 1).bit_length()
+    # every edge and bucket bound with its float neighbours, the ends of [0, 1)
+    # and seeded uniforms
+    marks = np.concatenate([edges, np.arange(buckets) / buckets])
+    u = np.concatenate([
+        marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0),
+        [0.0, 1.0 - 2.0**-53], np.random.default_rng(seed).random(2000),
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    expected = np.searchsorted(edges, u, side="right")
+    assert (_cell_finder(cells)(u) == expected).all()
+
+
+def test_cell_finder_joins_its_blocks(monkeypatch):
+    # uniforms are mapped a block at a time; three and a half blocks here
+    monkeypatch.setattr(calibration, "_FIND_BLOCK", 64)
+    cells = np.repeat([0.3, 0.7], 10) / 10
+    u = np.random.default_rng(6).random(3 * 64 + 32)
+    expected = np.searchsorted(np.cumsum(cells[:-1]), u, side="right")
+    assert (_cell_finder(cells)(u) == expected).all()
+
+
 def by_group(counts, cells, seed):
     """_occupied's result as reached[group, cell], group i at place i."""
     rng = np.random.default_rng(seed)
-    return _occupied(rng, counts, cells, np.arange(len(counts)), len(counts)).T
+    return _occupied(rng, counts, cells, _cell_finder(cells), np.arange(len(counts)),
+                     len(counts)).T
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 4)])
@@ -676,8 +724,9 @@ def test_occupied_sends_a_lone_photon_to_exactly_one_cell():
 def test_occupied_puts_each_group_at_its_place():
     counts = np.array([0, 1, 2, 3, 4, 5, 10**12, 0, 3])
     at = np.random.default_rng(3).permutation(20)[:counts.size]
-    reached = _occupied(np.random.default_rng(4), counts, [0.2, 0.3, 0.5], at, 20)
-    assert (reached[:, at].T == by_group(counts, [0.2, 0.3, 0.5], seed=4)).all()
+    cells = [0.2, 0.3, 0.5]
+    reached = _occupied(np.random.default_rng(4), counts, cells, _cell_finder(cells), at, 20)
+    assert (reached[:, at].T == by_group(counts, cells, seed=4)).all()
     assert not np.delete(reached, at, axis=1).any()
 
 
@@ -739,7 +788,7 @@ def test_batch_cut_follows_the_kept_trains_alone(monkeypatch, simulate, setup, o
 @pytest.mark.parametrize("simulate, setup", BENCHES)
 @pytest.mark.parametrize("overrides, owner, name", [
     (dict(mu=0.3), calibration, "_poisson_head"),
-    (dict(L=4, source=MIXED_TABLE), SourceDistribution, "as_arrays"),
+    (dict(L=4, source=MIXED_TABLE), calibration, "_cell_finder"),
 ], ids=["poissonian", "table"])
 def test_the_source_law_is_worked_out_once_per_run(
         monkeypatch, simulate, setup, overrides, owner, name):

@@ -593,6 +593,24 @@ def _percent_template_rows(start, events):
     return ((row * len(events)) % tuple(cells)).encode()
 
 
+def _f_string_rows(start, events):
+    """The event-log rows one f-string each."""
+    return "".join(
+        f"{start + i}" + "".join(f",{int(flag)}" for flag in row) + "\n"
+        for i, row in enumerate(events.tolist())
+    ).encode()
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+@pytest.mark.parametrize("density", [0.0005, 0.5, 1.0])
+@pytest.mark.parametrize("start", [0, 7, 995, 99_990, 10**6 - 3])
+def test_event_rows_match_an_f_string_per_row(start, density, columns):
+    # 70,000 rows: every window crosses a tile of 10, 100 or 1000 rows, and
+    # from 99,990 on a chunk and the 5-to-6-digit boundary
+    events = np.random.default_rng(start).random((70_000, columns)) < density
+    assert b"".join(dqps.cli._event_rows(start, events)) == _f_string_rows(start, events)
+
+
 def _flags(fill, rows, columns):
     if fill == "mixed":
         return np.random.default_rng(columns).random((rows, columns)) < 0.5
@@ -603,7 +621,8 @@ def _flags(fill, rows, columns):
 @pytest.mark.parametrize("fill", ["false", "true", "mixed"])
 def test_event_rows_match_the_percent_template(capsys, tmp_path, monkeypatch,
                                                columns, fill):
-    # windows across 9|10, 99|100, ..., 999999|1000000 and the 65,536-row chunk
+    # windows across 9|10, 99|100, ..., 999999|1000000, a 1000-row tile and a
+    # 65,000-row buffer
     windows = [(0, 1), (0, 10), (0, 1000)]
     windows += [(10**d - back, 2 * back) for d in range(1, 7) for back in (1, 3)]
     windows += [((1 << 16) - 3, 7), (3, (1 << 16) + 99_999)]
@@ -876,7 +895,9 @@ def _pinned(argv) -> dict:
 
 
 def _pinned_text(*cases) -> list:
-    return [(argv, _pinned(argv)["text"]) for argv in cases]
+    # named by the call alone, so that a re-record keeps every test id
+    return [pytest.param(argv, _pinned(argv)["text"], id=_parity_key(argv))
+            for argv in cases]
 
 
 @pytest.mark.parametrize("argv, golden", _pinned_text(
@@ -896,9 +917,11 @@ GOLDEN_SWEEP_DEAD_ROW = (
 )
 
 
+GOLDEN_SWEEP = ("sweep", "--L-list", "2", "--eta-db-range", "0:40:40", "--error-rate", "0.11")
+
+
 @pytest.mark.parametrize("argv, golden", [
-    (("sweep", "--L-list", "2", "--eta-db-range", "0:40:40", "--error-rate", "0.11"),
-     GOLDEN_SWEEP_DEAD_ROW),
+    pytest.param(GOLDEN_SWEEP, GOLDEN_SWEEP_DEAD_ROW, id=_parity_key(GOLDEN_SWEEP)),
     *_pinned_text(RTAG, RTAG + ("--format", "csv"), GOLDEN_2DET + ("--format", "csv"),
                   GOLDEN_3DET + ("--format", "csv")),
 ])
@@ -923,7 +946,7 @@ def test_golden_outputs(capsys, tmp_path, monkeypatch):
 
 
 def test_event_log_chunks_join_to_the_golden_bytes(capsys, tmp_path, monkeypatch):
-    # 50000 rows in chunks of 4096: twelve full chunks and a partial one
+    # 50000 rows in buffers of at most four 1000-row tiles, not 65
     monkeypatch.setattr("dqps.cli._EVENT_LOG_CHUNK", 4096)
     monkeypatch.chdir(tmp_path)
     # at one job, against the bytes pinned at two

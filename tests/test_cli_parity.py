@@ -79,6 +79,8 @@ RTAG = ("rtag", "--L", "5", "--mu", "0.2", "--oracle", "--cap", "6")
 RTAG_SOURCE = ("rtag", "--source", "pairs.txt")
 # L = 2^62, where rtag is 0.99984 and any error that grows with L shows
 RTAG_LONG = ("rtag", "--L", "4611686018427387904", "--mu", "1.1221477682079803e-09")
+# L = 10^400, past the float range: Q is 1 and rtag 1, so no mu gives a rate
+HUGE_L = "1" + "0" * 400
 CAL_2DET = ("calibrate", "--mode", "2det", "--mu", "0.02", "--n-trains", "20000",
             "--seed", "11")
 CAL_3DET = ("calibrate", "--mode", "3det", "--mu", "0.05", "--n-trains", "20000",
@@ -139,6 +141,7 @@ CASES = (
     ("keyrate", "--L", "1", "--eta", "0.05", "--error-rate", "0.02", "--mu", "0.01"),
     ("keyrate", "--L", "2", "--error-rate", "0.02", "--mu", "0.01"),
     ("keyrate", "--L", "2", "--eta", "0.05", "--error-rate", "0.02"),
+    ("keyrate", "--L", HUGE_L, "--eta", "0.1", "--error-rate", "0.01", "--mu", "0.1"),
     ("keyrate", "--L", "x"),
     ("keyrate", "--frobnicate", "1"),
     ("keyrate", "--format", "xml"),
@@ -169,6 +172,7 @@ CASES = (
     ("keyrate", "--config"),
     # sweep
     ("sweep", "--L-list", "2", "--eta-db-range", "0:40:40", "--error-rate", "0.11"),
+    ("sweep", "--L-list", HUGE_L, "--eta-db-range", "10:12:2", "--error-rate", "0.01"),
     ("sweep", "--L-list", "2,x", "--eta-db-range", "0:40:40", "--error-rate", "0.11"),
     ("sweep", "--L-list", "2", "--eta-db-range", "0:40", "--error-rate", "0.11"),
     ("sweep", "--L-list", "2", "--eta-db-range", "0:x:40", "--error-rate", "0.11"),
@@ -226,7 +230,7 @@ CASES = (
     GOLDEN_3DET + ("--format", "csv"),
     CAL_3DET + ("--event-log", "events.csv", "--jobs", "2"),
     CAL_3DET + ("--event-log", "missing/events.csv"),
-    # 100,001 log rows cross the 65,536-row write chunk and the 5-to-6-digit train numbers
+    # 100,001 log rows cross a 65,000-row write buffer and the 5-to-6-digit train numbers
     ("calibrate", "--mode", "2det", "--mu", "0.05", "--n-trains", "100001", "--seed", "13",
      "--event-log", "events.csv"),
     ("calibrate", "--mode", "2det", "--L", "2", "--mu", "0.5", "--n-trains", "20000",

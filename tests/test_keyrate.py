@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -186,3 +187,23 @@ def test_frozen_reference_point_L2():
     assert Q == pytest.approx(2.4999687502604152e-05, rel=1e-12)
     assert report.rtag == pytest.approx(1.245841135411041e-05, rel=1e-12)
     assert report.rate_per_pulse == pytest.approx(1.7924189360851201e-06, rel=1e-12)
+
+
+def test_block_lengths_keep_their_bits_up_to_the_float_range():
+    # L - 1 and L convert as Python's int arithmetic converts them, up to
+    # the largest finite float; past it they stay there, and Q and the rate
+    # stay finite instead of raising OverflowError
+    mu, eta = 1e-300, 1e-5
+    for L in (2, 3, 2**53 + 1, 2**1010, int(sys.float_info.max)):
+        Q = -math.expm1(-(L - 1) * mu * eta)
+        assert channel_q(L, mu, eta) == Q
+        inputs = RateInputs.from_error_rates(L, mu, 0.9, Q, 0.01, 0.01)
+        report = key_rate(inputs)
+        untagged = Q - report.rtag
+        h1, f_ec = binary_entropy(inputs.E1 / untagged), binary_entropy(inputs.E0 / Q)
+        rate = 0.9 ** 2 / L * (untagged * (1 - h1) - Q * f_ec)
+        assert report.rate_per_pulse == max(rate, 0.0), L
+    for L in (2**1024, 10**400):
+        assert channel_q(L, 0.1, 0.1) == 1.0
+        report = key_rate(RateInputs.from_error_rates(L, 0.1, 1.0, 1.0, 0.01, 0.01))
+        assert report.rate_per_pulse == 0.0 and not report.feasible

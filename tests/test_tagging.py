@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dqps import (
     BruteForceResult,
+    CalibSetup2,
     ParameterError,
     SourceDistribution,
     TagParams,
@@ -461,6 +462,13 @@ def test_source_distribution_rejects_bad_probabilities():
         SourceDistribution((((0, 0), -0.1), ((1, 0), 1.1)))
 
 
+@pytest.mark.parametrize("p", [1.5, math.inf, -0.5, math.nan])
+def test_source_probability_outside_the_unit_interval_is_named(p):
+    # before the sum: the row's own check names the probability
+    with pytest.raises(ParameterError, match=rf"'support': probability {p!r} outside \[0, 1\]"):
+        SourceDistribution((((0, 1), p), ((1, 1), 0.5)))
+
+
 def test_source_distribution_rejects_ragged_support():
     with pytest.raises(ParameterError):
         SourceDistribution((((0, 0), 0.5), ((1, 0, 0), 0.5)))
@@ -477,6 +485,7 @@ def test_source_distribution_rejects_ragged_support():
     ((-0.5, 1), "must be integers"),
     ((1.5, 0), "must be integers"),
     (("1", 0), "must be integers"),
+    ((0, -1), "must be nonnegative"),
 ])
 def test_photon_counts_are_refused_in_check_order(counts, message):
     with pytest.raises(ParameterError, match=f"'counts': .*{message}"):
@@ -493,6 +502,46 @@ def test_photon_counts_accept_any_integer_valued_iterable():
         is_untagged_config(iter([1.5, 0]))
     dist = SourceDistribution(((iter([1, 0, 1]), 0.5), ((np.int64(2), 0.0, 0), 0.5)))
     assert dist.support == (((1, 0, 1), 0.5), ((2, 0, 0), 0.5))
+
+
+# counts on both sides of int64 and of a train total that fits in int64
+_COUNTS = st.sampled_from([0, 0, 1, 1, 2, 3, 7, 2**40, 2**61, 2**62, 2**63, 2**70])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(2, 6).flatmap(lambda L: st.lists(
+        st.tuples(st.lists(_COUNTS, min_size=L, max_size=L), st.floats(0.01, 1.0)),
+        min_size=1, max_size=12)),
+    form=st.sampled_from([tuple, list, "numpy"]),
+)
+def test_source_table_keeps_what_the_rows_give(rows, form):
+    # one validating pass, whichever rows numpy reads as a plain int64 table
+    total = math.fsum(w for _, w in rows)
+    probs = [w / total for _, w in rows]
+    configs = [[int(k) for k in c] for c, _ in rows]
+    if form == "numpy":
+        given = [np.array(c, dtype=object if max(c) >= 2**63 else np.int64) for c in configs]
+    else:
+        given = list(map(form, configs))
+    dist = SourceDistribution(tuple(zip(given, probs)))
+    assert dist.support == tuple((tuple(c), p) for c, p in zip(configs, probs))
+    assert rtag_general(dist) == math.fsum(
+        p for c, p in zip(configs, probs) if paper_tagged(c))
+    if max(map(max, configs)) < 2**63:
+        counts, weights = dist.as_arrays()
+        assert counts.dtype == np.int64 and (counts == np.array(configs)).all()
+        assert weights.tolist() == probs
+    else:
+        with pytest.raises(OverflowError):
+            dist.as_arrays()
+    fits = max(map(sum, configs)) < 2**63
+    try:
+        CalibSetup2(len(configs[0]), 0.1, source=dist)
+    except ParameterError as error:
+        assert not fits and "photons per train must fit in int64" in str(error)
+    else:
+        assert fits
 
 
 def test_source_distribution_from_file(tmp_path):
