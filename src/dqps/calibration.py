@@ -99,14 +99,10 @@ def _refuse_overflow(declared: dict) -> None:
 
 
 def _check_source(setup) -> None:
-    """Refuse a source table of another length than L or with trains beyond int64."""
+    """Refuse a source table of another length than L."""
     source = setup.source
-    if source is None:
-        return
-    if source.L != setup.L:
+    if source is not None and source.L != setup.L:
         raise ParameterError("source", "distribution length differs from L")
-    if source._photons is None:
-        raise ParameterError("source", "photons per train must fit in int64")
 
 
 def _check_bound_finite(setup) -> None:
@@ -421,7 +417,7 @@ def _source_law(setup, probs):
 
         return p2, rtag_coherent(TagParams(setup.L, setup.mu)), clicks
     p = source._probs / source._probs.sum()
-    kept = source._photons >= 2
+    kept = source._counts.sum(axis=1) >= 2
     # the kept configurations' occupied slots, configuration by configuration
     config, slot = np.nonzero(source._counts[kept])
     photons = source._counts[kept][config, slot]

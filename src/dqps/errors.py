@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 
 
@@ -18,15 +19,21 @@ class ParameterError(ValueError):
 
 
 class WorkLimitError(RuntimeError):
-    """An enumeration would exceed the configured work limit."""
+    """An enumeration would exceed the configured work limit.
+
+    `required` is math.inf where the work was too large to form; work past
+    the float range is reported without its digits.
+    """
 
     def __init__(self, required: int, limit: int):
         self.required = required
         self.limit = limit
-        super().__init__(
-            f"enumeration needs {required} units of work, above the limit {limit}; "
-            "raise work_limit to proceed"
-        )
+        if required <= sys.float_info.max:
+            message = (f"enumeration needs {required} units of work, above the limit "
+                       f"{limit}; raise work_limit to proceed")
+        else:
+            message = "enumeration needs more units of work than a float holds; no limit admits it"
+        super().__init__(message)
 
 
 class ThinStatisticsWarning(UserWarning):
@@ -68,10 +75,13 @@ def _check_real(param: str, value, interval: str) -> None:
 
 # The domain rules of the package's entry points, each called as
 # rule(param, value); interval= narrows a real one, e.g. to "(0, 1]".
-_block_length = partial(_check_int, lo=2)
+# The longest block and the most blocks or trains in a run: a batch may hold
+# all of a run's items and still count them in int64, and rtag_coherent is
+# checked to 1e-15 for every block length up to here.
+_SIZE_MAX = 2**62
+_block_length = partial(_check_int, lo=2, hi=_SIZE_MAX)
 _positive_count = partial(_check_int, lo=1)
-# a run's blocks or trains; a batch may hold them all, and its counts stay in int64
-_item_count = partial(_check_int, lo=1, hi=2**62)
+_item_count = partial(_check_int, lo=1, hi=_SIZE_MAX)
 _seed = partial(_check_int, lo=0, hi=2**64 - 1)
 _mean_photon_number = partial(_check_real, interval="[0, inf)")
 _probability = partial(_check_real, interval="[0, 1]")  # also a transmission

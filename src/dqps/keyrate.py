@@ -7,12 +7,12 @@ The asymptotic rate per pulse is
 where Q, E0, E1 are the sifted-key yield and error weights, rtag is the
 tagging probability of the source, h is the binary entropy, and f_EC the
 error-correction cost.  The privacy-amplification fraction is feasible only
-while rtag <= Q - 2*E1; beyond that the whole key is sacrificed.
+while rtag <= Q - 2*E1; beyond that the whole key is sacrificed.  A block
+length is at most 2^62, so L and L - 1 enter the formulas as floats.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +150,7 @@ def _rate(L: int, p0, Q, E1, rtag, f_ec):
     and feasible False.
     """
     f_pa, feasible, untagged, h1 = _privacy_amp(Q, E1, rtag)
-    rate = p0 ** 2 / _float(L) * (untagged * (1.0 - h1) - Q * f_ec)
+    rate = p0 ** 2 / L * (untagged * (1.0 - h1) - Q * f_ec)
     feasible = feasible & (rate > 0.0)
     return f_pa, np.where(feasible, rate, 0.0), feasible
 
@@ -168,19 +168,6 @@ def channel_q(L: int, mu: float, eta: float) -> float:
 
 
 def _channel_q(L: int, mu, eta):
-    # a huge (L-1)*mu overflows to inf, and Q = 1 there is right
+    # a huge mu overflows (L-1)*mu to inf, and Q = 1 there is right
     with np.errstate(over="ignore"):
-        return -np.expm1(-_float(L - 1) * mu * eta)
-
-
-_FLOAT_MAX = int(sys.float_info.max)
-
-
-def _float(n: int) -> float:
-    """A block length as a float, the largest finite one past the float range.
-
-    Below it this is the float Python's int arithmetic converts n to, so no
-    bit moves; past it L - 1 and L stay finite, so Q saturates and the rate
-    underflows instead of raising OverflowError.
-    """
-    return float(min(n, _FLOAT_MAX))
+        return -np.expm1(-(L - 1) * mu * eta)

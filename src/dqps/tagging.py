@@ -25,6 +25,7 @@ untagged mass, stays as an independent combinatorial check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, repeat
@@ -107,17 +108,14 @@ class SourceDistribution:
     """Finite photon-number distribution of an L-pulse source.
 
     `support` maps configurations to probabilities; probabilities must sum
-    to 1 within 1e-12 and all configurations must share one block length.
+    to 1 within 1e-12, all configurations must share one block length, and
+    no train may hold more photons than int64 does (2^63 - 1).
     """
 
     support: tuple[tuple[tuple[int, ...], float], ...]
 
     def __post_init__(self):
-        """Validate once and keep the table as arrays for the samplers and rtag_general.
-
-        _counts (int64) is None when a count does not fit in int64, and
-        _photons, the photons per train, when a train's total does not.
-        """
+        """Validate once and keep the table as int64 _counts and float64 _probs."""
         if not self.support:
             raise ParameterError("support", "must be non-empty")
         support = tuple(self.support)
@@ -125,21 +123,17 @@ class SourceDistribution:
         if plain is not None:
             counts, weights = plain
             configs, probs = list(map(tuple, counts.tolist())), weights.tolist()
-            photons, capped = counts.sum(axis=1), np.minimum(counts, 2).astype(np.int8)
         else:
             configs, probs = _checked_rows(support)
-            totals = list(map(sum, configs))
-            counts = (np.array(configs, dtype=np.int64)
-                      if max(map(max, configs)) <= _INT64_MAX else None)
-            photons = np.array(totals, dtype=np.int64) if max(totals) <= _INT64_MAX else None
-            capped, weights = _capped(configs), np.array(probs)
+            if max(map(sum, configs)) > _INT64_MAX:
+                raise ParameterError("support", "photons per train must fit in int64")
+            counts, weights = np.array(configs, dtype=np.int64), np.array(probs)
         total = math.fsum(probs)
         if abs(total - 1.0) > 1e-12:
             raise ParameterError("support", f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "support", tuple(zip(configs, probs)))
-        for name, value in (("_counts", counts), ("_probs", weights),
-                            ("_photons", photons), ("_capped", capped)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_probs", weights)
 
     @property
     def L(self) -> int:
@@ -176,10 +170,7 @@ class SourceDistribution:
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Configurations as an (n, L) int array plus the probability vector."""
-        counts = self._counts
-        if counts is None:  # a count beyond int64: numpy raises its OverflowError
-            counts = np.array([c for c, _ in self.support], dtype=np.int64)
-        return counts.copy(), self._probs.copy()
+        return self._counts.copy(), self._probs.copy()
 
 
 def _checked_rows(support) -> tuple[list, list]:
@@ -276,8 +267,6 @@ _LOG_SERIES_MAX = 0.1
 # Past this mu every term of rtag but P(X >= 2) is below 1e-300 of it, so
 # the eigenvalue sums are taken here, where e^-log(l1) is still finite
 _CHAIN_MU_MAX = 700.0
-# L - 1 enters as a float, at most this much, so that no product overflows
-_CHAIN_STEPS_MAX = 2**1000
 _TINY = 5e-324  # the smallest subnormal
 
 
@@ -308,9 +297,10 @@ def _rtag(L: int, mu):
     taken from _LOG_SERIES at small x so that it does not cancel, and
     T2 = (1 - l2^(L-1)) / (1 - l2).  x gets one Newton step, in which
     mu - x is exact, because g ~ 3 x^2 / 2 doubles its relative error and
-    rtag near 1 inherits that of g.  The work is the same at every L;
-    the result is within 1e-15 of a reference that does not cancel for L
-    up to 2^62 and mu in [1e-100, 50].  The entries of M come from
+    rtag near 1 inherits that of g.  L - 1 enters as a float, and the work
+    is the same at every L; the result is within 1e-15 of a reference that
+    does not cancel for every L up to 2^62, the longest block, and mu in
+    [1e-100, 50].  The entries of M come from
     _poisson_head.  Floats give numpy scalars, arrays give arrays, element
     for element the same bits.
     """
@@ -329,7 +319,7 @@ def _rtag(L: int, mu):
     log_gap = np.where(x < _LOG_SERIES_MAX, s * (s2 * series - x), np.log1p(x) - x)
     # g = -log l1 > 0 strictly, so l1 T1 is L - 1 where g underflows to 0
     g = np.maximum(x * x - log_gap, _TINY)
-    n = float(min(L - 1, _CHAIN_STEPS_MAX))
+    n = float(L - 1)
     a1 = np.expm1(-n * g) / np.expm1(g)  # -l1 T1
     y = stay * x  # -l2
     e2 = np.expm1(n * np.log(np.maximum(y, _TINY)))  # y^(L-1) - 1
@@ -353,14 +343,16 @@ def rtag_bruteforce(
     uniformly over the L pulses, times Poisson(n; mu L).  truncation_bound
     = 1 - P(all pulses <= cap) bounds the mass the enumeration cannot see.
     Work is metered as L*(cap+1)^L, the grid the enumeration covers (from
-    tables of (cap+1)^ceil(L/2) rows), and refused above work_limit; every
-    call the meter admits is answered.
+    tables of (cap+1)^ceil(L/2) rows), and refused above work_limit or past
+    the float range, at any limit; every call the meter admits is answered.
     """
     _check_int("photon_cap", photon_cap, 2)
     _check_real("work_limit", work_limit, "[-inf, inf]")  # NaN would pass the meter
     L, mu = p.L, p.mu
-    work = L * (photon_cap + 1) ** L
-    if work > work_limit:
+    # (cap+1)^L above 2^1030 is past the float range, so it is not formed
+    fits = L * math.log2(photon_cap + 1) < 1030
+    work = L * (photon_cap + 1) ** L if fits else math.inf
+    if work > min(work_limit, sys.float_info.max):
         raise WorkLimitError(work, work_limit)
     if mu == 0.0:
         return BruteForceResult(0.0, 0.0)
@@ -385,7 +377,7 @@ def rtag_bruteforce(
 
 def rtag_general(src: SourceDistribution) -> float:
     """Tagged probability mass of an explicit finite source distribution."""
-    return math.fsum(src._probs[_tagged(src._capped)])
+    return math.fsum(src._probs[_tagged(src._counts)])
 
 
 def _count_table(pulses: int, base: int) -> np.ndarray:

@@ -115,6 +115,24 @@ def test_non_finite_floats_are_refused_by_name(entry, name, wrap):
         assert info.value.param == name, bad
 
 
+# The same calls for every public entry point that takes a block length.
+BLOCK_LENGTH_CALLS = {
+    **{entry: call for entry, call in VALID_CALLS.items() if {"L", "L_values"} & set(call)},
+    dqps.count_untagged_configs: dict(L=4, m=1),
+}
+
+
+@pytest.mark.parametrize("entry", BLOCK_LENGTH_CALLS, ids=lambda e: e.__qualname__)
+def test_block_lengths_run_up_to_2_to_the_62(entry):
+    call = BLOCK_LENGTH_CALLS[entry]
+    name, wrap = ("L_values", lambda L: (L,)) if "L_values" in call else ("L", lambda L: L)
+    entry(**{**call, name: wrap(2**62)})
+    for L in (2**62 + 1, 10**400):
+        with pytest.raises(dqps.ParameterError, match=rf"in \[2, {2**62}\]") as info:
+            entry(**{**call, name: wrap(L)})
+        assert info.value.param == name, L
+
+
 def test_readme_python_examples_run():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)

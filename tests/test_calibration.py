@@ -234,13 +234,11 @@ def test_setups_refuse_a_train_mean_numpy_cannot_draw():
 
 
 def test_setup2_refuses_a_source_whose_trains_overflow_int64():
-    def source(*config):
-        return SourceDistribution(((config, 1.0),))
-
-    CalibSetup2(L=2, mu=0.1, source=source(2**63 - 1, 0))
+    # the table itself refuses such trains, so no setup ever sees one
+    CalibSetup2(L=2, mu=0.1, source=SourceDistribution((((2**63 - 1, 0), 1.0),)))
     for config in ((2**63, 0), (2**62, 2**62), (10**20, 0)):
-        with pytest.raises(ParameterError, match="'source'"):
-            CalibSetup2(L=2, mu=0.1, source=source(*config))
+        with pytest.raises(ParameterError, match="'support': photons per train must fit"):
+            SourceDistribution(((config, 1.0),))
 
 
 def test_setups_reject_a_zero_transmission_arm():
@@ -282,14 +280,13 @@ def test_setup2_source_length_must_match():
 
 def test_setup3_checks_its_source_as_setup2_does():
     CalibSetup3(L=2, mu=0.1, source=SourceDistribution((((2**63 - 1, 0), 1.0),)))
-    for config in ((0, 0, 0), (2**63, 0), (2**62, 2**62)):
-        source = SourceDistribution(((config, 1.0),))
-        messages = []
-        for setup in (CalibSetup2, CalibSetup3):
-            with pytest.raises(ParameterError, match="'source'") as caught:
-                setup(L=2, mu=0.1, source=source)
-            messages.append(str(caught.value))
-        assert messages[0] == messages[1]
+    source = SourceDistribution((((0, 0, 0), 1.0),))
+    messages = []
+    for setup in (CalibSetup2, CalibSetup3):
+        with pytest.raises(ParameterError, match="'source'") as caught:
+            setup(L=2, mu=0.1, source=source)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
 
 
 # --- coincidence counting helpers -------------------------------------------

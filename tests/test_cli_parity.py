@@ -61,6 +61,8 @@ INPUTS = {
     # slots of 5 and 7 photons, more than the 3 (2det) or 4 (3det) cells
     "crowded.txt": "# four-pulse table\n0 0 0 0 0.3\n1 1 0 0 0.2\n0 5 0 0 0.2\n"
                    "2 0 0 7 0.15\n1 0 3 0 0.15\n",
+    # a pulse of 2^63 photons, one more than int64 holds
+    "int64.txt": "0 0 0.5\n9223372036854775808 0 0.5\n",
 }
 
 KEYRATE = ("keyrate", "--L", "3", "--eta", "0.05", "--error-rate", "0.02", "--mu", "0.01")
@@ -79,8 +81,10 @@ RTAG = ("rtag", "--L", "5", "--mu", "0.2", "--oracle", "--cap", "6")
 RTAG_SOURCE = ("rtag", "--source", "pairs.txt")
 # L = 2^62, where rtag is 0.99984 and any error that grows with L shows
 RTAG_LONG = ("rtag", "--L", "4611686018427387904", "--mu", "1.1221477682079803e-09")
-# L = 10^400, past the float range: Q is 1 and rtag 1, so no mu gives a rate
+# block lengths past the longest, 2^62, are refused: 10^400 is past the
+# float range too, 10^320 is not
 HUGE_L = "1" + "0" * 400
+FAR_L = "1" + "0" * 320
 CAL_2DET = ("calibrate", "--mode", "2det", "--mu", "0.02", "--n-trains", "20000",
             "--seed", "11")
 CAL_3DET = ("calibrate", "--mode", "3det", "--mu", "0.05", "--n-trains", "20000",
@@ -202,6 +206,7 @@ CASES = (
     ("simulate", "--L", "4", "--mu", "50", "--eta", "1", "--blocks", "20000", "--seed", "1"),
     # no block clicks
     ("simulate", "--L", "4", "--mu", "0.1", "--eta", "0", "--blocks", "20000", "--seed", "17"),
+    ("simulate", "--L", FAR_L, "--mu", "1e-310", "--eta", "0.5", "--blocks", "10"),
     ("simulate", "--config", "simulate.cfg"),
     ("simulate", "--config", "simulate.cfg", "--seed", "3", "--jobs", "1"),
     ("simulate", "--config", "simulate.cfg", "--config", "csv.cfg"),
@@ -215,6 +220,10 @@ CASES = (
     RTAG_LONG,
     ("rtag", "--source", "missing.txt"),
     ("rtag", "--L", "9", "--mu", "0.1", "--oracle", "--cap", "10", "--work-limit", "1e8"),
+    # oracle work past the float range, refused without forming it
+    ("rtag", "--L", "100000", "--mu", "0.1", "--oracle"),
+    ("rtag", "--L", "4611686018427387904", "--mu", "0.1", "--oracle"),
+    ("rtag", "--source", "int64.txt"),
     ("rtag", "--L", "2", "--mu", "0.1", "--cap", "4"),
     ("rtag", "--config", "rtag.cfg"),
     ("rtag", "--config", "rtag.cfg", "--cap", "4", "--format", "csv"),
@@ -256,6 +265,7 @@ CASES = (
     # about 1e10 photons per train
     ("calibrate", "--mode", "2det", "--L", "2", "--mu", "1e10", "--n-trains", "10"),
     ("calibrate", "--mode", "3det", "--L", "2", "--mu", "1e10", "--n-trains", "10"),
+    ("calibrate", "--mode", "2det", "--L", FAR_L, "--mu", "1e-310", "--n-trains", "10"),
     ("calibrate", "--mode", "2det", "--mu", "0.02", "--eta-abs", "0.5"),
     ("calibrate", "--mode", "4det"),
     ("calibrate", "--config", "calibrate.cfg"),
@@ -290,6 +300,10 @@ FRESH_CASES = (
     ("keyrate", "--config", "keyrate.cfg", "--mu", "0.02", "--format", "csv"),
     ("keyrate", "--config", "missing.cfg"),
     ("rtag", "--L", "9", "--mu", "0.1", "--oracle", "--cap", "10", "--work-limit", "1e8"),
+    # oracle work past the float range, refused without forming it
+    ("rtag", "--L", "100000", "--mu", "0.1", "--oracle"),
+    ("rtag", "--L", "4611686018427387904", "--mu", "0.1", "--oracle"),
+    ("rtag", "--source", "int64.txt"),
     ("calibrate", "--config", "calibrate.cfg"),
 )
 

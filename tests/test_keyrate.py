@@ -191,10 +191,9 @@ def test_frozen_reference_point_L2():
 
 def test_block_lengths_keep_their_bits_up_to_the_float_range():
     # L - 1 and L convert as Python's int arithmetic converts them, up to
-    # the largest finite float; past it they stay there, and Q and the rate
-    # stay finite instead of raising OverflowError
+    # the longest block, 2^62; from one past it, L is refused
     mu, eta = 1e-300, 1e-5
-    for L in (2, 3, 2**53 + 1, 2**1010, int(sys.float_info.max)):
+    for L in (2, 3, 2**53 + 1, 2**62):
         Q = -math.expm1(-(L - 1) * mu * eta)
         assert channel_q(L, mu, eta) == Q
         inputs = RateInputs.from_error_rates(L, mu, 0.9, Q, 0.01, 0.01)
@@ -203,7 +202,8 @@ def test_block_lengths_keep_their_bits_up_to_the_float_range():
         h1, f_ec = binary_entropy(inputs.E1 / untagged), binary_entropy(inputs.E0 / Q)
         rate = 0.9 ** 2 / L * (untagged * (1 - h1) - Q * f_ec)
         assert report.rate_per_pulse == max(rate, 0.0), L
-    for L in (2**1024, 10**400):
-        assert channel_q(L, 0.1, 0.1) == 1.0
-        report = key_rate(RateInputs.from_error_rates(L, 0.1, 1.0, 1.0, 0.01, 0.01))
-        assert report.rate_per_pulse == 0.0 and not report.feasible
+    for L in (2**62 + 1, int(sys.float_info.max), 10**400):
+        with pytest.raises(ParameterError, match=f"'L': must be an integer in \\[2, {2**62}\\]"):
+            channel_q(L, mu, eta)
+        with pytest.raises(ParameterError, match="'L'"):
+            RateInputs.from_error_rates(L, 0.1, 1.0, 1.0, 0.01, 0.01)

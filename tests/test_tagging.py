@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -261,20 +262,23 @@ def test_poisson_head_two_or_more_against_mpmath():
 
 
 def test_rtag_array_call_matches_scalar_calls_bitwise():
-    # from mu = 0 to the largest float and at any L, without a RuntimeWarning,
-    # which the suite turns into an error
+    # from mu = 0 to the largest float and at every L up to 2^62, without a
+    # RuntimeWarning, which the suite turns into an error
     top = sys.float_info.max
     mu = np.concatenate([
         np.geomspace(1e-12, 50.0, 97), [0.0, 0.5, 1e300],
         np.geomspace(1e-300, 1e300, 31), [5e-324, 746.0, math.nextafter(top, 0.0), top],
     ])
-    for L in PRECISION_L + (2**62, 2**62 + 1, 10**400):
+    for L in PRECISION_L + (2**62,):
         values = _rtag(L, mu)
         assert isinstance(values, np.ndarray) and values.shape == mu.shape
         assert ((0.0 <= values) & (values <= 1.0)).all()
         scalars = [rtag_coherent(TagParams(L, float(m))) for m in mu]
         assert values.tolist() == scalars
         assert all(type(r) is float for r in scalars)
+    for L in (2**62 + 1, 10**400):
+        with pytest.raises(ParameterError, match="'L'"):
+            TagParams(L, 0.1)
 
 
 def test_rtag_stays_at_most_one_at_large_mu():
@@ -314,6 +318,21 @@ def test_bruteforce_work_limit():
         rtag_bruteforce(TagParams(9, 0.1), photon_cap=10)
     assert excinfo.value.limit == 10**8
     assert excinfo.value.required > excinfo.value.limit
+
+
+def test_bruteforce_refuses_work_past_the_float_range_at_once():
+    # L (cap+1)^L is not formed there, so the refusal neither waits on it
+    # nor prints its digits, and no limit admits it
+    message = "enumeration needs more units of work than a float holds; no limit admits it"
+    for L, limit in ((2**62, 10**8), (2000, 10**8), (324, math.inf), (2**62, 10**400)):
+        start = time.perf_counter()
+        with pytest.raises(WorkLimitError) as excinfo:
+            rtag_bruteforce(TagParams(L, 0.1), work_limit=limit)
+        assert time.perf_counter() - start < 0.5
+        assert str(excinfo.value) == message
+    # below the float range the meter compares and reports the exact work
+    with pytest.raises(WorkLimitError, match="enumeration needs 21221529219 units of work"):
+        rtag_bruteforce(TagParams(9, 0.1), photon_cap=10, work_limit=1e8)
 
 
 def test_bruteforce_work_limit_override():
@@ -451,8 +470,10 @@ def test_rtag_general_uniform_binary_L3():
 def test_rtag_general_single_tagged_config():
     dist = SourceDistribution((((2, 0, 0), 0.25), ((0, 1, 0), 0.75)))
     assert rtag_general(dist) == pytest.approx(0.25, abs=1e-15)
-    dist = SourceDistribution((((2**70, 0, 0), 0.25), ((0, 1, 0), 0.75)))
+    dist = SourceDistribution((((2**63 - 1, 0, 0), 0.25), ((0, 1, 0), 0.75)))
     assert rtag_general(dist) == 0.25
+    with pytest.raises(ParameterError, match="'support': photons per train must fit in int64"):
+        SourceDistribution((((2**70, 0, 0), 0.25), ((0, 1, 0), 0.75)))
 
 
 def test_source_distribution_rejects_bad_probabilities():
@@ -504,6 +525,24 @@ def test_photon_counts_accept_any_integer_valued_iterable():
     assert dist.support == (((1, 0, 1), 0.5), ((2, 0, 0), 0.5))
 
 
+@pytest.mark.parametrize("form", [tuple, list, iter, "int64"])
+def test_source_table_holds_trains_of_up_to_int64_photons(form):
+    # a train may hold 2^63 - 1 photons in one pulse or across two, not one more
+    shapes = [lambda n: (n - 2**62, 2**62)]
+    if form != "int64":  # 2^63 in one pulse is past int64 itself
+        shapes.append(lambda n: (n, 0))
+    for shape in shapes:
+        for n in (2**63 - 1, 2**63):
+            config = np.array(shape(n), dtype=np.int64) if form == "int64" else form(shape(n))
+            rows = (((0, 0), 0.5), (config, 0.5))
+            if n < 2**63:
+                assert SourceDistribution(rows).support[1] == (shape(n), 0.5)
+            else:
+                with pytest.raises(ParameterError,
+                                   match="'support': photons per train must fit in int64"):
+                    SourceDistribution(rows)
+
+
 # counts on both sides of int64 and of a train total that fits in int64
 _COUNTS = st.sampled_from([0, 0, 1, 1, 2, 3, 7, 2**40, 2**61, 2**62, 2**63, 2**70])
 
@@ -516,7 +555,8 @@ _COUNTS = st.sampled_from([0, 0, 1, 1, 2, 3, 7, 2**40, 2**61, 2**62, 2**63, 2**7
     form=st.sampled_from([tuple, list, "numpy"]),
 )
 def test_source_table_keeps_what_the_rows_give(rows, form):
-    # one validating pass, whichever rows numpy reads as a plain int64 table
+    # one validating pass, whichever rows numpy reads as a plain int64 table;
+    # a table is built exactly when every train's photons fit in int64
     total = math.fsum(w for _, w in rows)
     probs = [w / total for _, w in rows]
     configs = [[int(k) for k in c] for c, _ in rows]
@@ -524,24 +564,18 @@ def test_source_table_keeps_what_the_rows_give(rows, form):
         given = [np.array(c, dtype=object if max(c) >= 2**63 else np.int64) for c in configs]
     else:
         given = list(map(form, configs))
+    if max(map(sum, configs)) >= 2**63:
+        with pytest.raises(ParameterError, match="'support': photons per train must fit"):
+            SourceDistribution(tuple(zip(given, probs)))
+        return
     dist = SourceDistribution(tuple(zip(given, probs)))
     assert dist.support == tuple((tuple(c), p) for c, p in zip(configs, probs))
     assert rtag_general(dist) == math.fsum(
         p for c, p in zip(configs, probs) if paper_tagged(c))
-    if max(map(max, configs)) < 2**63:
-        counts, weights = dist.as_arrays()
-        assert counts.dtype == np.int64 and (counts == np.array(configs)).all()
-        assert weights.tolist() == probs
-    else:
-        with pytest.raises(OverflowError):
-            dist.as_arrays()
-    fits = max(map(sum, configs)) < 2**63
-    try:
-        CalibSetup2(len(configs[0]), 0.1, source=dist)
-    except ParameterError as error:
-        assert not fits and "photons per train must fit in int64" in str(error)
-    else:
-        assert fits
+    counts, weights = dist.as_arrays()
+    assert counts.dtype == np.int64 and (counts == np.array(configs)).all()
+    assert weights.tolist() == probs
+    CalibSetup2(len(configs[0]), 0.1, source=dist)
 
 
 def test_source_distribution_from_file(tmp_path):
