@@ -176,6 +176,13 @@ CASES = (
     ("keyrate", "--config"),
     # sweep
     ("sweep", "--L-list", "2", "--eta-db-range", "0:40:40", "--error-rate", "0.11"),
+    # several L in one call, L = 1000, and the zero-rate tail from 56 dB
+    ("sweep", "--L-list", "2,4,20,1000", "--eta-db-range", "0.5:60.5:4", "--error-rate", "0.03"),
+    # 2,401 rows: more than one optimizer chunk
+    ("sweep", "--L-list", "4", "--eta-db-range", "0:60:0.025", "--error-rate", "0.03"),
+    # f_EC = 0, and another round count
+    ("sweep", "--L-list", "2,20", "--eta-db-range", "10:20:5", "--error-rate", "0",
+     "--mu-lo", "1e-9", "--tol", "1e-6"),
     ("sweep", "--L-list", HUGE_L, "--eta-db-range", "10:12:2", "--error-rate", "0.01"),
     ("sweep", "--L-list", "2,x", "--eta-db-range", "0:40:40", "--error-rate", "0.11"),
     ("sweep", "--L-list", "2", "--eta-db-range", "0:40", "--error-rate", "0.11"),
