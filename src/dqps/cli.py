@@ -87,22 +87,37 @@ def _emit(text: str, path: str | None) -> None:
         handle.write(text)
 
 
-def _csv_cell(value) -> str:
+def _csv_word(value):
+    """None as an empty cell and bools as true or false; any other value as is."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+    return value
+
+
+@functools.lru_cache(maxsize=64)
+def _csv_template(kinds: tuple) -> str:
+    """The % template of a CSV row whose cells have these types.
+
+    A float takes %.17g, the text of f"{v:.17g}" (nan and inf included), so
+    it round-trips; every other cell takes %s.
+    """
+    return ",".join("%.17g" if issubclass(kind, float) else "%s" for kind in kinds) + "\n"
 
 
 def _render(records: list[dict], fmt: str) -> str:
     """JSON lines with sorted keys, or CSV headed by the first record's keys."""
     if fmt == "json":
         return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
-    rows = [records[0]] + [map(_csv_cell, record.values()) for record in records]
-    return "".join(",".join(row) + "\n" for row in rows)
+    rows = [",".join(records[0]) + "\n"]
+    for record in records:
+        values = tuple(record.values())
+        kinds = tuple(map(type, values))
+        if bool in kinds or type(None) in kinds:
+            values = tuple(map(_csv_word, values))
+        rows.append(_csv_template(kinds) % values)
+    return "".join(rows)
 
 
 @functools.lru_cache(maxsize=64)
@@ -403,9 +418,9 @@ def cmd_sweep(args) -> list[dict]:
         **_optimizer_settings(args),
     )
     return [
-        {"L": row.L, "eta_db": db, **row._asdict(),
-         "mu_opt": math.nan if row.mu_opt is None else row.mu_opt}
-        for row, db in zip(sweep(spec), labels * len(L_values))
+        {"L": L, "eta_db": db, "eta": eta, "mu_opt": math.nan if mu is None else mu,
+         "Q": Q, "rtag": rtag, "rate": rate}
+        for (L, eta, mu, Q, rtag, rate), db in zip(sweep(spec), labels * len(L_values))
     ]
 
 

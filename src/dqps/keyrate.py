@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (
     ParameterError, _block_length, _check_real, _mean_photon_number, _probability,
 )
-from .tagging import TagParams, rtag_coherent
+from .tagging import _ONE, _TWO, TagParams, rtag_coherent
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ def privacy_amp_fraction(Q: float, E1: float, rtag: float) -> tuple[float, bool]
     _probability("Q", Q, interval="(0, 1]")
     _check_real("E1", E1, "[0, inf)")
     _check_real("rtag", rtag, "[0, inf)")
-    f_pa, feasible, _, _ = _privacy_amp(Q, E1, rtag)
-    return float(f_pa), bool(feasible)
+    feasible, _, h1 = _privacy_amp(Q, E1, rtag)
+    return float(_f_pa(Q, rtag, feasible, h1)), bool(feasible)
 
 
 def key_rate(
@@ -109,50 +109,53 @@ def key_rate(
         rtag = rtag_override
     # Q = 0 forces E0 = 0, and f_ec = 0 there
     f_ec = ec_inefficiency * _entropy(inputs.E0 / inputs.Q if inputs.Q > 0 else 0.0)
-    f_pa, rate, feasible = _rate(inputs.L, inputs.p0, inputs.Q, inputs.E1, rtag, f_ec)
+    (feasible, _, h1), rate = _rate(inputs.L, inputs.p0, inputs.Q, inputs.E1, rtag, f_ec)
+    f_pa = _f_pa(inputs.Q, rtag, feasible, h1)
     return KeyRateReport(
-        rtag, float(f_pa), float(f_ec), float(rate), bool(feasible), inputs.mu
+        rtag, float(f_pa), float(f_ec), float(rate), bool(rate > 0.0), inputs.mu
     )
 
 
 # Array cores: every argument may be a float or a numpy array, and the
 # results broadcast element by element.  No validation; the public
-# functions above validate and convert back to Python scalars.
+# functions above validate and convert back to Python scalars.  Their
+# constants are 0-d arrays, as in tagging's cores.
+_ZERO = np.array(0.0)
 
 def _entropy(x):
     """h(x) for x in [0, 1]; at x = 0 and x = 1 both log arguments are 1."""
-    return (
-        0.0
-        - x * np.log2(x + (x == 0.0))
-        - (1.0 - x) * np.log2(1.0 - x + (x == 1.0))
-    )
+    y = _ONE - x
+    return _ZERO - x * np.log2(x + (x == _ZERO)) - y * np.log2(y + (x == _ONE))
 
 
 def _privacy_amp(Q, E1, rtag):
-    """(f_pa, feasible, Q - rtag, h(E1 / (Q - rtag))).
+    """(feasible, Q - rtag, h(E1 / (Q - rtag))).
 
-    Where infeasible, f_pa is 1 and the last two are finite placeholders.
-    rtag >= Q also covers Q = 0.
+    Feasible means rtag <= Q - 2*E1 and rtag < Q; rtag >= Q also covers
+    Q = 0.  Where infeasible, the last two are finite placeholders.
     """
-    feasible = (rtag <= Q - 2.0 * E1) & (rtag < Q)
-    untagged = np.where(feasible, Q - rtag, 1.0)
-    h1 = _entropy(np.where(feasible, E1 / untagged, 0.0))
-    tagged_fraction = rtag / np.where(feasible, Q, 1.0)
-    f_pa = np.where(feasible, tagged_fraction + (1.0 - tagged_fraction) * h1, 1.0)
-    return f_pa, feasible, untagged, h1
+    feasible = (rtag <= Q - _TWO * E1) & (rtag < Q)
+    untagged = np.where(feasible, Q - rtag, _ONE)
+    return feasible, untagged, _entropy(np.where(feasible, E1 / untagged, _ZERO))
+
+
+def _f_pa(Q, rtag, feasible, h1):
+    """The privacy-amplification fraction from _privacy_amp's feasible and h1; 1 where infeasible."""
+    tagged_fraction = rtag / np.where(feasible, Q, _ONE)
+    return np.where(feasible, tagged_fraction + (_ONE - tagged_fraction) * h1, _ONE)
 
 
 def _rate(L: int, p0, Q, E1, rtag, f_ec):
-    """The rate formula of the module docstring: (f_pa, rate, feasible).
+    """The rate formula of the module docstring: (_privacy_amp's triple, rate).
 
     f_ec is the error-correction cost per sifted bit, f_EC(E0/Q) in full.
-    An infeasible privacy amplification or a nonpositive rate gives rate 0
-    and feasible False.
+    An infeasible privacy amplification or a nonpositive rate gives rate 0,
+    so the rate is positive exactly where the point is feasible.  f_pa is
+    left to the callers that report it (_f_pa).
     """
-    f_pa, feasible, untagged, h1 = _privacy_amp(Q, E1, rtag)
-    rate = p0 ** 2 / L * (untagged * (1.0 - h1) - Q * f_ec)
-    feasible = feasible & (rate > 0.0)
-    return f_pa, np.where(feasible, rate, 0.0), feasible
+    pa = feasible, untagged, h1 = _privacy_amp(Q, E1, rtag)
+    rate = np.array(p0 ** 2 / L) * (untagged * (_ONE - h1) - Q * f_ec)
+    return pa, np.where(feasible & (rate > _ZERO), rate, _ZERO)
 
 
 def channel_q(L: int, mu: float, eta: float) -> float:
@@ -164,10 +167,15 @@ def channel_q(L: int, mu: float, eta: float) -> float:
     _block_length("L", L)
     _mean_photon_number("mu", mu)
     _probability("eta", eta)
-    return float(_channel_q(L, mu, eta))
+    # a huge mu overflows (L-1)*mu to inf, and Q = 1 there is right
+    with np.errstate(over="ignore"):
+        return float(_channel_q(L, mu, eta))
 
 
 def _channel_q(L: int, mu, eta):
-    # a huge mu overflows (L-1)*mu to inf, and Q = 1 there is right
-    with np.errstate(over="ignore"):
-        return -np.expm1(-(L - 1) * mu * eta)
+    """1 - e^{-(L-1) mu eta}; (L-1) mu may overflow to inf, where Q = 1 is right.
+
+    The overflow warns here: each caller silences it where a mu it takes can
+    reach it.
+    """
+    return -np.expm1(-(L - 1) * mu * eta)

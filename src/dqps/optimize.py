@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +33,10 @@ DEFAULT_TOLERANCE = 1e-9
 _ZOOM_POINTS = 33
 _ZOOM_STEPS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
 _ZOOM_SHRINK = (_ZOOM_POINTS - 1) / 2
+# The steps with each end repeated: point j of a round is column j + 1 of
+# lo + (hi - lo) * _ZOOM_PADDED, and its neighbours, clipped to the
+# bracket, are columns j and j + 2.
+_ZOOM_PADDED = np.concatenate(([0.0], _ZOOM_STEPS, [1.0]))
 
 # Rows per _optimize call in sweep: its arrays hold DEFAULT_GRID_POINTS
 # values a row, so a chunk bounds the memory whatever the grid size.
@@ -79,13 +84,14 @@ class SweepSpec:
         _probability("error_rate", self.error_rate, interval="[0, 0.5)")
 
 
-def _rates(L: int, eta: float, error_rate: float, mu):
+def _rates(L: int, eta, error_rate: float, mu, f_ec):
     """key_rate's rate per pulse at p0 = 1, for a float or an array of mu.
 
-    E0/Q is error_rate at every mu, so f_EC is one scalar per call.
+    E0/Q is error_rate at every mu, so f_EC is f_ec = h(error_rate), one
+    scalar per call.  No f_pa is formed.
     """
     Q = _channel_q(L, mu, eta)
-    return _rate(L, 1.0, Q, error_rate * Q, _rtag(L, mu), _entropy(error_rate))[1]
+    return _rate(L, 1.0, Q, error_rate * Q, _rtag(L, mu), f_ec)[1]
 
 
 def optimize_mu(
@@ -141,38 +147,53 @@ def _optimize(L: int, etas, error_rate: float, mu_bounds, tolerance: float):
     """
     mu_lo, mu_hi = mu_bounds
     grid = np.geomspace(mu_lo, mu_hi, DEFAULT_GRID_POINTS)
-    etas = np.asarray(etas, dtype=np.float64)[:, None]
-    values = _rates(L, etas, error_rate, grid)
-    best = np.argmax(values, axis=1)
-    rate = values.max(axis=1)
-    mu = np.where(rate > 0.0, grid[best], np.nan)
+    # the stages' scalars as 0-d arrays, as in the rate cores
+    f_ec, e = np.array(_entropy(error_rate)), np.array(error_rate)
+    with _quiet_overflow(L, mu_hi):
+        etas = np.asarray(etas, dtype=np.float64)[:, None]
+        values = _rates(L, etas, e, grid, f_ec)
+        best = values.argmax(axis=1)
+        rate = values.max(axis=1)
+        mu = np.where(rate > 0.0, grid[best], np.nan)
 
-    live = np.flatnonzero(rate > 0.0)
-    if not len(live):
-        return mu, rate
-    etas, best = etas[live], best[live]
-    best_rate, best_mu = rate[live], mu[live]
-    x = np.log(grid)
-    lo = x[np.maximum(best - 1, 0)]
-    hi = x[np.minimum(best + 1, DEFAULT_GRID_POINTS - 1)]
-    w0 = 2.0 * (math.log(mu_hi) - math.log(mu_lo)) / (DEFAULT_GRID_POINTS - 1)
-    rounds = math.ceil(
-        (math.log(max(w0, tolerance)) - math.log(tolerance)) / math.log(_ZOOM_SHRINK)
-    )
-    rows = np.arange(len(live))
-    for _ in range(rounds):
-        xs = lo[:, None] + (hi - lo)[:, None] * _ZOOM_STEPS
-        mus = np.clip(np.exp(xs), mu_lo, mu_hi)
-        values = _rates(L, etas, error_rate, mus)
-        j = np.argmax(values, axis=1)
-        top = values[rows, j]
-        better = top > best_rate
-        best_rate = np.where(better, top, best_rate)
-        best_mu = np.where(better, mus[rows, j], best_mu)
-        lo = xs[rows, np.maximum(j - 1, 0)]
-        hi = xs[rows, np.minimum(j + 1, _ZOOM_POINTS - 1)]
-    rate[live], mu[live] = best_rate, best_mu
+        live = np.flatnonzero(rate > 0.0)
+        if not len(live):
+            return mu, rate
+        # the search's rows as columns: etas, best rate and mu, bracket ends
+        etas, best = etas[live], best[live, None]
+        best_rate, best_mu = rate[live, None], mu[live, None]
+        x = np.log(grid)
+        lo = x[np.maximum(best - 1, 0)]
+        hi = x[np.minimum(best + 1, DEFAULT_GRID_POINTS - 1)]
+        w0 = 2.0 * (math.log(mu_hi) - math.log(mu_lo)) / (DEFAULT_GRID_POINTS - 1)
+        rounds = math.ceil(
+            (math.log(max(w0, tolerance)) - math.log(tolerance)) / math.log(_ZOOM_SHRINK)
+        )
+        # each row's first flat index among the points and the padded points
+        start = np.arange(0, len(live) * _ZOOM_POINTS, _ZOOM_POINTS)[:, None]
+        padded_start = np.arange(0, len(live) * _ZOOM_PADDED.size, _ZOOM_PADDED.size)[:, None]
+        clip_lo, clip_hi = np.array(mu_lo), np.array(mu_hi)
+        for _ in range(rounds):
+            xs = lo + (hi - lo) * _ZOOM_PADDED
+            mus = np.minimum(np.maximum(np.exp(xs[:, 1:-1]), clip_lo), clip_hi)
+            values = _rates(L, etas, e, mus, f_ec)
+            k = values.argmax(axis=1, keepdims=True)
+            point, padded = start + k, padded_start + k
+            top = values.take(point)
+            best_mu = np.where(top > best_rate, mus.take(point), best_mu)
+            best_rate = np.maximum(best_rate, top)  # rates hold no NaN and no -0
+            lo, hi = xs.take(padded), xs.take(padded + 2)
+    rate[live], mu[live] = best_rate[:, 0], best_mu[:, 0]
     return mu, rate
+
+
+def _quiet_overflow(L: int, mu_hi: float):
+    """np.errstate that silences overflow only where (L-1) mu can overflow.
+
+    That is for some mu <= mu_hi exactly when (L-1) mu_hi overflows, and
+    Q = 1 there is right.  Below that every warning stays as it was.
+    """
+    return np.errstate(over="ignore" if math.isinf((L - 1) * mu_hi) else None)
 
 
 def asymptotic_optimum(L: int, eta: float) -> tuple[float, float]:
@@ -218,6 +239,7 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     and NaN Q/rtag.  An error raised by the optimizer propagates.
     """
     etas = np.array(sorted(spec.eta_values), dtype=np.float64)
+    eta_list = etas.tolist()
     rows = []
     for L in spec.L_values:
         mu, rate = map(np.concatenate, zip(*(
@@ -225,9 +247,9 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
                       spec.tolerance)
             for i in range(0, etas.size, _SWEEP_CHUNK)
         )))
-        Q, rtag = _channel_q(L, mu, etas), _rtag(L, mu)
-        for k, eta in enumerate(etas.tolist()):
-            mu_opt = None if math.isnan(mu[k]) else float(mu[k])
-            rows.append(SweepRow(L, eta, mu_opt, float(Q[k]), float(rtag[k]),
-                                 float(rate[k])))
+        with _quiet_overflow(L, spec.mu_bounds[1]):
+            Q = _channel_q(L, mu, etas)
+        mu_opt = [None if math.isnan(m) else m for m in mu.tolist()]
+        rows += map(SweepRow, repeat(L), eta_list, mu_opt, Q.tolist(),
+                    _rtag(L, mu).tolist(), rate.tolist())
     return rows

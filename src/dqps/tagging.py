@@ -232,10 +232,15 @@ def rtag_coherent(p: TagParams) -> float:
     return float(_rtag(p.L, p.mu))
 
 
+# The array cores below take their constants as 0-d float64 arrays: numpy
+# combines two arrays faster than an array and a Python float, with the same
+# bits.
+_QUARTER, _HALF, _ONE, _TWO = map(np.array, (0.25, 0.5, 1.0, 2.0))
+
 # Horner coefficients of sum_j mu^j / (j+2)!, highest order first; 15 terms
 # reach 1e-17 relative at mu = _P2_SERIES_MAX.
-_P2_SERIES = tuple(1.0 / math.factorial(j + 2) for j in reversed(range(15)))
-_P2_SERIES_MAX = 0.5
+_P2_SERIES = tuple(np.array(1.0 / math.factorial(j + 2)) for j in reversed(range(15)))
+_P2_SERIES_MAX = _HALF
 
 
 def _poisson_head(mu):
@@ -247,14 +252,15 @@ def _poisson_head(mu):
     so it keeps its relative precision at every mu.
     """
     mu = np.asarray(mu, dtype=np.float64)[()]  # a 0-d array becomes a scalar
-    stay = np.exp(-mu)
+    minus_mu = -mu
+    stay = np.exp(minus_mu)
     one = mu * stay
     small = mu <= _P2_SERIES_MAX
-    x = np.where(small, mu, _P2_SERIES_MAX)
-    series = 0.0
-    for coeff in _P2_SERIES:
+    x = np.fmin(mu, _P2_SERIES_MAX)  # mu where small, also for NaN
+    series = _P2_SERIES[0]
+    for coeff in _P2_SERIES[1:]:
         series = series * x + coeff
-    any_ = -np.expm1(-mu)
+    any_ = -np.expm1(minus_mu)
     return stay, one, any_, np.where(small, one * mu * series, any_ - one)
 
 
@@ -262,12 +268,12 @@ def _poisson_head(mu):
 # sum of two terms of one sign.  Its Horner coefficients, highest order
 # first: six terms reach 1e-17 relative below _LOG_SERIES_MAX, above which
 # log1p(x) - x loses at most a few ulps.
-_LOG_SERIES = tuple(2.0 / (2 * k + 3) for k in reversed(range(6)))
-_LOG_SERIES_MAX = 0.1
+_LOG_SERIES = tuple(np.array(2.0 / (2 * k + 3)) for k in reversed(range(6)))
+_LOG_SERIES_MAX = np.array(0.1)
 # Past this mu every term of rtag but P(X >= 2) is below 1e-300 of it, so
 # the eigenvalue sums are taken here, where e^-log(l1) is still finite
-_CHAIN_MU_MAX = 700.0
-_TINY = 5e-324  # the smallest subnormal
+_CHAIN_MU_MAX = np.array(700.0)
+_TINY = np.array(5e-324)  # the smallest subnormal
 
 
 def _rtag(L: int, mu):
@@ -306,12 +312,12 @@ def _rtag(L: int, mu):
     """
     stay, one, any_, two = _poisson_head(mu)
     m = np.minimum(mu, _CHAIN_MU_MAX)
-    r = np.sqrt(m + 0.25)
-    x = m / (0.5 + r)
+    r = np.sqrt(m + _QUARTER)
+    x = m / (_HALF + r)
     q = r + r  # 1 + 2x
     x = x + ((m - x) - x * x) / q
-    h = 1.0 + x
-    s = x / (2.0 + x)
+    h = _ONE + x
+    s = x / (_TWO + x)
     s2 = s * s
     series = _LOG_SERIES[0]
     for coeff in _LOG_SERIES[1:]:
@@ -323,11 +329,11 @@ def _rtag(L: int, mu):
     a1 = np.expm1(-n * g) / np.expm1(g)  # -l1 T1
     y = stay * x  # -l2
     e2 = np.expm1(n * np.log(np.maximum(y, _TINY)))  # y^(L-1) - 1
-    t2 = (2.0 + e2 if L % 2 == 0 else -e2) / (1.0 + y)
+    t2 = (_TWO + e2 if L % 2 == 0 else -e2) / (_ONE + y)
     rest = y * x * t2 * (one + x * any_) - a1 * (two * h + m * any_)
     # rounding can carry the sum a few ulps past 1 once mu L is large; a
     # NaN mu stays NaN
-    return np.minimum(two + rest / q, 1.0)
+    return np.minimum(two + rest / q, _ONE)
 
 
 def rtag_bruteforce(

@@ -54,8 +54,8 @@ def test_grid_rates_equal_key_rate():
     # ulp away, and only there does the grid's rate differ, through f_EC alone
     grid = np.geomspace(*DEFAULT_MU_BOUNDS, DEFAULT_GRID_POINTS)
     for L, eta, error_rate in ((2, 0.3, 0.03), (20, 1e-3, 0.03), (1000, 1e-5, 0.05)):
-        values = _rates(L, eta, error_rate, grid)
         f_ec = _entropy(error_rate)
+        values = _rates(L, eta, error_rate, grid, f_ec)
         for mu, value in zip(grid.tolist(), values.tolist()):
             Q = channel_q(L, mu, eta)
             inputs = RateInputs.from_error_rates(L, mu, 1.0, Q, error_rate, error_rate)
@@ -117,7 +117,7 @@ def test_optimize_mu_ends_at_any_tolerance(tolerance):
 ])
 def test_optimize_mu_stays_in_bounds_and_beats_the_grid(L, eta, mu_bounds, grid_best):
     grid = np.geomspace(*mu_bounds, DEFAULT_GRID_POINTS)
-    values = _rates(L, eta, 0.03, grid)
+    values = _rates(L, eta, 0.03, grid, _entropy(0.03))
     best = int(np.argmax(values))
     if grid_best is not None:
         assert best == grid_best
