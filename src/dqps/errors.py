@@ -22,17 +22,22 @@ class WorkLimitError(RuntimeError):
     """An enumeration would exceed the configured work limit.
 
     `required` is math.inf where the work was too large to form; work past
-    the float range is reported without its digits.
+    the float range is reported without its digits.  Work within the limit
+    is refused only where the enumeration's table is larger than numpy can
+    hold, which no limit changes.
     """
 
     def __init__(self, required: int, limit: int):
         self.required = required
         self.limit = limit
-        if required <= sys.float_info.max:
+        if required > sys.float_info.max:
+            message = "enumeration needs more units of work than a float holds; no limit admits it"
+        elif required > limit:
             message = (f"enumeration needs {required} units of work, above the limit "
                        f"{limit}; raise work_limit to proceed")
         else:
-            message = "enumeration needs more units of work than a float holds; no limit admits it"
+            message = ("enumeration needs a half-block table larger than numpy can hold "
+                       "(2^63 - 1 bytes); no limit admits it")
         super().__init__(message)
 
 

@@ -120,7 +120,9 @@ def key_rate(
 # results broadcast element by element.  No validation; the public
 # functions above validate and convert back to Python scalars.  Their
 # constants are 0-d arrays, as in tagging's cores.
+
 _ZERO = np.array(0.0)
+
 
 def _entropy(x):
     """h(x) for x in [0, 1]; at x = 0 and x = 1 both log arguments are 1."""

@@ -84,7 +84,7 @@ class SweepSpec:
         _probability("error_rate", self.error_rate, interval="[0, 0.5)")
 
 
-def _rates(L: int, eta, error_rate: float, mu, f_ec):
+def _rates(L: int, eta, error_rate, mu, f_ec):
     """key_rate's rate per pulse at p0 = 1, for a float or an array of mu.
 
     E0/Q is error_rate at every mu, so f_EC is f_ec = h(error_rate), one

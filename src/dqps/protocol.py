@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -280,6 +279,10 @@ def run_batches(seed: int, n: int, n_jobs: int, kernel, share: float) -> list:
 
     if lanes == 1:
         return lane(0)
+    # imported here: it costs every import of dqps a few ms, and only a
+    # run of two or more lanes needs it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=lanes) as pool:
         results = list(pool.map(lane, range(lanes)))
     return [results[i % lanes][i // lanes] for i in range(n_batches)]

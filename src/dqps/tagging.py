@@ -350,7 +350,10 @@ def rtag_bruteforce(
     = 1 - P(all pulses <= cap) bounds the mass the enumeration cannot see.
     Work is metered as L*(cap+1)^L, the grid the enumeration covers (from
     tables of (cap+1)^ceil(L/2) rows), and refused above work_limit or past
-    the float range, at any limit; every call the meter admits is answered.
+    the float range, at any limit.  Work the meter admits is refused too,
+    at any limit, where the head's table, 2 bytes a cell, holds more bytes
+    than np.intp counts, so that numpy cannot build it.  Every call that
+    passes both is answered.
     """
     _check_int("photon_cap", photon_cap, 2)
     _check_real("work_limit", work_limit, "[-inf, inf]")  # NaN would pass the meter
@@ -359,6 +362,11 @@ def rtag_bruteforce(
     fits = L * math.log2(photon_cap + 1) < 1030
     work = L * (photon_cap + 1) ** L if fits else math.inf
     if work > min(work_limit, sys.float_info.max):
+        raise WorkLimitError(work, work_limit)
+    # the head's table has ceil(L/2) + 1 axes; within the byte limit it has
+    # at most 40 (3^40 cells are already too many), so numpy's 64 never binds
+    half = (L + 1) // 2
+    if 2 * half * (photon_cap + 1) ** half > np.iinfo(np.intp).max:
         raise WorkLimitError(work, work_limit)
     if mu == 0.0:
         return BruteForceResult(0.0, 0.0)

@@ -34,8 +34,8 @@ from dqps import (
 )
 from dqps.cli import main
 from test_cli_parity import (
-    GOLDEN_2DET, GOLDEN_3DET, GOLDEN_3DET_LOG, GOLDEN_SIMULATE, INFEASIBLE, KEYRATE, OPTIMIZED,
-    RTAG,
+    GOLDEN_2DET, GOLDEN_3DET, GOLDEN_3DET_LOG, GOLDEN_SIMULATE, GOLDEN_SWEEP, INFEASIBLE, KEYRATE,
+    OPTIMIZED, RTAG,
 )
 from test_cli_parity import _golden as _parity_golden
 from test_cli_parity import _key as _parity_key
@@ -885,9 +885,8 @@ def test_left_out_flags_take_the_library_defaults(capsys, argv, defaults):
 # --- golden outputs ---------------------------------------------------------------
 
 # Exact stdout of small deterministic runs.  A change to these bytes has to
-# be deliberate and logged.  Every pin but the sweep dead row is a TEXT_CASE
-# of the CLI parity matrix, in tests/cli_parity.json, so one re-record moves
-# them all.
+# be deliberate and logged.  Every pin is a TEXT_CASE of the CLI parity
+# matrix, in tests/cli_parity.json, so one re-record moves them all.
 def _pinned(argv) -> dict:
     return _parity_golden()[_parity_key(argv)]
 
@@ -907,22 +906,10 @@ def test_golden_keyrate_outputs(capsys, argv, golden):
     assert code == 0 and out == golden, err
 
 
-GOLDEN_SWEEP_DEAD_ROW = (
-    "L,eta_db,eta,mu_opt,Q,rtag,rate\n"
-    "2,40,0.0001,nan,nan,nan,0\n"
-    "2,0,1,5.051669976251535e-05,5.0515423815523536e-05,"
-    "5.1035301483287491e-09,2.1226766331622511e-09\n"
-)
-
-
-GOLDEN_SWEEP = ("sweep", "--L-list", "2", "--eta-db-range", "0:40:40", "--error-rate", "0.11")
-
-
-@pytest.mark.parametrize("argv, golden", [
-    pytest.param(GOLDEN_SWEEP, GOLDEN_SWEEP_DEAD_ROW, id=_parity_key(GOLDEN_SWEEP)),
-    *_pinned_text(RTAG, RTAG + ("--format", "csv"), GOLDEN_2DET + ("--format", "csv"),
-                  GOLDEN_3DET + ("--format", "csv")),
-])
+@pytest.mark.parametrize("argv, golden", _pinned_text(
+    GOLDEN_SWEEP, RTAG, RTAG + ("--format", "csv"), GOLDEN_2DET + ("--format", "csv"),
+    GOLDEN_3DET + ("--format", "csv"),
+))
 def test_golden_record_outputs(capsys, argv, golden):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and out == golden, err
@@ -1035,6 +1022,14 @@ def test_module_entry_prints_one_record():
     assert proc.returncode == 0, proc.stderr
     (line,) = proc.stdout.splitlines()
     assert json.loads(line)["value"] == rtag_coherent(TagParams(2, 0.1))
+
+
+def test_import_leaves_the_thread_pool_out():
+    # concurrent.futures costs every import a few ms; run_batches imports it
+    # for a run of two or more lanes only
+    proc = run_python("-c", "import sys, dqps, dqps.cli; "
+                            "print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
 
 
 def test_module_entry_passes_on_the_exit_code():

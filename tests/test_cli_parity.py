@@ -77,6 +77,8 @@ SIM_SPARSE = ("simulate", "--L", "20", "--mu", "0.005", "--eta", "0.01", "--delt
 # bright and noisy over three batches: double clicks, ties, flips and misalignment
 SIM_BRIGHT = ("simulate", "--L", "3", "--mu", "2", "--eta", "1", "--p-dark", "0.05",
               "--delta", "0.4", "--bitflip", "0.05", "--blocks", "70000")
+# the 40 dB row has no optimum in the default mu bracket: nan and rate 0
+GOLDEN_SWEEP = ("sweep", "--L-list", "2", "--eta-db-range", "0:40:40", "--error-rate", "0.11")
 RTAG = ("rtag", "--L", "5", "--mu", "0.2", "--oracle", "--cap", "6")
 RTAG_SOURCE = ("rtag", "--source", "pairs.txt")
 # L = 2^62, where rtag is 0.99984 and any error that grows with L shows
@@ -175,7 +177,7 @@ CASES = (
     ("keyrate", "--config", "foreign.cfg"),
     ("keyrate", "--config"),
     # sweep
-    ("sweep", "--L-list", "2", "--eta-db-range", "0:40:40", "--error-rate", "0.11"),
+    GOLDEN_SWEEP,
     # several L in one call, L = 1000, and the zero-rate tail from 56 dB
     ("sweep", "--L-list", "2,4,20,1000", "--eta-db-range", "0.5:60.5:4", "--error-rate", "0.03"),
     # 2,401 rows: more than one optimizer chunk
@@ -230,6 +232,10 @@ CASES = (
     # oracle work past the float range, refused without forming it
     ("rtag", "--L", "100000", "--mu", "0.1", "--oracle"),
     ("rtag", "--L", "4611686018427387904", "--mu", "0.1", "--oracle"),
+    # admitted work whose half-block table numpy cannot hold: too many bytes
+    # (L = 72), and too many axes as well (L = 129)
+    ("rtag", "--L", "72", "--mu", "0.1", "--oracle", "--cap", "2", "--work-limit", "inf"),
+    ("rtag", "--L", "129", "--mu", "0.1", "--oracle", "--cap", "2", "--work-limit", "inf"),
     ("rtag", "--source", "int64.txt"),
     ("rtag", "--L", "2", "--mu", "0.1", "--cap", "4"),
     ("rtag", "--config", "rtag.cfg"),
@@ -289,6 +295,7 @@ TEXT_CASES = (
     OPTIMIZED,
     INFEASIBLE,
     INFEASIBLE + ("--format", "csv"),
+    GOLDEN_SWEEP,
     RTAG,
     RTAG + ("--format", "csv"),
     RTAG_SOURCE,

@@ -335,6 +335,25 @@ def test_bruteforce_refuses_work_past_the_float_range_at_once():
         rtag_bruteforce(TagParams(9, 0.1), photon_cap=10, work_limit=1e8)
 
 
+def test_bruteforce_refuses_tables_numpy_cannot_hold():
+    # the meter admits this work at the limits given, but the head's table
+    # of ceil(L/2) + 1 axes needs more bytes than np.intp counts (from L = 71
+    # at cap 2) or more axes than numpy's 64 (from L = 127)
+    message = ("enumeration needs a half-block table larger than numpy can hold "
+               "(2^63 - 1 bytes); no limit admits it")
+    for L, cap, limit in ((71, 2, math.inf), (72, 2, math.inf), (129, 2, 1e300),
+                          (127, 3, math.inf), (3, 2**61, math.inf)):
+        start = time.perf_counter()
+        with pytest.raises(WorkLimitError) as excinfo:
+            rtag_bruteforce(TagParams(L, 0.1), photon_cap=cap, work_limit=limit)
+        assert time.perf_counter() - start < 0.5
+        assert str(excinfo.value) == message
+        assert excinfo.value.required == L * (cap + 1) ** L <= excinfo.value.limit
+    # above the limit the meter's own message still comes first
+    with pytest.raises(WorkLimitError, match="above the limit 100000000"):
+        rtag_bruteforce(TagParams(72, 0.1), photon_cap=2)
+
+
 def test_bruteforce_work_limit_override():
     value = rtag_bruteforce(TagParams(3, 0.1), photon_cap=3, work_limit=10**3)
     assert 0.0 < value.value < 1.0
