@@ -142,7 +142,10 @@ def _privacy_amp(Q, E1, rtag):
 
 
 def _f_pa(Q, rtag, feasible, h1):
-    """The privacy-amplification fraction from _privacy_amp's feasible and h1; 1 where infeasible."""
+    """The privacy-amplification fraction from _privacy_amp's feasible and h1.
+
+    rtag/Q + (1 - rtag/Q) h1 where feasible, 1 elsewhere.
+    """
     tagged_fraction = rtag / np.where(feasible, Q, _ONE)
     return np.where(feasible, tagged_fraction + (_ONE - tagged_fraction) * h1, _ONE)
 
