@@ -155,8 +155,8 @@ def _rate(L: int, p0, Q, E1, rtag, f_ec):
 
     f_ec is the error-correction cost per sifted bit, f_EC(E0/Q) in full.
     An infeasible privacy amplification or a nonpositive rate gives rate 0,
-    so the rate is positive exactly where the point is feasible.  f_pa is
-    left to the callers that report it (_f_pa).
+    so the rate is positive exactly where key_rate reports the point
+    feasible.  f_pa is left to the callers that report it (_f_pa).
     """
     pa = feasible, untagged, h1 = _privacy_amp(Q, E1, rtag)
     rate = np.array(p0 ** 2 / L) * (untagged * (_ONE - h1) - Q * f_ec)
