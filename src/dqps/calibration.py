@@ -18,15 +18,17 @@ Only trains where two or more photons reach a detector can coincide, and
 trains are independent, so a batch draws how many there are and then
 those trains alone.  A Poissonian batch draws that number from a binomial
 and each kept train's photon count from the Poisson law given two or
-more; a table draws every configuration's count at once and routes the
-occupied slots of those of two or more photons.  A group of photons no
-larger than the number of (detector, slot) cells draws one uniform per
-photon, which a bucket table built once per run (_cell_finder) maps to its
-cell in O(1), the same cell a binary search over the cell edges gives; a
-larger group draws one multinomial, so memory grows with the kept trains
-and the cells, not with the photons.  The clicks fill one
-C-contiguous clicks[detector, slot, kept train], so the double, dead-time
-and triple tests shift and reduce whole rows of trains.
+more; a table draws at once how many trains of each configuration keep
+two or more detected photons, places the first two of them by their
+exact law given that, and routes the photons after the second.  A group
+of photons no larger than the number of (detector, slot) cells draws one
+uniform per photon, which a bucket table built once per run
+(_cell_finder) maps to its cell in O(1), the same cell a binary search
+over the cell edges gives; a larger group draws one multinomial, so
+memory grows with the kept trains and the cells, not with the photons.
+The clicks fill one C-contiguous clicks[detector, slot, kept train], so
+the double, dead-time and triple tests shift and reduce whole rows of
+trains.
 
 Both benches run through one driver, ``_calibrate``, on the protocol's
 seeded batch runner, ``protocol.run_batches``, so a seed gives the same
@@ -66,6 +68,15 @@ _REJECTION_FROM = 0.25
 
 # _cell_finder maps this many uniforms at a time
 _FIND_BLOCK = 1 << 16
+
+# Horner coefficients of sum_k s^(2k) * 2 / (2k+3), highest order first: 18
+# terms reach 1e-17 relative while |s| <= 1/3, past which log1p loses at
+# most a few ulps of log1p(y) - y
+_GAP_SERIES = tuple(2.0 / (2 * k + 3) for k in reversed(range(18)))
+
+# A table whose trains hold at most this many photons tabulates P(Bin(b, P) >= 2)
+# for every b once per run; a larger one works it out where the bisection asks
+_TWO_DETECTED_TABLE = 1 << 12
 
 
 def _detection_probs(setup) -> list[float]:
@@ -360,6 +371,42 @@ def _cell_finder(cells):
     return find
 
 
+def _log1p_gap(y):
+    """log1p(y) - y for a float or an array of y >= -1, to a few ulps of itself.
+
+    With s = y / (2 + y), log1p(y) - y = 2 s^3 sum_k s^(2k) / (2k+3) - y s,
+    taken from _GAP_SERIES while |s| <= 1/3 (y in [-1/2, 1]), where the two
+    terms never cancel more than 1/6 of each other; log1p(y) - y elsewhere.
+    It is -inf at y = -1.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    s = y / (2.0 + y)
+    s2 = s * s
+    series = _GAP_SERIES[0]
+    for coeff in _GAP_SERIES[1:]:
+        series = series * s2 + coeff
+    with np.errstate(divide="ignore"):  # log1p(-1)
+        closed = np.log1p(y) - y
+    return np.where(np.abs(s) <= 1.0 / 3.0, s * (s2 * series - y), closed)
+
+
+def _two_detected(P: float):
+    """q(n) = P(Bin(n, P) >= 2) for P in [0, 1], of an integer or an array n >= 2.
+
+    q(n) = 1 - (1-P)^(n-1) (1 + (n-1) P) = -expm1(g), with x = (n-1) P and
+    g = (n-1) (log1p(-P) + P) + (log1p(x) - x): two terms of one sign,
+    each from _log1p_gap, so nothing cancels and q keeps its relative
+    precision (within 1e-15 of mpmath) at every n and P.
+    """
+    gap = _log1p_gap(-P)
+
+    def q(n):
+        m = np.asarray(n, dtype=np.float64) - 1.0
+        return -np.expm1(m * gap + _log1p_gap(m * P))
+
+    return q
+
+
 def _occupied(rng, counts, cells, find, at, size: int) -> np.ndarray:
     """Which cells each group of photons reaches, as reached[cell, place].
 
@@ -385,6 +432,11 @@ def _occupied(rng, counts, cells, find, at, size: int) -> np.ndarray:
     return reached
 
 
+def _shares(probs) -> np.ndarray:
+    """probs[i] / sum(probs), where a detected photon goes; zeros where none is detected."""
+    return np.divide(probs, sum(probs) or 1.0)
+
+
 def _source_law(setup, probs):
     """The run's source, worked out once: (kept share, true rtag, clicks).
 
@@ -394,19 +446,29 @@ def _source_law(setup, probs):
     train].  A thinned Poissonian train is again Poissonian, with mean
     m = mu * L * sum(probs): that source draws how many trains hold N >= 2,
     then N for those alone, and routes each photon to a (detector, slot) cell
-    with chance probs[i] / sum(probs) / L.  A table finds the occupied slots
-    of its configurations of two or more photons once per run; a batch draws
-    how many trains take each, grouped by configuration, and routes only
-    those slots, each photon to detector i with chance probs[i] or to none.
-    Its groups are ordered train by train and, in a train, slot by slot:
-    the groups of at most len(probs) + 1 photons draw their uniforms in that
-    order, then the larger ones their multinomials, as _occupied draws.
+    with chance probs[i] / sum(probs) / L.  A table is thinned the same way.
+    With P = sum(probs) and q(n) = P(Bin(n, P) >= 2), a train of
+    configuration c, of n_c photons, is kept with chance q(n_c), so a batch
+    draws with one multinomial how many trains of each configuration are
+    kept, at weights p_c q(n_c), and for each the exact pattern given that:
+    the photons are numbered slot by slot, and the second detected one, b,
+    has P(b' <= b) = q(b) / q(n_c), since b' <= b exactly when Bin(b, P) >= 2;
+    a fixed number of vectorised bisection steps inverts it, one per
+    doubling of the largest n_c.  The first, a, is uniform on 1 .. b-1, the
+    others before b reach no detector, a and b go to detector i with chance
+    probs[i] / P, and the photons after b route freely, each to detector i
+    with chance probs[i] or to none.  The occupied slots of the kept
+    configurations are found once per run.  A batch draws the multinomial,
+    then four uniforms a train (b, a and their two detectors), then, its
+    groups ordered train by train and, in a train, slot by slot, the
+    uniforms of the groups of at most len(probs) + 1 photons after b, then
+    the multinomials of the larger ones, as _occupied draws.
     """
     source = setup.source
     if source is None:
         m = setup.mu * setup.L * sum(probs)
         p2 = float(_poisson_head(m)[3])
-        cells = np.repeat(np.divide(probs, sum(probs)) / setup.L, setup.L)
+        cells = np.repeat(_shares(probs) / setup.L, setup.L)
         find = _cell_finder(cells)
 
         def clicks(rng, n: int):
@@ -416,27 +478,74 @@ def _source_law(setup, probs):
             return reached.reshape(len(probs), setup.L, k)
 
         return p2, rtag_coherent(TagParams(setup.L, setup.mu)), clicks
-    p = source._probs / source._probs.sum()
-    kept = source._counts.sum(axis=1) >= 2
-    # the kept configurations' occupied slots, configuration by configuration
+    P = min(sum(probs), 1.0)  # the splitters' tolerance can carry the sum past 1
+    total = source._counts.sum(axis=1)
+    kept = total >= 2
+    n_kept = total[kept]
+    top = int(n_kept.max(initial=2))
+    q_of = _two_detected(P)
+    if top <= _TWO_DETECTED_TABLE:
+        table = q_of(np.arange(2, top + 1))
+
+        def q_of(n):  # the same bits, looked up
+            return table[n - 2]
+    q_kept = q_of(n_kept)
+    weights = source._probs[kept] / source._probs.sum() * q_kept
+    pvals = np.append(weights, 0.0)  # the last entry takes the rest
+    steps = (top - 2).bit_length()  # that halve [2, top] to one b
+    # the kept configurations' occupied slots, configuration by configuration,
+    # and the photons up to each over all of them, in Python ints if int64
+    # could not hold the sum: photon t of configuration c is in the first row
+    # whose running count reaches base[c] + t
     config, slot = np.nonzero(source._counts[kept])
     photons = source._counts[kept][config, slot]
-    occupied = np.bincount(config, minlength=np.count_nonzero(kept))
-    first = np.cumsum(occupied) - occupied
+    last = np.cumsum(np.bincount(config, minlength=n_kept.size)) - 1
+    fits = n_kept.sum(dtype=np.float64) < 2.0**62
+    run = np.cumsum(photons if fits else photons.astype(object))
+    base = run[last] - n_kept
+    edges = np.cumsum(_shares(probs)[:-1])  # a detected photon's detector
     cells = [*probs, 0.0]  # the last cell takes the rest
     find = _cell_finder(cells)
 
-    def clicks(rng, n: int):
-        of = np.repeat(np.arange(len(occupied)), rng.multinomial(n, p)[kept])
-        k, width = len(of), occupied[of]
-        train = np.repeat(np.arange(k), width)
-        # a train's j-th group is the j-th occupied slot of its configuration
-        entry = np.arange(train.size) + np.repeat(first[of] - np.cumsum(width) + width, width)
-        reached = _occupied(rng, photons[entry], cells, find, slot[entry] * k + train,
-                            setup.L * k)
-        return reached[:-1].reshape(len(probs), setup.L, k)
+    def split(rng, of):
+        """The first two detected photons of each train, and the photons after them.
 
-    return float(p[kept].sum()), rtag_general(source), clicks
+        Returns the flat clicks[detector, slot, train] cells of a and b, then
+        the groups of photons after b, from b's slot on, and their places.
+        """
+        k = len(of)
+        u = rng.random((4, k))
+        # b, the second: the least b with q(b) >= u q(n)
+        target = u[0] * q_kept[of]
+        lo, b = np.full(k, 2), n_kept[of]
+        for _ in range(steps):
+            mid = (lo + b) >> 1
+            above = q_of(mid) < target
+            lo, b = np.where(above, mid + 1, lo), np.where(above, b, mid)
+        # a, the first, uniform on 1 .. b-1 (the minimum guards a float b - 1
+        # rounded up); each goes to detector i with chance probs[i] / P
+        a = np.minimum((u[1] * (b - 1)).astype(np.int64), b - 2) + 1
+        detector = sum(u[2:] >= edge for edge in edges)
+        start = base[of]
+        row = np.searchsorted(run, np.stack([start + a, start + b]))
+        forced = (detector * setup.L + slot[row]) * k + np.arange(k)
+        # b's row keeps the photons past b, every later row of the train all its own
+        width = last[of] - row[1] + 1
+        train = np.repeat(np.arange(k), width)
+        first = np.cumsum(width) - width
+        rows = np.arange(train.size) + np.repeat(row[1] - first, width)
+        after = photons[rows]
+        after[first] = run[row[1]] - (start + b)
+        return forced, after, slot[rows] * k + train
+
+    def clicks(rng, n: int):
+        of = np.repeat(np.arange(n_kept.size), rng.multinomial(n, pvals)[:-1])
+        forced, after, place = split(rng, of)
+        reached = _occupied(rng, after, cells, find, place, setup.L * len(of))
+        np.put(reached, forced, True)
+        return reached[:-1].reshape(len(probs), setup.L, len(of))
+
+    return float(weights.sum()), rtag_general(source), clicks
 
 
 def _two_detector_flags(setup: CalibSetup2, clicks):
@@ -454,11 +563,13 @@ def _calibrate(mode, setup, flags, probs, seed, n_jobs, collect_events):
     """Run setup.n_test trains and report the bound they give.
 
     probs[i] is the chance that a photon reaches detector i; _source_law
-    turns it into the run's kept share, true rtag and click sampler.
-    flags(setup, clicks) returns the flags of the kept trains, one row
-    each; the counts come from those rows alone.  Batches are cut by the
-    expected number of kept trains.  Events place the rows at distinct
-    random trains of the batch, drawn after the clicks.
+    turns it into the run's kept share, true rtag and click sampler.  A
+    train is kept when two or more of its photons reach a detector, for a
+    Poissonian source and a table alike; flags(setup, clicks) returns the
+    flags of the kept trains, one row each, and the counts come from those
+    rows alone.  Batches are cut by the expected number of kept trains.
+    Events place the rows at distinct random trains of the batch, drawn
+    after the clicks.
     """
     kept, true_rtag, clicks = _source_law(setup, probs)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 
 
 class ParameterError(ValueError):
@@ -23,11 +23,12 @@ class WorkLimitError(RuntimeError):
 
     `required` is math.inf where the work was too large to form; work past
     the float range is reported without its digits.  Work within the limit
-    is refused only where the enumeration's table is larger than numpy can
-    hold, which no limit changes.
+    is refused only for what no limit changes, which `need` names: by
+    default a half-block table larger than numpy can hold.
     """
 
-    def __init__(self, required: int, limit: int):
+    def __init__(self, required: int, limit: int,
+                 need: str = "a half-block table larger than numpy can hold (2^63 - 1 bytes)"):
         self.required = required
         self.limit = limit
         if required > sys.float_info.max:
@@ -36,8 +37,7 @@ class WorkLimitError(RuntimeError):
             message = (f"enumeration needs {required} units of work, above the limit "
                        f"{limit}; raise work_limit to proceed")
         else:
-            message = ("enumeration needs a half-block table larger than numpy can hold "
-                       "(2^63 - 1 bytes); no limit admits it")
+            message = f"enumeration needs {need}; no limit admits it"
         super().__init__(message)
 
 
@@ -71,11 +71,18 @@ def _check_real(param: str, value, interval: str) -> None:
     Every comparison with NaN is false, so NaN is always refused, and an
     infinity only where its end of the interval is open.
     """
-    lo, hi = map(float, interval[1:-1].split(","))
-    above = lo < value if interval[0] == "(" else lo <= value
-    below = value < hi if interval[-1] == ")" else value <= hi
+    lo, hi, open_lo, open_hi = _interval(interval)
+    above = lo < value if open_lo else lo <= value
+    below = value < hi if open_hi else value <= hi
     if not (above and below):
         raise ParameterError(param, f"must be in {interval}")
+
+
+@cache
+def _interval(interval: str) -> tuple[float, float, bool, bool]:
+    """The ends of an interval string and whether each is open, parsed once per string."""
+    lo, hi = map(float, interval[1:-1].split(","))
+    return lo, hi, interval[0] == "(", interval[-1] == ")"
 
 
 # The domain rules of the package's entry points, each called as

@@ -85,13 +85,14 @@ class SweepSpec:
 
 
 def _rates(L: int, eta, error_rate, mu, f_ec):
-    """key_rate's rate per pulse at p0 = 1, for a float or an array of mu.
+    """key_rate's rate per pulse at p0 = 1, with the Q and rtag it comes from.
 
-    E0/Q is error_rate at every mu, so f_EC is f_ec = h(error_rate), one
-    scalar per call.  No f_pa is formed.
+    For a float or an array of mu.  E0/Q is error_rate at every mu, so f_EC
+    is f_ec = h(error_rate), one scalar per call.  No f_pa is formed.
     """
     Q = _channel_q(L, mu, eta)
-    return _rate(L, 1.0, Q, error_rate * Q, _rtag(L, mu), f_ec)[1]
+    rtag = _rtag(L, mu)
+    return _rate(L, 1.0, Q, error_rate * Q, rtag, f_ec)[1], Q, rtag
 
 
 def optimize_mu(
@@ -115,7 +116,7 @@ def optimize_mu(
     _probability("error_rate", error_rate, interval="[0, 0.5)")
     _check_mu_bounds(mu_bounds)
     _check_real("tolerance", tolerance, "(0, inf)")
-    mu, rate = _optimize(L, [eta], error_rate, mu_bounds, tolerance)
+    mu, rate, _, _ = _optimize(L, [eta], error_rate, mu_bounds, tolerance)
     if math.isnan(mu[0]):
         return OptimizeResult(None, 0.0)
     return OptimizeResult(float(mu[0]), float(rate[0]))
@@ -128,12 +129,12 @@ def _check_mu_bounds(mu_bounds) -> None:
 
 
 def _optimize(L: int, etas, error_rate: float, mu_bounds, tolerance: float):
-    """Optimal mu and rate for every eta of one L (no validation).
+    """Optimal mu and rate for every eta of one L (no validation), with Q and rtag.
 
-    Returns two arrays shaped like etas: mu (NaN where the rate is
-    nonpositive on the whole grid) and rate (0 there).  Each row is
-    computed element by element, so it has the same bits whatever other
-    rows share the call.
+    Returns four arrays shaped like etas: mu (NaN where the rate is
+    nonpositive on the whole grid), rate (0 there), and the Q and rtag the
+    best rate was computed from (NaN there).  Each row is computed element
+    by element, so it has the same bits whatever other rows share the call.
 
     The first stage evaluates the log grid of DEFAULT_GRID_POINTS points.
     Each zoom round then evaluates _ZOOM_POINTS points evenly spaced in
@@ -141,9 +142,9 @@ def _optimize(L: int, etas, error_rate: float, mu_bounds, tolerance: float):
     round's best point.  The round count follows from the first bracket's
     widest log width w0 (none once w0 <= tolerance), so the search always
     ends; it is taken as a difference of logs because w0 / tolerance
-    overflows for a subnormal tolerance.  A running best keeps the result
-    at or above the best grid value, and every mu evaluated is clipped to
-    mu_bounds first.
+    overflows for a subnormal tolerance.  A running best, which carries
+    the Q and rtag of its point, keeps the result at or above the best grid
+    value, and every mu evaluated is clipped to mu_bounds first.
     """
     mu_lo, mu_hi = mu_bounds
     grid = np.geomspace(mu_lo, mu_hi, DEFAULT_GRID_POINTS)
@@ -151,17 +152,21 @@ def _optimize(L: int, etas, error_rate: float, mu_bounds, tolerance: float):
     f_ec, e = np.array(_entropy(error_rate)), np.array(error_rate)
     with _quiet_overflow(L, mu_hi):
         etas = np.asarray(etas, dtype=np.float64)[:, None]
-        values = _rates(L, etas, e, grid, f_ec)
+        values, Q, rtag = _rates(L, etas, e, grid, f_ec)
         best = values.argmax(axis=1)
         rate = values.max(axis=1)
-        mu = np.where(rate > 0.0, grid[best], np.nan)
+        dead = rate <= 0.0
+        mu = np.where(dead, np.nan, grid[best])
+        Q = np.where(dead, np.nan, np.take_along_axis(Q, best[:, None], axis=1)[:, 0])
+        rtag = np.where(dead, np.nan, rtag[best])
 
-        live = np.flatnonzero(rate > 0.0)
+        live = np.flatnonzero(~dead)
         if not len(live):
-            return mu, rate
-        # the search's rows as columns: etas, best rate and mu, bracket ends
+            return mu, rate, Q, rtag
+        # the search's rows as columns: etas, best rate, mu, Q and rtag, bracket ends
         etas, best = etas[live], best[live, None]
         best_rate, best_mu = rate[live, None], mu[live, None]
+        best_Q, best_rtag = Q[live, None], rtag[live, None]
         x = np.log(grid)
         lo = x[np.maximum(best - 1, 0)]
         hi = x[np.minimum(best + 1, DEFAULT_GRID_POINTS - 1)]
@@ -176,15 +181,19 @@ def _optimize(L: int, etas, error_rate: float, mu_bounds, tolerance: float):
         for _ in range(rounds):
             xs = lo + (hi - lo) * _ZOOM_PADDED
             mus = np.minimum(np.maximum(np.exp(xs[:, 1:-1]), clip_lo), clip_hi)
-            values = _rates(L, etas, e, mus, f_ec)
+            values, Qs, rtags = _rates(L, etas, e, mus, f_ec)
             k = values.argmax(axis=1, keepdims=True)
             point, padded = start + k, padded_start + k
             top = values.take(point)
-            best_mu = np.where(top > best_rate, mus.take(point), best_mu)
+            better = top > best_rate
+            best_mu = np.where(better, mus.take(point), best_mu)
+            best_Q = np.where(better, Qs.take(point), best_Q)
+            best_rtag = np.where(better, rtags.take(point), best_rtag)
             best_rate = np.maximum(best_rate, top)  # rates hold no NaN and no -0
             lo, hi = xs.take(padded), xs.take(padded + 2)
     rate[live], mu[live] = best_rate[:, 0], best_mu[:, 0]
-    return mu, rate
+    Q[live], rtag[live] = best_Q[:, 0], best_rtag[:, 0]
+    return mu, rate, Q, rtag
 
 
 def _quiet_overflow(L: int, mu_hi: float):
@@ -242,14 +251,12 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     eta_list = etas.tolist()
     rows = []
     for L in spec.L_values:
-        mu, rate = map(np.concatenate, zip(*(
+        mu, rate, Q, rtag = map(np.concatenate, zip(*(
             _optimize(L, etas[i:i + _SWEEP_CHUNK], spec.error_rate, spec.mu_bounds,
                       spec.tolerance)
             for i in range(0, etas.size, _SWEEP_CHUNK)
         )))
-        with _quiet_overflow(L, spec.mu_bounds[1]):
-            Q = _channel_q(L, mu, etas)
         mu_opt = [None if math.isnan(m) else m for m in mu.tolist()]
-        rows += map(SweepRow, repeat(L), eta_list, mu_opt, Q.tolist(),
-                    _rtag(L, mu).tolist(), rate.tolist())
+        rows += map(SweepRow, repeat(L), eta_list, mu_opt, Q.tolist(), rtag.tolist(),
+                    rate.tolist())
     return rows

@@ -24,7 +24,9 @@ untagged mass, stays as an independent combinatorial check.
 
 from __future__ import annotations
 
+import io
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -44,6 +46,8 @@ PhotonConfig = Sequence[int]
 
 DEFAULT_PHOTON_CAP = 8
 DEFAULT_WORK_LIMIT = 10**8
+# the most photons one configuration of the oracle may hold
+_PHOTONS_MAX = np.iinfo(np.int16).max
 
 
 def _validate_counts(counts: PhotonConfig) -> tuple[int, ...]:
@@ -82,25 +86,58 @@ _INT64_MAX = 2**63 - 1
 def _plain_arrays(support):
     """The table as int64 (n, L) counts and float64 (n,) probabilities, or None.
 
-    None unless numpy reads the rows as one int64 table of two or more
-    pulses, every count nonnegative and small enough that a train's
-    photons fit in int64, and the probabilities as floats in [0, 1]; for
-    such rows the row-by-row checks of _checked_rows pass and give the same
-    values.
+    None unless numpy reads the rows as one int64 table and one float64
+    vector that _plain admits.
     """
     try:
         counts = np.array([c for c, _ in support])
         weights = np.array([p for _, p in support])
     except (TypeError, ValueError, OverflowError):  # a bad pair, ragged rows, a huge number
         return None
+    return (counts, weights) if _plain(counts, weights) else None
+
+
+def _plain(counts: np.ndarray, weights: np.ndarray) -> bool:
+    """Whether the arrays pass every row-by-row check of _checked_rows.
+
+    That is an int64 table of two or more pulses, every count nonnegative
+    and small enough that a train's photons fit in int64, and float64
+    probabilities in [0, 1]; the rows then give the same values.
+    """
     if (counts.dtype != np.int64 or counts.ndim != 2 or counts.shape[1] < 2
             or weights.dtype != np.float64 or weights.ndim != 1):
-        return None
+        return False
     if counts.min() < 0 or counts.max() > _INT64_MAX // counts.shape[1]:
+        return False
+    return bool(((weights >= 0.0) & (weights <= 1.0)).all())  # NaN fails too
+
+
+# Text that numpy's reader takes as int() and float() take it: no comment,
+# no letter but an exponent's, ASCII digits and blanks
+_PLAIN_TEXT = re.compile(r"[0-9 \t\n.eE+-]*")
+_FIRST_RECORD = re.compile(r"\S[^\n]*")
+
+
+def _bulk_arrays(text: str):
+    """from_file's table read at once, as _plain arrays, or None.
+
+    None unless _PLAIN_TEXT holds the whole text and numpy reads every
+    record as the first one's count of fields, its L >= 2 counts as int64
+    and its last field as a float64; every other text goes row by row.
+    """
+    first = _FIRST_RECORD.search(text)
+    if not _PLAIN_TEXT.fullmatch(text) or first is None:
         return None
-    if not ((weights >= 0.0) & (weights <= 1.0)).all():  # NaN fails too
+    pulses = len(first.group().split()) - 1
+    if pulses < 2:
         return None
-    return counts, weights
+    record = np.dtype([("counts", np.int64, (pulses,)), ("prob", np.float64)])
+    try:
+        rows = np.loadtxt(io.StringIO(text), dtype=record, comments=None, ndmin=1)
+    except ValueError:  # fields that are no numbers, too many or too few fields
+        return None
+    counts, weights = np.ascontiguousarray(rows["counts"]), rows["prob"].copy()
+    return (counts, weights) if _plain(counts, weights) else None
 
 
 @dataclass(frozen=True)
@@ -121,13 +158,21 @@ class SourceDistribution:
         support = tuple(self.support)
         plain = _plain_arrays(support)
         if plain is not None:
-            counts, weights = plain
+            self._hold(*plain)
+            return
+        configs, probs = _checked_rows(support)
+        if max(map(sum, configs)) > _INT64_MAX:
+            raise ParameterError("support", "photons per train must fit in int64")
+        self._hold(np.array(configs, dtype=np.int64), np.array(probs), configs, probs)
+
+    def _hold(self, counts, weights, configs=None, probs=None) -> None:
+        """Check that the rows sum to 1, then keep them as support and as arrays.
+
+        configs and probs are the rows as tuples and floats, made from the
+        _plain arrays where not given.
+        """
+        if configs is None:
             configs, probs = list(map(tuple, counts.tolist())), weights.tolist()
-        else:
-            configs, probs = _checked_rows(support)
-            if max(map(sum, configs)) > _INT64_MAX:
-                raise ParameterError("support", "photons per train must fit in int64")
-            counts, weights = np.array(configs, dtype=np.int64), np.array(probs)
         total = math.fsum(probs)
         if abs(total - 1.0) > 1e-12:
             raise ParameterError("support", f"probabilities sum to {total!r}, not 1")
@@ -143,34 +188,47 @@ class SourceDistribution:
     def from_file(cls, path) -> "SourceDistribution":
         """Load from text: one `k_0 k_1 ... k_{L-1} probability` record per line.
 
-        Blank lines and `#` comments are skipped.
+        Blank lines and `#` comments are skipped.  Plain text (_bulk_arrays)
+        is read at once and validated as arrays; any other text goes line by
+        line, which names the line of a malformed record.
         """
-        pairs = []
-        # the read made "\r\n" and "\r" into "\n"; splitlines would also split at "\f"
-        for lineno, raw in enumerate(_read_text("source", path).split("\n"), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) < 3:
-                raise ParameterError(
-                    "source", f"line {lineno}: need at least 2 counts and a probability"
-                )
-            try:
-                counts = tuple(map(int, fields[:-1]))
-                prob = float(fields[-1])
-            except ValueError:
-                raise ParameterError(
-                    "source", f"line {lineno}: malformed record {line!r}"
-                ) from None
-            pairs.append((counts, prob))
-        if not pairs:
-            raise ParameterError("source", "file contains no records")
-        return cls(tuple(pairs))
+        text = _read_text("source", path)
+        plain = _bulk_arrays(text)
+        if plain is None:
+            return cls(_records(text))
+        table = cls.__new__(cls)
+        table._hold(*plain)
+        return table
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Configurations as an (n, L) int array plus the probability vector."""
         return self._counts.copy(), self._probs.copy()
+
+
+def _records(text: str) -> tuple:
+    """from_file's records, line by line, as (counts, probability) pairs."""
+    pairs = []
+    # the read made "\r\n" and "\r" into "\n"; splitlines would also split at "\f"
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) < 3:
+            raise ParameterError(
+                "source", f"line {lineno}: need at least 2 counts and a probability"
+            )
+        try:
+            counts = tuple(map(int, fields[:-1]))
+            prob = float(fields[-1])
+        except ValueError:
+            raise ParameterError(
+                "source", f"line {lineno}: malformed record {line!r}"
+            ) from None
+        pairs.append((counts, prob))
+    if not pairs:
+        raise ParameterError("source", "file contains no records")
+    return tuple(pairs)
 
 
 def _checked_rows(support) -> tuple[list, list]:
@@ -352,8 +410,9 @@ def rtag_bruteforce(
     tables of (cap+1)^ceil(L/2) rows), and refused above work_limit or past
     the float range, at any limit.  Work the meter admits is refused too,
     at any limit, where the head's table, 2 bytes a cell, holds more bytes
-    than np.intp counts, so that numpy cannot build it.  Every call that
-    passes both is answered.
+    than np.intp counts, so that numpy cannot build it, and where a
+    configuration holds more photons, L * cap, than the int16 tables count
+    (32767).  Every call that passes these is answered.
     """
     _check_int("photon_cap", photon_cap, 2)
     _check_real("work_limit", work_limit, "[-inf, inf]")  # NaN would pass the meter
@@ -368,6 +427,11 @@ def rtag_bruteforce(
     half = (L + 1) // 2
     if 2 * half * (photon_cap + 1) ** half > np.iinfo(np.intp).max:
         raise WorkLimitError(work, work_limit)
+    # the tables count photons in int16, and the histogram keeps L cap + 1
+    # exact factorials, whose bits grow as (L cap)^2 log(L cap)
+    if L * photon_cap > _PHOTONS_MAX:
+        raise WorkLimitError(work, work_limit, f"configurations of more photons than "
+                             f"its int16 tables count (L * cap above {_PHOTONS_MAX})")
     if mu == 0.0:
         return BruteForceResult(0.0, 0.0)
 

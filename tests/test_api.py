@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import dqps
+from dqps.errors import _check_real
 
 
 def test_public_names_are_pinned():
@@ -113,6 +114,23 @@ def test_non_finite_floats_are_refused_by_name(entry, name, wrap):
         with pytest.raises(dqps.ParameterError) as info:
             entry(**{**VALID_CALLS[entry], name: wrap(bad)})
         assert info.value.param == name, bad
+
+
+@pytest.mark.parametrize("interval", ["[0, 1]", "(0, 1]", "[0, 1)", "(0, inf)", "[-inf, inf]",
+                                      "[0, 0.5)", "[0, inf)"])
+def test_a_real_check_reads_its_interval_as_written(interval):
+    # each interval string is parsed once and then read from there
+    lo, hi = map(float, interval[1:-1].split(","))
+    for value in (math.nan, -math.inf, math.inf, lo, hi, 0.25, *(
+            math.nextafter(end, way) for end in (lo, hi) for way in (-math.inf, math.inf))):
+        inside = ((lo < value if interval[0] == "(" else lo <= value)
+                  and (value < hi if interval[-1] == ")" else value <= hi))
+        for _ in range(2):
+            if inside:
+                _check_real("x", value, interval)
+            else:
+                with pytest.raises(dqps.ParameterError, match=re.escape(f"must be in {interval}")):
+                    _check_real("x", value, interval)
 
 
 # The same calls for every public entry point that takes a block length.

@@ -26,7 +26,7 @@ from dqps import (
 from dqps import calibration
 from dqps.calibration import (
     _REJECTION_FROM, _apply_dead_time, _cell_finder, _detection_probs, _double_coincidence,
-    _occupied, _two_or_more,
+    _occupied, _two_detected, _two_or_more,
 )
 from dqps.errors import _POISSON_MEAN_MAX
 from dqps.protocol import BATCH_BLOCKS, _batch_size, run_batches
@@ -116,15 +116,23 @@ def bench_probs(setup):
 def kept_share(setup):
     """The share of trains the bench's kernel draws for.
 
-    A Poissonian train is kept with two or more detected photons, a table's
-    train with two or more photons.
+    Every train is kept with two or more detected photons: for a table,
+    sum_c p_c P(Bin(n_c, P) >= 2), n_c the photons of configuration c and P
+    the chance that a photon reaches some detector.
     """
+    P = sum(bench_probs(setup))
     if setup.source is None:
-        m = setup.mu * setup.L * sum(bench_probs(setup))
+        m = setup.mu * setup.L * P
         return -math.expm1(-m) - m * math.exp(-m)
     support = setup.source.support
-    return (math.fsum(w for config, w in support if sum(config) >= 2)
+    return (math.fsum(w * binomial_two_or_more(sum(config), min(P, 1.0))
+                      for config, w in support)
             / math.fsum(w for _, w in support))
+
+
+def binomial_two_or_more(n, P):
+    """P(Bin(n, P) >= 2), term by term, for the small n of the test tables."""
+    return math.fsum(math.comb(n, j) * P**j * (1 - P) ** (n - j) for j in range(2, n + 1))
 
 
 def batched(setup, batches, extra=5):
@@ -421,6 +429,19 @@ CROWDED_TABLE = SourceDistribution((
     ((1, 0, 3, 0), 0.15),
 ))
 
+# dim arms, P <= 0.05 detected per photon: under 1% of the trains of two or
+# more photons keep two detected ones; trains of up to 9 photons take three
+# bisection steps, and a slot of 7 goes by multinomial
+DIM_TABLE = SourceDistribution((
+    ((0, 0, 0, 0), 0.2),
+    ((1, 0, 0, 0), 0.1),
+    ((1, 1, 0, 0), 0.3),
+    ((0, 2, 0, 0), 0.15),
+    ((1, 0, 1, 1), 0.15),
+    ((0, 3, 0, 2), 0.08),
+    ((2, 0, 0, 7), 0.02),
+))
+
 
 def test_two_detector_deterministic():
     bench = batched(two_det(), 2)
@@ -508,6 +529,18 @@ BENCHES = [(simulate_two_detector, two_det), (simulate_three_detector, three_det
 
 
 @pytest.mark.parametrize("simulate, setup", BENCHES)
+@pytest.mark.parametrize("source", [None, MIXED_TABLE], ids=["poissonian", "table"])
+def test_a_bench_that_detects_nothing_counts_nothing(simulate, setup, source):
+    # declared bounds below the tolerance let every truth be 0; no warning either
+    dark = (dict(eta1=1e-13, eta2=1e-13, true_eff1=0.0, true_eff2=0.0) if setup is two_det
+            else dict(eta_abs=1e-13, true_eta_abs=0.0))
+    bench = setup(L=4, mu=0.0 if source else 0.1, source=source, **dark)
+    assert sum(bench_probs(bench)) == 0.0
+    report = simulate(bench, seed=2, collect_events=True)
+    assert report.n_double == 0 and report.n_triple in (None, 0) and not report.events.any()
+
+
+@pytest.mark.parametrize("simulate, setup", BENCHES)
 def test_report_without_events_equals_report_with_events(simulate, setup):
     # three batches, the last of 5 trains
     bench = batched(setup(mu=0.1), 2)
@@ -535,9 +568,8 @@ def test_thin_statistics_warning_names_the_caller(simulate, setup):
 
 # --- exact law of a train's outcome ------------------------------------------
 
-def assert_bench_follows_exact_law(setup, seed):
-    """One-sample chi-square fit of 2e6 trains' outcomes to calibration_law."""
-    n = 2_000_000
+def assert_bench_follows_exact_law(setup, seed, n=2_000_000):
+    """One-sample chi-square fit of n trains' outcomes to calibration_law."""
     simulate = (simulate_two_detector if isinstance(setup, CalibSetup2)
                 else simulate_three_detector)
     report = simulate(dataclasses.replace(setup, n_test=n), seed=seed, collect_events=True)
@@ -558,6 +590,8 @@ def bright_three_det(L, mu, dead_time):
     # batch some trains go photon by photon and some by multinomial
     (two_det(L=2, mu=4.0), 5),
     (two_det(L=4, mu=0.0, source=CROWDED_TABLE), 6),
+    (two_det(L=4, mu=0.0, source=DIM_TABLE, eta1=0.025, eta2=0.025, true_eff1=0.05,
+             true_eff2=0.05), 7),
 ])
 def test_two_detector_double_rate_is_exact(setup, seed):
     assert_bench_follows_exact_law(setup, seed)
@@ -591,6 +625,22 @@ def test_three_detector_crowded_source_table_is_exact():
     # slots beyond the cells go by multinomial, the rest photon by photon
     assert_bench_follows_exact_law(unequal_three_det(L=4, mu=0.0, source=CROWDED_TABLE),
                                    seed=27)
+
+
+def test_three_detector_dim_source_table_is_exact():
+    # the unequal arms behind an absorber of 0.06: P = 0.048
+    setup = three_det(L=4, mu=0.0, source=DIM_TABLE, eta2=0.15, eta3=0.4, true_eff2=0.6,
+                      true_eff3=0.8, eta_abs=0.06, true_eta_abs=0.06)
+    assert sum(bench_probs(setup)) == pytest.approx(0.048, rel=1e-15)
+    assert_bench_follows_exact_law(setup, seed=28)
+
+
+@pytest.mark.parametrize("setup", [two_det, unequal_three_det], ids=["2det", "3det"])
+def test_table_past_int64_photons_in_all_is_exact(setup):
+    # each train fits int64, but the photons of the table's rows together do not
+    table = SourceDistribution((((2**62, 0), 0.5), ((0, 2**62), 0.25), ((1, 1), 0.25)))
+    # (the running count then goes in Python ints, so fewer trains)
+    assert_bench_follows_exact_law(setup(L=2, mu=0.0, source=table), seed=29, n=200_000)
 
 
 def test_three_detector_unequal_arms_are_exact():
@@ -651,6 +701,32 @@ def test_two_or_more_sampler_follows_the_truncated_poisson_law(m):
     law /= math.fsum(law)
     assert draws.max() <= top
     assert_fits(*lumped(np.bincount(draws - 2, minlength=law.size), law, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 10**6, 10**12])
+def test_two_detected_matches_mpmath(n):
+    mpmath = pytest.importorskip("mpmath")
+    Ps = [*np.geomspace(1e-12, 1.0, 97).tolist(), 0.05, 0.5, 1 / 3, 0.999, 1.0]
+    for P in Ps:
+        with mpmath.workdps(80):
+            x = mpmath.mpf(P)
+            want = 1 - (1 - x) ** (n - 1) * (1 + (n - 1) * x)
+        value = _two_detected(P)(n)
+        assert abs(value - want) <= 1e-15 * want, (n, P, value, want)
+    # an array of n gives each element's scalar bits
+    ns = np.array([2, 3, 7, 10**6, 10**12])
+    q = _two_detected(0.05)
+    assert q(ns).tolist() == [q(int(m)) for m in ns]
+
+
+def test_two_detected_table_changes_no_draw(monkeypatch):
+    # trains of more photons than the table holds work q out where the
+    # bisection asks, with the same bits
+    setup = two_det(L=4, mu=0.0, source=DIM_TABLE, n_test=300000)
+    tabulated = simulate_two_detector(setup, seed=8, collect_events=True)
+    monkeypatch.setattr(calibration, "_TWO_DETECTED_TABLE", 8)
+    worked_out = simulate_two_detector(setup, seed=8, collect_events=True)
+    assert worked_out == tabulated and np.array_equal(worked_out.events, tabulated.events)
 
 
 def _cells(kind, weights, detectors, slots):

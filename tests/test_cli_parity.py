@@ -104,13 +104,15 @@ CAL_2DET_BATCHES = ("calibrate", "--mode", "2det", "--mu", "0.1", "--n-trains", 
                     "--seed", "11")
 CAL_3DET_BATCHES = ("calibrate", "--mode", "3det", "--mu", "0.3", "--n-trains", "70000",
                     "--seed", "13", "--eta-abs", "0.5")
+# a table's train is kept when two of its photons are detected: kept share
+# 0.036, so three batches, two of 113,777 trains
 CAL_3DET_SOURCE = ("calibrate", "--mode", "3det", "--L", "2", "--mu", "0.5", "--n-trains",
-                   "100000", "--seed", "9", "--eta-abs", "0.8", "--source", "pairs.txt")
-# the same table at 2det: kept share 0.1, so three batches of 40,960 trains
+                   "300000", "--seed", "9", "--eta-abs", "0.8", "--source", "pairs.txt")
+# the same table at 2det: kept share 0.025, so three batches, two of 163,840 trains
 CAL_2DET_SOURCE = ("calibrate", "--mode", "2det", "--L", "2", "--mu", "0.5", "--n-trains",
-                   "100000", "--seed", "9", "--source", "pairs.txt")
-# a table whose slots hold more photons than cells: kept share 0.7, so 2det
-# runs three batches of 32,768 trains and 3det two
+                   "400000", "--seed", "9", "--source", "pairs.txt")
+# a table whose slots hold more photons than cells: kept share 0.46 (2det)
+# and 0.53 (3det), so 2det runs three batches of 32,768 trains and 3det two
 CAL_2DET_CROWDED = ("calibrate", "--mode", "2det", "--L", "4", "--mu", "0.5", "--n-trains",
                     "70000", "--seed", "21", "--source", "crowded.txt")
 CAL_3DET_CROWDED_LOG = ("calibrate", "--mode", "3det", "--L", "4", "--mu", "0.5",
@@ -236,6 +238,8 @@ CASES = (
     # (L = 72), and too many axes as well (L = 129)
     ("rtag", "--L", "72", "--mu", "0.1", "--oracle", "--cap", "2", "--work-limit", "inf"),
     ("rtag", "--L", "129", "--mu", "0.1", "--oracle", "--cap", "2", "--work-limit", "inf"),
+    # admitted work whose configurations hold more photons than int16 counts
+    ("rtag", "--L", "2", "--mu", "0.1", "--oracle", "--cap", "40000", "--work-limit", "inf"),
     ("rtag", "--source", "int64.txt"),
     ("rtag", "--L", "2", "--mu", "0.1", "--cap", "4"),
     ("rtag", "--config", "rtag.cfg"),

@@ -55,7 +55,7 @@ def test_grid_rates_equal_key_rate():
     grid = np.geomspace(*DEFAULT_MU_BOUNDS, DEFAULT_GRID_POINTS)
     for L, eta, error_rate in ((2, 0.3, 0.03), (20, 1e-3, 0.03), (1000, 1e-5, 0.05)):
         f_ec = _entropy(error_rate)
-        values = _rates(L, eta, error_rate, grid, f_ec)
+        values = _rates(L, eta, error_rate, grid, f_ec)[0]
         for mu, value in zip(grid.tolist(), values.tolist()):
             Q = channel_q(L, mu, eta)
             inputs = RateInputs.from_error_rates(L, mu, 1.0, Q, error_rate, error_rate)
@@ -117,7 +117,7 @@ def test_optimize_mu_ends_at_any_tolerance(tolerance):
 ])
 def test_optimize_mu_stays_in_bounds_and_beats_the_grid(L, eta, mu_bounds, grid_best):
     grid = np.geomspace(*mu_bounds, DEFAULT_GRID_POINTS)
-    values = _rates(L, eta, 0.03, grid, _entropy(0.03))
+    values = _rates(L, eta, 0.03, grid, _entropy(0.03))[0]
     best = int(np.argmax(values))
     if grid_best is not None:
         assert best == grid_best
@@ -249,11 +249,12 @@ def test_sweep_in_chunks_gives_the_rows_of_one_optimizer_call():
     # three chunks, the last of three rows; the zero-rate rows open the first
     etas = np.geomspace(1e-7, 1.0, 2 * _SWEEP_CHUNK + 3)
     rows = sweep(SweepSpec(L_values=(2,), eta_values=tuple(etas), error_rate=0.03))
-    mu, rate = _optimize(2, etas, 0.03, DEFAULT_MU_BOUNDS, DEFAULT_TOLERANCE)
+    mu, rate, Q, rtag = _optimize(2, etas, 0.03, DEFAULT_MU_BOUNDS, DEFAULT_TOLERANCE)
     assert np.isnan(mu[0]) and not np.isnan(mu[-1])
     assert [row.eta for row in rows] == etas.tolist()
-    got = [(math.nan if row.mu_opt is None else row.mu_opt, row.rate) for row in rows]
-    np.testing.assert_array_equal(got, np.column_stack([mu, rate]))
+    got = [(math.nan if row.mu_opt is None else row.mu_opt, row.rate, row.Q, row.rtag)
+           for row in rows]
+    np.testing.assert_array_equal(got, np.column_stack([mu, rate, Q, rtag]))
 
 
 def test_sweep_rows_carry_consistent_Q_and_rtag():

@@ -24,6 +24,7 @@ from dqps import (
     rtag_coherent,
     rtag_general,
 )
+from dqps import tagging
 from dqps.tagging import _P2_SERIES, _poisson_head, _rtag, _tagged_weight_histogram
 
 
@@ -354,6 +355,29 @@ def test_bruteforce_refuses_tables_numpy_cannot_hold():
         rtag_bruteforce(TagParams(72, 0.1), photon_cap=2)
 
 
+def test_bruteforce_refuses_configurations_past_int16():
+    # admitted work whose configurations hold more than 32767 photons: the
+    # int16 tables would wrap from cap 32768 on, and the exact factorials up
+    # to L cap would take about 5.6 GB at L cap = 80,000
+    message = ("enumeration needs configurations of more photons than its int16 "
+               "tables count (L * cap above 32767); no limit admits it")
+    for L, cap in ((2, 16384), (2, 40000), (3, 10923), (4, 8192)):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(WorkLimitError) as excinfo:
+                rtag_bruteforce(TagParams(L, 0.1), photon_cap=cap, work_limit=math.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 0.5 and peak < 10**5
+        assert str(excinfo.value) == message
+        assert excinfo.value.required == L * (cap + 1) ** L
+    # above the limit the meter's own message still comes first
+    with pytest.raises(WorkLimitError, match="above the limit 100000000"):
+        rtag_bruteforce(TagParams(2, 0.1), photon_cap=16384)
+
+
 def test_bruteforce_work_limit_override():
     value = rtag_bruteforce(TagParams(3, 0.1), photon_cap=3, work_limit=10**3)
     assert 0.0 < value.value < 1.0
@@ -608,6 +632,65 @@ def test_source_distribution_from_file(tmp_path):
     dist = SourceDistribution.from_file(path)
     assert dist.L == 3
     assert rtag_general(dist) == pytest.approx(0.25, abs=1e-15)
+
+
+# edits that plain text does not hold, or that int() and float() read
+# otherwise than a plain decimal: comments, signs, blanks but space and tab,
+# non-ASCII digits, underscores, words, huge and tiny numbers
+_TEXT_NOISE = ["#", " # a note", "\t", "+", "-", "--", "1_0", "\u0663", "\uff11", "inf", "nan",
+               "1e500", "1e-400", "0x1p-3", ".", "e5", "1.0", "1e3", "9223372036854775808",
+               "-0.0", "\xa0", "\f", "\v", "\r", "\u2003", "\n", "\n\n  \n", " 3", " 0.5"]
+
+
+@st.composite
+def table_texts(draw):
+    """A table's text that sums to 1, its probabilities in several spellings, with edits."""
+    pulses = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(1, 100), min_size=1, max_size=6))
+    lines = []
+    for w in weights:
+        counts = draw(st.lists(st.integers(0, 12), min_size=pulses, max_size=pulses))
+        prob = w / sum(weights)
+        spelling = draw(st.sampled_from(["{!r}", "{:.17e}", "{:.17g}", "{:.20f}", "{:.3f}"]))
+        blank = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+        lines.append(blank.join([*map(str, counts), spelling.format(prob)]))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_TEXT_NOISE)) + text[at:]
+    return text
+
+
+def _read_outcome(read):
+    """What read() gives: the table's rows and arrays, or its error."""
+    try:
+        table = read()
+    except ParameterError as exc:
+        return "error", str(exc)
+    counts, probs = table.as_arrays()
+    return table.support, counts.dtype, counts.tolist(), probs.dtype, probs.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=table_texts() | st.text(alphabet="0123456789 .eE+-#x\t\n", max_size=60))
+def test_bulk_table_read_equals_the_line_by_line_read(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("bulk") / "table.txt"
+    path.write_text(text, encoding="utf-8")
+    by_lines = _read_outcome(lambda: SourceDistribution(tagging._records(path.read_text())))
+    assert _read_outcome(lambda: SourceDistribution.from_file(path)) == by_lines
+
+
+def test_plain_table_text_is_read_at_once(tmp_path, monkeypatch):
+    path = tmp_path / "plain.txt"
+    path.write_text("0 0 0 0.5\n1 0 1 0.25\n\n\t0  1 1 2.5e-1 \n")
+
+    def refused(text):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(tagging, "_records", refused)
+    dist = SourceDistribution.from_file(path)
+    assert dist.support == (((0, 0, 0), 0.5), ((1, 0, 1), 0.25), ((0, 1, 1), 0.25))
+    assert dist._counts.flags.c_contiguous and dist._probs.flags.c_contiguous
 
 
 def test_source_distribution_from_file_malformed(tmp_path):
