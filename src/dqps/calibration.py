@@ -56,7 +56,8 @@ from .errors import (
 )
 from .protocol import run_batches
 from .tagging import (
-    SourceDistribution, TagParams, _poisson_head, rtag_coherent, rtag_general,
+    SourceDistribution, TagParams, _log1p_gap, _poisson_head, rtag_coherent,
+    rtag_general,
 )
 
 _BOUND_TOL = 1e-12
@@ -69,13 +70,16 @@ _REJECTION_FROM = 0.25
 # _cell_finder maps this many uniforms at a time
 _FIND_BLOCK = 1 << 16
 
-# Horner coefficients of sum_k s^(2k) * 2 / (2k+3), highest order first: 18
-# terms reach 1e-17 relative while |s| <= 1/3, past which log1p loses at
-# most a few ulps of log1p(y) - y
-_GAP_SERIES = tuple(2.0 / (2 * k + 3) for k in reversed(range(18)))
+# _two_detected takes log1p(y) - y from 18 terms of _log1p_gap's series while
+# |y| < 1/2 (|s| < 1/3), where they reach 1e-17 relative, and past which
+# log1p loses at most a few ulps of it
+_GAP_SERIES_MAX = 0.5
 
 # A table whose trains hold at most this many photons tabulates P(Bin(b, P) >= 2)
-# for every b once per run; a larger one works it out where the bisection asks
+# for every b once per run; a larger one works it out where the bisection asks.
+# On a 2-vCPU host each working-out costs about 20 us however few its b, and
+# the 4,096-entry table about 0.13 ms, half of the 12 bisection steps of a
+# single batch; at 8,192 entries the two break even
 _TWO_DETECTED_TABLE = 1 << 12
 
 
@@ -371,25 +375,6 @@ def _cell_finder(cells):
     return find
 
 
-def _log1p_gap(y):
-    """log1p(y) - y for a float or an array of y >= -1, to a few ulps of itself.
-
-    With s = y / (2 + y), log1p(y) - y = 2 s^3 sum_k s^(2k) / (2k+3) - y s,
-    taken from _GAP_SERIES while |s| <= 1/3 (y in [-1/2, 1]), where the two
-    terms never cancel more than 1/6 of each other; log1p(y) - y elsewhere.
-    It is -inf at y = -1.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    s = y / (2.0 + y)
-    s2 = s * s
-    series = _GAP_SERIES[0]
-    for coeff in _GAP_SERIES[1:]:
-        series = series * s2 + coeff
-    with np.errstate(divide="ignore"):  # log1p(-1)
-        closed = np.log1p(y) - y
-    return np.where(np.abs(s) <= 1.0 / 3.0, s * (s2 * series - y), closed)
-
-
 def _two_detected(P: float):
     """q(n) = P(Bin(n, P) >= 2) for P in [0, 1], of an integer or an array n >= 2.
 
@@ -398,11 +383,12 @@ def _two_detected(P: float):
     each from _log1p_gap, so nothing cancels and q keeps its relative
     precision (within 1e-15 of mpmath) at every n and P.
     """
-    gap = _log1p_gap(-P)
+    with np.errstate(divide="ignore"):  # log1p(-1) at P = 1
+        gap = _log1p_gap(-P, 18, _GAP_SERIES_MAX)
 
     def q(n):
         m = np.asarray(n, dtype=np.float64) - 1.0
-        return -np.expm1(m * gap + _log1p_gap(m * P))
+        return -np.expm1(m * gap + _log1p_gap(m * P, 18, _GAP_SERIES_MAX))
 
     return q
 
@@ -458,7 +444,8 @@ def _source_law(setup, probs):
     others before b reach no detector, a and b go to detector i with chance
     probs[i] / P, and the photons after b route freely, each to detector i
     with chance probs[i] or to none.  The occupied slots of the kept
-    configurations are found once per run.  A batch draws the multinomial,
+    configurations, with the photons up to each within its configuration,
+    are found once per run.  A batch draws the multinomial,
     then four uniforms a train (b, a and their two detectors), then, its
     groups ordered train by train and, in a train, slot by slot, the
     uniforms of the groups of at most len(probs) + 1 photons after b, then
@@ -494,15 +481,17 @@ def _source_law(setup, probs):
     pvals = np.append(weights, 0.0)  # the last entry takes the rest
     steps = (top - 2).bit_length()  # that halve [2, top] to one b
     # the kept configurations' occupied slots, configuration by configuration,
-    # and the photons up to each over all of them, in Python ints if int64
-    # could not hold the sum: photon t of configuration c is in the first row
-    # whose running count reaches base[c] + t
-    config, slot = np.nonzero(source._counts[kept])
-    photons = source._counts[kept][config, slot]
-    last = np.cumsum(np.bincount(config, minlength=n_kept.size)) - 1
-    fits = n_kept.sum(dtype=np.float64) < 2.0**62
-    run = np.cumsum(photons if fits else photons.astype(object))
-    base = run[last] - n_kept
+    # and, in rows of span padded with int64's max, the photons up to and with
+    # each within its configuration (int64, as a train's photons are)
+    counts = source._counts[kept]
+    config, slot = np.nonzero(counts)
+    photons = counts[config, slot]
+    occupied = np.bincount(config, minlength=n_kept.size)
+    last = np.cumsum(occupied) - 1
+    span = 1 << int(occupied.max(initial=1) - 1).bit_length()
+    shift = last - occupied + 1 - np.arange(n_kept.size) * span  # padded to row
+    padded = np.full(n_kept.size * span, np.iinfo(np.int64).max)
+    padded[np.arange(config.size) - shift[config]] = np.cumsum(counts, axis=1)[config, slot]
     edges = np.cumsum(_shares(probs)[:-1])  # a detected photon's detector
     cells = [*probs, 0.0]  # the last cell takes the rest
     find = _cell_finder(cells)
@@ -526,8 +515,15 @@ def _source_law(setup, probs):
         # rounded up); each goes to detector i with chance probs[i] / P
         a = np.minimum((u[1] * (b - 1)).astype(np.int64), b - 2) + 1
         detector = sum(u[2:] >= edge for edge in edges)
-        start = base[of]
-        row = np.searchsorted(run, np.stack([start + a, start + b]))
+        # photon t of a train is in the first of its configuration's rows
+        # whose count reaches t: add, step by halved step, the rows below t
+        target = np.stack([a, b])
+        at = np.broadcast_to(of * span, target.shape)
+        step = span >> 1
+        while step:
+            at = at + step * (padded[at + (step - 1)] < target)
+            step >>= 1
+        row = at + shift[of]
         forced = (detector * setup.L + slot[row]) * k + np.arange(k)
         # b's row keeps the photons past b, every later row of the train all its own
         width = last[of] - row[1] + 1
@@ -535,7 +531,7 @@ def _source_law(setup, probs):
         first = np.cumsum(width) - width
         rows = np.arange(train.size) + np.repeat(row[1] - first, width)
         after = photons[rows]
-        after[first] = run[row[1]] - (start + b)
+        after[first] = padded[at[1]] - b
         return forced, after, slot[rows] * k + train
 
     def clicks(rng, n: int):

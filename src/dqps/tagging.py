@@ -28,6 +28,7 @@ import io
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, repeat
@@ -132,10 +133,14 @@ def _bulk_arrays(text: str):
     if pulses < 2:
         return None
     record = np.dtype([("counts", np.int64, (pulses,)), ("prob", np.float64)])
-    try:
-        rows = np.loadtxt(io.StringIO(text), dtype=record, comments=None, ndmin=1)
-    except ValueError:  # fields that are no numbers, too many or too few fields
-        return None
+    with warnings.catch_warnings():
+        # the numpy versions from 1.23 that still take it read a count such as
+        # "2.7" or "1e3" through a float, as 2 or 1000, and only warn so
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            rows = np.loadtxt(io.StringIO(text), dtype=record, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):  # no numbers, too many or too few fields
+            return None
     counts, weights = np.ascontiguousarray(rows["counts"]), rows["prob"].copy()
     return (counts, weights) if _plain(counts, weights) else None
 
@@ -324,14 +329,32 @@ def _poisson_head(mu):
 
 # With s = x / (2 + x), log1p(x) - x = 2 s^3 sum_k s^(2k) / (2k+3) - x s, a
 # sum of two terms of one sign.  Its Horner coefficients, highest order
-# first: six terms reach 1e-17 relative below _LOG_SERIES_MAX, above which
-# log1p(x) - x loses at most a few ulps.
-_LOG_SERIES = tuple(np.array(2.0 / (2 * k + 3)) for k in reversed(range(6)))
+# first, of which _log1p_gap takes the last few
+_LOG_SERIES = tuple(np.array(2.0 / (2 * k + 3)) for k in reversed(range(18)))
+# _rtag's x >= 0 takes six terms below this, where they reach 1e-17
+# relative and above which log1p(x) - x loses at most a few ulps
 _LOG_SERIES_MAX = np.array(0.1)
 # Past this mu every term of rtag but P(X >= 2) is below 1e-300 of it, so
 # the eigenvalue sums are taken here, where e^-log(l1) is still finite
 _CHAIN_MU_MAX = np.array(700.0)
 _TINY = np.array(5e-324)  # the smallest subnormal
+
+
+def _log1p_gap(x, terms: int, below):
+    """log1p(x) - x for a float or an array of x >= -1, without cancelling.
+
+    Where |x| < below, from the first `terms` terms of the _LOG_SERIES sum
+    in s = x / (2 + x); elsewhere as log1p(x) - x, -inf at x = -1 (with
+    numpy's divide warning).  A float gives a 0-d array, an array an array,
+    element for element the same bits.
+    """
+    s = x / (_TWO + x)
+    s2 = s * s
+    coeffs = _LOG_SERIES[-terms:]
+    series = coeffs[0]
+    for coeff in coeffs[1:]:
+        series = series * s2 + coeff
+    return np.where(np.abs(x) < below, s * (s2 * series - x), np.log1p(x) - x)
 
 
 def _rtag(L: int, mu):
@@ -358,7 +381,7 @@ def _rtag(L: int, mu):
         rtag = P2 + [l1 T1 (P2 (1+x) + mu P1) + e^-mu x^2 T2 (P(X=1) + x P1)] / (1 + 2x).
 
     l1 T1 = -expm1(-(L-1) g) / expm1(g) with g = -log l1 = x^2 - (log1p(x) - x),
-    taken from _LOG_SERIES at small x so that it does not cancel, and
+    taken from _log1p_gap's series at small x so that it does not cancel, and
     T2 = (1 - l2^(L-1)) / (1 - l2).  x gets one Newton step, in which
     mu - x is exact, because g ~ 3 x^2 / 2 doubles its relative error and
     rtag near 1 inherits that of g.  L - 1 enters as a float, and the work
@@ -375,12 +398,7 @@ def _rtag(L: int, mu):
     q = r + r  # 1 + 2x
     x = x + ((m - x) - x * x) / q
     h = _ONE + x
-    s = x / (_TWO + x)
-    s2 = s * s
-    series = _LOG_SERIES[0]
-    for coeff in _LOG_SERIES[1:]:
-        series = series * s2 + coeff
-    log_gap = np.where(x < _LOG_SERIES_MAX, s * (s2 * series - x), np.log1p(x) - x)
+    log_gap = _log1p_gap(x, 6, _LOG_SERIES_MAX)
     # g = -log l1 > 0 strictly, so l1 T1 is L - 1 where g underflows to 0
     g = np.maximum(x * x - log_gap, _TINY)
     n = float(L - 1)

@@ -639,7 +639,8 @@ def test_three_detector_dim_source_table_is_exact():
 def test_table_past_int64_photons_in_all_is_exact(setup):
     # each train fits int64, but the photons of the table's rows together do not
     table = SourceDistribution((((2**62, 0), 0.5), ((0, 2**62), 0.25), ((1, 1), 0.25)))
-    # (the running count then goes in Python ints, so fewer trains)
+    # (nearly every train is kept and routes its 2^62 photons by multinomial,
+    # so fewer trains)
     assert_bench_follows_exact_law(setup(L=2, mu=0.0, source=table), seed=29, n=200_000)
 
 

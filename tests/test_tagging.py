@@ -1,9 +1,11 @@
 import functools
+import io
 import itertools
 import math
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -643,13 +645,18 @@ _TEXT_NOISE = ["#", " # a note", "\t", "+", "-", "--", "1_0", "\u0663", "\uff11"
 
 
 @st.composite
-def table_texts(draw):
-    """A table's text that sums to 1, its probabilities in several spellings, with edits."""
+def table_texts(draw, count_spellings=None):
+    """A table's text that sums to 1, its probabilities in several spellings, with edits.
+
+    count_spellings, if given, are formats a count is written in besides str.
+    """
     pulses = draw(st.integers(1, 4))
     weights = draw(st.lists(st.integers(1, 100), min_size=1, max_size=6))
     lines = []
     for w in weights:
         counts = draw(st.lists(st.integers(0, 12), min_size=pulses, max_size=pulses))
+        if count_spellings:
+            counts = [draw(st.sampled_from(["{}", *count_spellings])).format(c) for c in counts]
         prob = w / sum(weights)
         spelling = draw(st.sampled_from(["{!r}", "{:.17e}", "{:.17g}", "{:.20f}", "{:.3f}"]))
         blank = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
@@ -671,13 +678,62 @@ def _read_outcome(read):
     return table.support, counts.dtype, counts.tolist(), probs.dtype, probs.tolist()
 
 
+def _float_parsing_loadtxt(real):
+    """np.loadtxt as the numpy versions that read an int field through a float.
+
+    Where an int64 field is no integer but a finite float, they only warn
+    with a DeprecationWarning, and truncate it toward zero.
+    """
+    def loadtxt(fname, dtype, **kwargs):
+        text = fname.read()
+        try:
+            return real(io.StringIO(text), dtype=dtype, **kwargs)
+        except ValueError:
+            floats = np.dtype([(name, np.float64, dtype[name].shape) for name in dtype.names])
+            rows = real(io.StringIO(text), dtype=floats, **kwargs)
+            counts = rows["counts"]
+            if not (np.isfinite(counts).all() and (np.abs(counts) < 2.0**63).all()):
+                raise
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return rows.astype(dtype)
+
+    return loadtxt
+
+
+# this numpy's reader, and one that reads a count through a float and only
+# warns, with DeprecationWarning at its default filter as a program runs
+_LOADTXTS = [
+    pytest.param(False, id="numpy"),
+    pytest.param(True, id="float-parsing",
+                 marks=pytest.mark.filterwarnings("default::DeprecationWarning")),
+]
+
+
+@pytest.mark.parametrize("float_parsing", _LOADTXTS)
 @settings(max_examples=400, deadline=None)
-@given(text=table_texts() | st.text(alphabet="0123456789 .eE+-#x\t\n", max_size=60))
-def test_bulk_table_read_equals_the_line_by_line_read(tmp_path_factory, text):
+@given(text=table_texts(["{}.0", "{}.7", "{}e0", "{}E1", "{}.", "-0.{}", "+{}"])
+       | st.text(alphabet="0123456789 .eE+-#x\t\n", max_size=60))
+def test_bulk_table_read_equals_the_line_by_line_read(tmp_path_factory, float_parsing, text):
     path = tmp_path_factory.mktemp("bulk") / "table.txt"
     path.write_text(text, encoding="utf-8")
     by_lines = _read_outcome(lambda: SourceDistribution(tagging._records(path.read_text())))
-    assert _read_outcome(lambda: SourceDistribution.from_file(path)) == by_lines
+    with pytest.MonkeyPatch.context() as patch:
+        if float_parsing:
+            patch.setattr(np, "loadtxt", _float_parsing_loadtxt(np.loadtxt))
+        assert _read_outcome(lambda: SourceDistribution.from_file(path)) == by_lines
+
+
+@pytest.mark.filterwarnings("default::DeprecationWarning")
+def test_bulk_table_read_refuses_counts_numpy_reads_through_a_float(tmp_path):
+    path = tmp_path / "table.txt"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "loadtxt", _float_parsing_loadtxt(np.loadtxt))
+        for text, line in [("2.7 0 0.5\n0 0 0.5\n", "2.7 0 0.5"), ("0 0 0.5\n1e0 1 0.5\n", "1e0 1 0.5"),
+                           ("1.0 1 1\n", "1.0 1 1")]:
+            path.write_text(text)
+            with pytest.raises(ParameterError, match=f"malformed record '{line}'"):
+                SourceDistribution.from_file(path)
 
 
 def test_plain_table_text_is_read_at_once(tmp_path, monkeypatch):
