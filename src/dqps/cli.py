@@ -8,7 +8,10 @@ sweep is CSV only, simulate JSON lines only.  Floats in CSV use 17
 significant digits so files round-trip bit-exactly.
 
 main(argv) may be called any number of times in one process: the parser is
-built on the first call and serves every call, --config calls included.  One
+built on the first call and serves every call, --config calls included.  A
+call makes one argparse pass: an argv that starts with a subcommand goes to
+that subcommand's parser alone, and the top-level parser serves only argv
+that names no subcommand first (bare dqps, --help, an unknown command).  One
 flat key=value config file (--config; a second one is refused) can supply
 any long option of the chosen subcommand, for its own call only: its values
 go into that call's namespace, never on the parser, and explicit flags win.
@@ -106,10 +109,14 @@ def _csv_template(kinds: tuple) -> str:
     return ",".join("%.17g" if issubclass(kind, float) else "%s" for kind in kinds) + "\n"
 
 
+# json.dumps(record, sort_keys=True), without building an encoder per record
+_json_line = json.JSONEncoder(sort_keys=True).encode
+
+
 def _render(records: list[dict], fmt: str) -> str:
     """JSON lines with sorted keys, or CSV headed by the first record's keys."""
     if fmt == "json":
-        return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        return "".join(_json_line(record) + "\n" for record in records)
     rows = [",".join(records[0]) + "\n"]
     for record in records:
         values = tuple(record.values())
@@ -146,7 +153,7 @@ def _event_rows(start: int, events: np.ndarray):
     is built in row order: one broadcast copies _row_template(width, flags)
     into every tile, each leading digit is written once per tile down its
     column, and only the set flags are written after.  The buffer's rows
-    from start on are yielded for writelines.
+    from start on are yielded for writelines, as a C-contiguous uint8 view.
     """
     flags = events.shape[1]
     stop = start + len(events)
@@ -167,7 +174,7 @@ def _event_rows(start: int, events: np.ndarray):
         rows = out.reshape(-1, size)[lo - first * tile:hi - first * tile]
         hit = np.flatnonzero(events[lo - start:hi - start])
         rows.reshape(-1)[hit // flags * size + width + 1 + 2 * (hit % flags)] = ord("1")
-        yield rows.tobytes()
+        yield rows
         lo = hi
 
 
@@ -286,6 +293,24 @@ def _build_parser():
 def _parser():
     """The parser and its subcommands' parsers, built once, shared by every call."""
     return _build_parser()
+
+
+def _parse_argv(argv: list) -> argparse.Namespace:
+    """argv's namespace, as _build_parser()'s parse_args gives it, in one pass.
+
+    An argv that starts with a subcommand goes to that subcommand's parser
+    alone, as the top-level parser would hand it on, and a leftover argument
+    is refused by the top-level parser's error, as parse_args refuses it.
+    Any other argv (none, --help, an unknown command) goes to the top level.
+    """
+    parser, subs = _parser()
+    sub = subs.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
@@ -533,12 +558,12 @@ _EXIT_CODES = {ParameterError: 2, OSError: 3, WorkLimitError: 4, MemoryError: 4}
 
 
 def main(argv=None) -> int:
-    parser, subs = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    parser, subs = _parser()
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2

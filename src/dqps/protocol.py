@@ -145,14 +145,19 @@ def detection_means(
     mu*eta.
     """
     a = np.atleast_2d(np.asarray(a_bits))
-    c_arr = np.atleast_1d(np.asarray(c)).astype(np.float64)
-    d_arr = np.atleast_1d(np.asarray(d)).astype(np.float64)
-    pulse_idx = np.arange(a.shape[-1])
-    theta = a * np.pi + 0.5 * np.pi * pulse_idx * c_arr[:, None]
-    relative = np.diff(theta, axis=1) - 0.5 * np.pi * d_arr[:, None] - channel.e_mis
-    base = 0.5 * params.mu * channel.eta
-    cos_rel = np.cos(relative)
-    return np.stack([base * (1.0 + cos_rel), base * (1.0 - cos_rel)], axis=-1)
+    c_arr = np.atleast_1d(np.asarray(c))
+    d_arr = np.atleast_1d(np.asarray(d))
+    # pulse-major (P, n): each step runs down the blocks, not along a row of
+    # P pulses; a bool basis bit enters a product as exactly 1.0 or 0.0
+    phase = 0.5 * np.pi * np.arange(a.shape[-1])
+    theta = a.T * np.pi + phase[:, None] * c_arr
+    relative = (theta[1:] - theta[:-1]) - 0.5 * np.pi * d_arr - channel.e_mis
+    cos_rel = np.cos(relative).T
+    means = np.empty(cos_rel.shape + (2,))
+    np.add(1.0, cos_rel, out=means[..., 0])
+    np.subtract(1.0, cos_rel, out=means[..., 1])
+    means *= 0.5 * params.mu * channel.eta
+    return means
 
 
 def _measured_bit(log_q: np.ndarray, u, tie, flip) -> np.ndarray:

@@ -113,19 +113,23 @@ def _plain(counts: np.ndarray, weights: np.ndarray) -> bool:
     return bool(((weights >= 0.0) & (weights <= 1.0)).all())  # NaN fails too
 
 
-# Text that numpy's reader takes as int() and float() take it: no comment,
-# no letter but an exponent's, ASCII digits and blanks
+# Text that numpy's reader takes as int() and float() take it: no letter
+# but an exponent's, ASCII digits and blanks
 _PLAIN_TEXT = re.compile(r"[0-9 \t\n.eE+-]*")
 _FIRST_RECORD = re.compile(r"\S[^\n]*")
+_COMMENT = re.compile(r"#[^\n]*")
 
 
 def _bulk_arrays(text: str):
     """from_file's table read at once, as _plain arrays, or None.
 
-    None unless _PLAIN_TEXT holds the whole text and numpy reads every
-    record as the first one's count of fields, its L >= 2 counts as int64
-    and its last field as a float64; every other text goes row by row.
+    Each # through the end of its line is dropped first, as _records drops
+    it.  None unless _PLAIN_TEXT then holds the whole text and numpy reads
+    every record as the first one's count of fields, its L >= 2 counts as
+    int64 and its last field as a float64; every other text goes row by row.
     """
+    if "#" in text:
+        text = _COMMENT.sub("", text)
     first = _FIRST_RECORD.search(text)
     if not _PLAIN_TEXT.fullmatch(text) or first is None:
         return None

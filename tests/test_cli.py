@@ -34,7 +34,7 @@ from dqps import (
 )
 from dqps.cli import main
 from test_cli_parity import (
-    GOLDEN_2DET, GOLDEN_3DET, GOLDEN_3DET_LOG, GOLDEN_SIMULATE, GOLDEN_SWEEP, INFEASIBLE, KEYRATE,
+    CASES as PARITY_CASES, GOLDEN_2DET, GOLDEN_3DET, GOLDEN_3DET_LOG, GOLDEN_SIMULATE, GOLDEN_SWEEP, INFEASIBLE, KEYRATE,
     OPTIMIZED, RTAG,
 )
 from test_cli_parity import _golden as _parity_golden
@@ -632,7 +632,7 @@ def test_event_rows_match_the_percent_template(capsys, tmp_path, monkeypatch,
         parts = list(dqps.cli._event_rows(start, events))
         # each buffer holds up to a chunk of rows, every one of the same width
         for part in parts:
-            rows = part.splitlines()
+            rows = bytes(part).splitlines()
             assert len(rows) <= dqps.cli._EVENT_LOG_CHUNK and len(set(map(len, rows))) == 1
         assert b"".join(parts) == expected, (start, length)
 
@@ -1094,3 +1094,40 @@ def test_parser_is_built_once_per_process(tmp_path):
     # import built nothing and the first call built the parser that every
     # call shares, the --config call too
     assert proc.stdout.splitlines()[-1] == "1 1 1 1 1"
+
+
+class _Parsed(Exception):
+    """Stands in for the rest of main once argv is parsed; carries the namespace."""
+
+
+# every parity case, argparse errors the matrix keeps by exit code only, and
+# each subcommand alone and with --help
+PARSE_PHASE_ARGV = tuple(dict.fromkeys(PARITY_CASES + (
+    ("keyrate", "--frobnicate", "1"), ("sweep", "sweep"), ("calibrate", "--mode", "4det"),
+    ("simulate", "--L"),
+    *((command, *extra) for command in ("keyrate", "sweep", "simulate", "rtag", "calibrate")
+      for extra in ((), ("--help",))),
+)))
+
+
+def test_one_pass_parse_matches_the_two_level_parse(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    parse = dqps.cli._parse_argv
+
+    def parsed(argv):
+        raise _Parsed(parse(argv))
+
+    monkeypatch.setattr(dqps.cli, "_parse_argv", parsed)
+    for argv in PARSE_PHASE_ARGV:
+        try:
+            code, args = main(list(argv)), None
+        except _Parsed as stop:
+            code, args = 0, stop.args[0]
+        one_pass = (code, *capsys.readouterr())
+        # the two-level parse main made before it parsed in one pass
+        try:
+            code, expected = 0, dqps.cli._build_parser()[0].parse_args(list(argv))
+        except SystemExit as exc:
+            code, expected = exc.code, None
+        assert one_pass == (code, *capsys.readouterr()), argv
+        assert args == expected, argv

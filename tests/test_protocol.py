@@ -416,6 +416,33 @@ def test_detection_means_read_the_pulse_count_from_the_bits():
     assert np.array_equal(means, two)
 
 
+def row_major_means(params, channel, a_bits, c, d):
+    """detection_means' float steps in its own order, one block per row."""
+    a = np.atleast_2d(np.asarray(a_bits))
+    c_arr = np.atleast_1d(np.asarray(c)).astype(np.float64)
+    d_arr = np.atleast_1d(np.asarray(d)).astype(np.float64)
+    theta = a * np.pi + 0.5 * np.pi * np.arange(a.shape[-1]) * c_arr[:, None]
+    relative = np.diff(theta, axis=1) - 0.5 * np.pi * d_arr[:, None] - channel.e_mis
+    base = 0.5 * params.mu * channel.eta
+    cos_rel = np.cos(relative)
+    return np.stack([base * (1.0 + cos_rel), base * (1.0 - cos_rel)], axis=-1)
+
+
+@pytest.mark.parametrize("pulses", [1, 2, 3, 20])
+def test_detection_means_equal_the_row_major_steps_bit_for_bit(pulses):
+    rng = np.random.default_rng(pulses)
+    params = ProtocolParams(L=20, mu=0.3, p1=0.5, n_blocks=1, seed=0)
+    for channel in (ChannelModel(eta=0.7), ChannelModel(eta=1e-9, e_mis=0.49)):
+        bits = rng.integers(0, 2, size=(333, pulses), dtype=np.int8)
+        c, d = rng.random(333) < 0.5, rng.random(333) < 0.5
+        for args in ((bits, c, d), (bits.astype(int), c.astype(int), d.astype(np.int8)),
+                     (bits[0].tolist(), bool(c[0]), bool(d[0]))):
+            means = detection_means(params, channel, *args)
+            expected = row_major_means(params, channel, *args)
+            assert means.shape == expected.shape and means.dtype == expected.dtype
+            assert means.tobytes() == expected.tobytes()
+
+
 SHARES = [0.0, 5e-301, 1e-12, 1e-6, 9.495e-4, 0.0446, 0.125, _BATCH_WORK / BATCH_BLOCKS,
           0.3, 0.617, 1.0]
 COUNTS = [1, 17, BATCH_BLOCKS - 1, BATCH_BLOCKS, BATCH_BLOCKS + 1, 10**5, 3 * 10**6,

@@ -748,6 +748,11 @@ def test_plain_table_text_is_read_at_once(tmp_path, monkeypatch):
     assert dist.support == (((0, 0, 0), 0.5), ((1, 0, 1), 0.25), ((0, 1, 1), 0.25))
     assert dist._counts.flags.c_contiguous and dist._probs.flags.c_contiguous
 
+    # comments, whatever they hold, are no bar to the bulk read
+    path.write_text("# a table: µW, x\n0 0 0 0.5  # half\n#1 1 1 0.5\n1 0 1 0.25\n"
+                    "   # the rest\n0 1 1 2.5e-1#\n", encoding="utf-8")
+    assert SourceDistribution.from_file(path).support == dist.support
+
 
 def test_source_distribution_from_file_malformed(tmp_path):
     path = tmp_path / "bad.txt"
