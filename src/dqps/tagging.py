@@ -128,8 +128,7 @@ def _bulk_arrays(text: str):
     every record as the first one's count of fields, its L >= 2 counts as
     int64 and its last field as a float64; every other text goes row by row.
     """
-    if "#" in text:
-        text = _COMMENT.sub("", text)
+    text = _COMMENT.sub("", text)
     first = _FIRST_RECORD.search(text)
     if not _PLAIN_TEXT.fullmatch(text) or first is None:
         return None

@@ -34,8 +34,8 @@ from dqps import (
 )
 from dqps.cli import main
 from test_cli_parity import (
-    CASES as PARITY_CASES, GOLDEN_2DET, GOLDEN_3DET, GOLDEN_3DET_LOG, GOLDEN_SIMULATE, GOLDEN_SWEEP, INFEASIBLE, KEYRATE,
-    OPTIMIZED, RTAG,
+    CASES as PARITY_CASES, GOLDEN_2DET, GOLDEN_3DET, GOLDEN_3DET_LOG, GOLDEN_SIMULATE, GOLDEN_SWEEP,
+    INFEASIBLE, KEYRATE, OPTIMIZED, RTAG,
 )
 from test_cli_parity import _golden as _parity_golden
 from test_cli_parity import _key as _parity_key
